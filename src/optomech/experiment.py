@@ -19,7 +19,8 @@ from . import __version__
 from .engineering import laplace_coefficients, modulation_components, \
     transient_first_moments
 from .errors import Diverged, NotStable, SimulationError
-from .fluctuations import build_diffusion, build_drift, integrate_lyapunov, \
+from .fluctuations import LyapunovTrajectory, PeriodicState, \
+    build_diffusion, build_drift, integrate_lyapunov, periodic_state, \
     stability_check, steady_state_lyapunov, thermal_vacuum_cm
 from .measures import log_negativity, mean_phonon_number, reduce_atom_mirror, \
     squeezing_parameter, wigner
@@ -254,6 +255,36 @@ def _write_wigner(cfg, out_dir, written, t, vs):
         written[f"wigner_{k}"] = path
 
 
+def _periodic_start(cfg: ExperimentConfig, drive: DriveSpec, source,
+                    t_eval: np.ndarray) -> PeriodicState | None:
+    """Periodic solve at the window's first time, when the means are
+    co-integrated and the window starts after t = 0; else None."""
+    t0 = float(t_eval[0])
+    if source != "ode" or t0 <= 0.0:
+        return None
+    return periodic_state(cfg.params, drive, t0, cfg.numerics, cfg.j_max,
+                          cfg.n_max)
+
+
+def _cm_window(cfg: ExperimentConfig, drive: DriveSpec, source,
+               t_end: float, t_eval: np.ndarray,
+               periodic: PeriodicState | None) -> LyapunovTrajectory:
+    """CM over t_eval, which ends at t_end.
+
+    Only the window is integrated when the periodic state passes its gate
+    (see PeriodicState); otherwise the CM is integrated from t = 0.
+    """
+    if periodic is not None and periodic.usable:
+        return integrate_lyapunov(cfg.params, drive, "ode", periodic.v,
+                                  t_end, t_eval=t_eval, cfg=cfg.numerics,
+                                  moment_init=FirstMoments.from_vector(
+                                      periodic.y),
+                                  t_start=float(t_eval[0]))
+    return integrate_lyapunov(cfg.params, drive, source, cfg.init_cm,
+                              t_end, t_eval=t_eval, cfg=cfg.numerics,
+                              moment_init=cfg.init_moments)
+
+
 def _run_modulated(cfg: ExperimentConfig, out_dir: Path,
                    written: dict) -> None:
     drive = cfg.resolved_drive()
@@ -275,6 +306,10 @@ def _run_modulated(cfg: ExperimentConfig, out_dir: Path,
         write_trajectory_csv(path, traj.t, traj.q, traj.p, traj.a, traj.c)
         written["first_moments"] = path
 
+    measured = any(o in cfg.outputs for o in MEASURE_OUTPUTS)
+    periodic = (_periodic_start(cfg, drive, source, t_eval) if measured
+                else None)
+
     if "stability" in cfg.outputs:
         if source == "ode":
             sol = floquet_recurse(cfg.params, drive, cfg.j_max, cfg.n_max)
@@ -282,16 +317,17 @@ def _run_modulated(cfg: ExperimentConfig, out_dir: Path,
         else:
             stab_source = source
         report = stability_check(cfg.params, drive, stab_source)
+        stab = {"stable": report.stable, "margin": report.margin}
+        if periodic is not None:
+            stab["max_multiplier"] = periodic.max_multiplier
+            stab["transient_residue"] = periodic.transient_residue
         path = out_dir / "stability.json"
-        path.write_text(json.dumps({"stable": report.stable,
-                                    "margin": report.margin}, indent=2))
+        path.write_text(json.dumps(stab, indent=2))
         written["stability"] = path
 
-    if not any(o in cfg.outputs for o in MEASURE_OUTPUTS):
+    if not measured:
         return
-    lt = integrate_lyapunov(cfg.params, drive, source, cfg.init_cm,
-                            t_end, t_eval=t_eval, cfg=cfg.numerics,
-                            moment_init=cfg.init_moments)
+    lt = _cm_window(cfg, drive, source, t_end, t_eval, periodic)
     if "cm" in cfg.outputs:
         path = out_dir / "cm.csv"
         write_cm_csv(path, lt.t, lt.v)
@@ -405,9 +441,8 @@ def evaluate_cell(cfg: ExperimentConfig) -> tuple[str, float]:
         tau = drive.period
         t_end = cfg.horizon_periods * tau
         t_eval = np.linspace(t_end - tau, t_end, cfg.samples_per_period)
-        lt = integrate_lyapunov(cfg.params, drive, "ode", cfg.init_cm,
-                                t_end, t_eval=t_eval, cfg=cfg.numerics,
-                                moment_init=cfg.init_moments)
+        lt = _cm_window(cfg, drive, "ode", t_end, t_eval,
+                        _periodic_start(cfg, drive, "ode", t_eval))
         en = [log_negativity(reduce_atom_mirror(v)) for v in lt.v]
         return "stable", float(np.max(en))
     except (NotStable, Diverged):

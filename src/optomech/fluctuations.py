@@ -2,8 +2,9 @@
 
 Assembles the time-dependent drift matrix and the diffusion matrix of the
 linearized quadrature dynamics, propagates the 6x6 covariance matrix
-through the Lyapunov equation of motion, and checks dynamical stability
-by sampled drift-matrix eigenvalues.
+through the Lyapunov equation of motion, solves for the periodic
+asymptote of a modulated drive from one period's monodromy, and checks
+dynamical stability by sampled drift-matrix eigenvalues.
 
 Quadrature ordering is (dq, dp, dX, dY, dx, dy); vacuum variance 1/2.
 """
@@ -14,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotStable, Singular, Unphysical
+from .errors import NotStable, SimulationError, Singular, Unphysical
 from .measures import symplectic_eigenvalues
 from .model import DriveSpec, FirstMoments, SystemParams, ZERO_MOMENTS
-from .moments import _rhs_vector, default_stepper, effective_coupling, \
-    effective_detuning
+from .moments import DEFAULT_J_MAX, DEFAULT_N_MAX, _rhs_vector, \
+    default_stepper, effective_coupling, effective_detuning, \
+    evaluate_floquet, floquet_recurse
 from .numerics import StepperConfig, integrate_adaptive, solve_linear
 
 PHYSICALITY_SLACK = 1e-6
@@ -73,15 +75,40 @@ def _check_physical(t: np.ndarray, vs: np.ndarray):
                 f"t = {ti:g}; integration accuracy insufficient")
 
 
+def _moments_cm_rhs(params: SystemParams, drive: DriveSpec, d: np.ndarray):
+    """RHS of the mean values co-integrated with the CM and, optionally, Phi.
+
+    The state is (moments[6], V[36]) or (moments[6], V[36], Phi[36]); the
+    drift is rebuilt from the co-integrated means at every call, and the
+    fundamental matrix obeys dPhi/dt = A(t) Phi.
+    """
+    moment_rhs = _rhs_vector(params, drive)
+
+    def f(t, y):
+        dy_m = moment_rhs(t, y[:6])
+        v = y[6:42].reshape(6, 6)
+        v = 0.5 * (v + v.T)
+        a_mat = build_drift(params, y[0], complex(y[2], y[3]))
+        dv = a_mat @ v + v @ a_mat.T + d
+        if y.size == 42:
+            return np.concatenate((dy_m, dv.ravel()))
+        dphi = a_mat @ y[42:].reshape(6, 6)
+        return np.concatenate((dy_m, dv.ravel(), dphi.ravel()))
+
+    return f
+
+
 def integrate_lyapunov(params: SystemParams, drive: DriveSpec,
                        first_moment_source, v0: np.ndarray | None,
                        t_end: float, t_eval: np.ndarray | None = None,
                        cfg: StepperConfig | None = None,
                        moment_init: FirstMoments = ZERO_MOMENTS,
-                       check_physical: bool = True) -> LyapunovTrajectory:
-    """Propagate dV/dt = A(t) V + V A^T + D from t = 0 to t_end.
+                       check_physical: bool = True,
+                       t_start: float = 0.0) -> LyapunovTrajectory:
+    """Propagate dV/dt = A(t) V + V A^T + D from t_start to t_end.
 
-    first_moment_source selects how A(t) is rebuilt at every step:
+    v0 and moment_init are the state at t_start.  first_moment_source
+    selects how A(t) is rebuilt at every step:
 
     * "ode"    - co-integrate the mean-value ODEs alongside V, starting
                  from moment_init (the exact numerical route);
@@ -95,18 +122,10 @@ def integrate_lyapunov(params: SystemParams, drive: DriveSpec,
     d = build_diffusion(params)
 
     if first_moment_source == "ode":
-        moment_rhs = _rhs_vector(params, drive)
-
-        def f(t, y):
-            dy_m = moment_rhs(t, y[:6])
-            v = y[6:].reshape(6, 6)
-            v = 0.5 * (v + v.T)
-            a_mat = build_drift(params, y[0], complex(y[2], y[3]))
-            dv = a_mat @ v + v @ a_mat.T + d
-            return np.concatenate((dy_m, dv.ravel()))
-
+        f = _moments_cm_rhs(params, drive, d)
         y0 = np.concatenate((moment_init.to_vector(), v0.ravel()))
-        sol = integrate_adaptive(f, (0.0, t_end), y0, cfg, t_eval=t_eval)
+        sol = integrate_adaptive(f, (t_start, t_end), y0, cfg,
+                                 t_eval=t_eval)
         vs = sol.y[6:].T.reshape(-1, 6, 6)
     else:
         source = first_moment_source
@@ -119,7 +138,7 @@ def integrate_lyapunov(params: SystemParams, drive: DriveSpec,
             dv = a_mat @ v + v @ a_mat.T + d
             return dv.ravel()
 
-        sol = integrate_adaptive(f, (0.0, t_end), v0.ravel(), cfg,
+        sol = integrate_adaptive(f, (t_start, t_end), v0.ravel(), cfg,
                                  t_eval=t_eval)
         vs = sol.y.T.reshape(-1, 6, 6)
 
@@ -127,6 +146,93 @@ def integrate_lyapunov(params: SystemParams, drive: DriveSpec,
     if check_physical:
         _check_physical(sol.t, vs)
     return LyapunovTrajectory(t=sol.t, v=vs)
+
+
+# Quadrature scaling between the mean-value vector (q, p, Re a, Im a,
+# Re c, Im c) and the fluctuation quadratures: u = S dy.
+_QUADRATURE_SCALE = np.array([1.0, 1.0] + [np.sqrt(2.0)] * 4)
+# Shooting converges quadratically; from the Floquet series it takes three
+# periods at the fig5a working point.  Slower convergence means the series
+# start is poor, and the brute-force route is used instead.
+SHOOTING_MAX_PERIODS = 5
+
+
+@dataclass(frozen=True)
+class PeriodicState:
+    """Periodic asymptote of a modulated drive at the time t0.
+
+    y and v are the limit-cycle means and the periodic CM at t0 (v is None
+    unless usable).  max_multiplier is the largest Floquet multiplier
+    modulus, from the one-period fundamental matrix; transient_residue =
+    max_multiplier**floor(t0/tau) bounds the share of the initial
+    transient that a run from t = 0 still carries at t0.  usable is the
+    gate: shooting converged, the cycle attracts (max_multiplier < 1) and
+    the residue is within the stepper's rel_tol.
+    """
+
+    y: np.ndarray
+    v: np.ndarray | None
+    max_multiplier: float
+    transient_residue: float
+    usable: bool
+
+
+def _one_period(f, y, t0, tau, cfg):
+    """(y, Phi, W) after one period from (y, Phi = I, W = 0) at t0."""
+    state = np.concatenate((y, np.zeros(36), np.eye(6).ravel()))
+    sol = integrate_adaptive(f, (t0, t0 + tau), state, cfg)
+    end = sol.y[:, -1]
+    w = end[6:42].reshape(6, 6)
+    return end[:6], end[42:].reshape(6, 6), 0.5 * (w + w.T)
+
+
+def periodic_state(params: SystemParams, drive: DriveSpec, t0: float,
+                   cfg: StepperConfig | None = None,
+                   j_max: int = DEFAULT_J_MAX,
+                   n_max: int = DEFAULT_N_MAX) -> PeriodicState | None:
+    """Limit cycle and periodic CM at t0 by one-period monodromy.
+
+    Newton shooting on y(t0 + tau) - y(t0), started from the Floquet
+    series at t0; its Jacobian S^-1 Phi S - I comes from the fundamental
+    matrix Phi integrated alongside, so it costs no extra integration.
+    It has converged once the residual is within rel_tol of max |y|.
+    The forced CM W (W(t0) = 0) of the converged period then gives the
+    periodic CM as the solution of V = Phi V Phi^T + W.  Returns None
+    when the shooting cannot be carried out at all (a singular series
+    denominator, a diverging or failing step, a singular Jacobian).
+    """
+    cfg = default_stepper(drive, cfg)
+    f = _moments_cm_rhs(params, drive, build_diffusion(params))
+    tau = drive.period
+    try:
+        series = floquet_recurse(params, drive, j_max, n_max)
+        y = evaluate_floquet(series, params.g, t0).to_vector()
+        converged = False
+        for _ in range(SHOOTING_MAX_PERIODS):
+            y_end, phi, w = _one_period(f, y, t0, tau, cfg)
+            resid = y_end - y
+            if np.max(np.abs(resid)) <= cfg.rel_tol * np.max(np.abs(y)):
+                converged = True
+                break
+            jac = (phi * _QUADRATURE_SCALE) / _QUADRATURE_SCALE[:, None] \
+                - np.eye(6)
+            y = y - np.linalg.solve(jac, resid)
+    except (SimulationError, np.linalg.LinAlgError):
+        return None
+    mu = float(np.max(np.abs(np.linalg.eigvals(phi))))
+    with np.errstate(over="ignore"):
+        residue = float(np.power(mu, np.floor(t0 / tau)))
+    usable = converged and mu < 1.0 and residue <= cfg.rel_tol
+    v = None
+    if usable:
+        # V = Phi V Phi^T + W, row-major vectorized: the Kronecker solve
+        # of scipy.linalg.solve_discrete_lyapunov at this size, through
+        # NumPy's LAPACK, which the run has loaded already
+        v = np.linalg.solve(np.eye(36) - np.kron(phi, phi),
+                            w.ravel()).reshape(6, 6)
+        v = 0.5 * (v + v.T)
+    return PeriodicState(y=y, v=v, max_multiplier=mu,
+                         transient_residue=residue, usable=usable)
 
 
 def steady_state_lyapunov(a_const: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -79,16 +79,6 @@ class MomentTrajectory:
         y = self.dense(t)
         return FirstMoments.from_vector(y)
 
-    def mean_source(self):
-        """Callable t -> (q_mean, a_mean) for drift-matrix assembly."""
-        dense = self.dense
-
-        def source(t):
-            y = dense(t)
-            return y[0], complex(y[2], y[3])
-
-        return source
-
 
 def default_stepper(drive: DriveSpec | None = None,
                     base: StepperConfig | None = None) -> StepperConfig:

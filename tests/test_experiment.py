@@ -3,13 +3,18 @@ import json
 import numpy as np
 import pytest
 
+from optomech import fluctuations
 from optomech.cli import main as cli_main
 from optomech.experiment import (ExperimentConfig, SweepAxis,
                                  compare_sources, config_from_dict,
+                                 evaluate_cell, measures_from_cm_series,
                                  run_experiment)
+from optomech.fluctuations import integrate_lyapunov
+from optomech.measures import log_negativity, reduce_atom_mirror
 from optomech.model import DriveSpec, SystemParams
 from optomech.numerics import StepperConfig
 from optomech.recipes import load_recipe, recipe_names
+from optomech.tables import write_cm_csv, write_measures_csv
 
 FIG2_DOC = {
     "params": {"delta_a": 1.0, "kappa": 2.0, "gamma_m": 1e-3, "g": 1e-5,
@@ -101,6 +106,9 @@ def test_constant_drive_run_steady_state(tmp_path):
     run_experiment(config_from_dict(doc), tmp_path)
     stab = json.loads((tmp_path / "stability.json").read_text())
     assert stab["stable"] is True
+    # a constant drive has no period to solve over
+    assert "max_multiplier" not in stab
+    assert "transient_residue" not in stab
     meas = (tmp_path / "measures.csv").read_text().splitlines()
     assert len(meas) == 2
     en = float(meas[1].split(",")[1])
@@ -247,3 +255,85 @@ def test_sweep_parallel_matches_serial(tmp_path):
     run_experiment(cfg, tmp_path / "par", jobs=2)
     assert (tmp_path / "serial" / "sweep.csv").read_bytes() == \
         (tmp_path / "par" / "sweep.csv").read_bytes()
+
+
+def brute_force_window(cfg):
+    """The sampled window of a modulated run integrated from t = 0."""
+    drive = cfg.resolved_drive()
+    t_end = cfg.horizon_periods * drive.period
+    t_eval = np.linspace(t_end - cfg.sample_periods * drive.period, t_end,
+                         int(cfg.sample_periods * cfg.samples_per_period))
+    return integrate_lyapunov(cfg.params, drive, "ode", cfg.init_cm, t_end,
+                              t_eval=t_eval, cfg=cfg.numerics,
+                              moment_init=cfg.init_moments)
+
+
+def assert_brute_force_csvs(cfg, run_dir, ref_dir):
+    lt = brute_force_window(cfg)
+    ref_dir.mkdir()
+    write_cm_csv(ref_dir / "cm.csv", lt.t, lt.v)
+    m = measures_from_cm_series(lt.t, lt.v)
+    write_measures_csv(ref_dir / "measures.csv", m["t"], m["EN"],
+                       m["v11"], m["v22"], m["neff"], m["r_db"])
+    for name in ("cm.csv", "measures.csv"):
+        assert (run_dir / name).read_bytes() == \
+            (ref_dir / name).read_bytes()
+    return lt
+
+
+def test_window_inside_transient_takes_brute_force(tmp_path):
+    doc = dict(FIG2_DOC, outputs=["first_moments", "cm", "EN",
+                                  "stability"])
+    cfg = config_from_dict(doc)
+    run_experiment(cfg, tmp_path / "run")
+    stab = json.loads((tmp_path / "run" / "stability.json").read_text())
+    assert stab["max_multiplier"] == pytest.approx(0.7885, abs=1e-4)
+    # 9 periods before the window: residue 0.7885**9 ~ 0.12 > rel_tol
+    assert stab["transient_residue"] == pytest.approx(
+        stab["max_multiplier"] ** 9)
+    assert stab["transient_residue"] > cfg.numerics.rel_tol
+    assert_brute_force_csvs(cfg, tmp_path / "run", tmp_path / "ref")
+
+
+def test_unstable_cycle_takes_brute_force(tmp_path):
+    # E0 = 5e4, E1 = 8e4: the instantaneous drift looks stable, but the
+    # limit cycle's largest Floquet multiplier is 1.047.
+    doc = dict(FIG2_DOC, horizon_periods=30.0,
+               outputs=["cm", "EN", "stability"])
+    doc["drive"] = {"Omega": 2.0,
+                    "components": [{"n": 0, "re": 50000.0},
+                                   {"n": 1, "re": 80000.0},
+                                   {"n": -1, "re": 80000.0}]}
+    cfg = config_from_dict(doc)
+    run_experiment(cfg, tmp_path / "run")
+    stab = json.loads((tmp_path / "run" / "stability.json").read_text())
+    assert stab["max_multiplier"] == pytest.approx(1.047, abs=1e-3)
+    lt = assert_brute_force_csvs(cfg, tmp_path / "run", tmp_path / "ref")
+
+    # a sweep cell samples the same last period
+    status, en = evaluate_cell(cfg)
+    assert status == "stable"
+    assert en == max(log_negativity(reduce_atom_mirror(v)) for v in lt.v)
+
+
+def test_failed_shooting_takes_brute_force(tmp_path, monkeypatch):
+    # 70 periods at rel_tol 1e-6: residue 0.7885**69 ~ 8e-8 passes the
+    # gate, so only the shooting decides which path runs.
+    doc = dict(FIG2_DOC, horizon_periods=70.0, outputs=["cm", "EN"],
+               numerics={"rel_tol": 1e-6, "abs_tol": 1e-9})
+    cfg = config_from_dict(doc)
+    run_experiment(cfg, tmp_path / "periodic")
+    monkeypatch.setattr(fluctuations, "SHOOTING_MAX_PERIODS", 1)
+    run_experiment(cfg, tmp_path / "run")
+    assert_brute_force_csvs(cfg, tmp_path / "run", tmp_path / "ref")
+
+    # with shooting allowed to converge, the window is solved directly
+    # and agrees with the brute force to the stepper's accuracy
+    shortcut = np.loadtxt(tmp_path / "periodic" / "cm.csv", delimiter=",",
+                          skiprows=1)
+    brute = np.loadtxt(tmp_path / "ref" / "cm.csv", delimiter=",",
+                       skiprows=1)
+    assert not np.array_equal(shortcut, brute)
+    scale = np.max(np.abs(brute), axis=0)
+    assert np.max(np.abs(shortcut - brute) / scale) <= \
+        10 * cfg.numerics.rel_tol

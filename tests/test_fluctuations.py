@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from optomech.errors import NotStable, Unphysical
+from optomech.experiment import config_from_dict, run_experiment
 from optomech.fluctuations import (build_diffusion, build_drift,
-                                   integrate_lyapunov, stability_check,
-                                   steady_state_lyapunov, thermal_vacuum_cm)
+                                   integrate_lyapunov, periodic_state,
+                                   stability_check, steady_state_lyapunov,
+                                   thermal_vacuum_cm)
 from optomech.measures import symplectic_eigenvalues
-from optomech.model import DriveSpec, SystemParams
-from optomech.moments import steady_state_constant
+from optomech.model import DriveSpec, FirstMoments, SystemParams
+from optomech.moments import first_moment_rhs, steady_state_constant
 
 FIG2 = SystemParams(delta_a=1.0, kappa=2.0, gamma_m=1e-3, g=1e-5,
                     delta_c=-1.0, gamma_a=0.1, g0_collective=1.0)
@@ -257,3 +260,72 @@ def test_unphysical_alarm_triggers_on_bogus_cm():
     with pytest.raises(Unphysical):
         integrate_lyapunov(params, drive, lambda t: (0.0, 0j),
                            np.zeros((6, 6)), 1.0, t_eval=[0.0, 1.0])
+
+
+# fig5a: 200 periods, the last two sampled; the window starts at 198 tau.
+FIG5A_T0 = 198 * np.pi
+
+
+@pytest.fixture(scope="module")
+def fig5a_periodic():
+    return periodic_state(FIG2, FIG2_DRIVE, FIG5A_T0)
+
+
+def test_periodic_state_passes_gate_fig5a(fig5a_periodic):
+    ps = fig5a_periodic
+    assert ps.usable
+    assert ps.max_multiplier == pytest.approx(0.7885, abs=1e-4)
+    assert ps.transient_residue == pytest.approx(ps.max_multiplier ** 198)
+
+
+def test_periodic_state_returns_after_one_period(fig5a_periodic):
+    ps = fig5a_periodic
+    t1 = FIG5A_T0 + np.pi
+
+    # means: an independent route through the FirstMoments-object RHS
+    def rhs(t, y):
+        d = first_moment_rhs(FIG2, FIG2_DRIVE, t,
+                             FirstMoments.from_vector(y))
+        return d.to_vector()
+
+    sol = solve_ivp(rhs, (FIG5A_T0, t1), ps.y, method="DOP853",
+                    rtol=1e-12, atol=1e-9)
+    y1 = sol.y[:, -1]
+    assert np.max(np.abs(y1 - ps.y)) <= 1e-8 * np.max(np.abs(ps.y))
+
+    lt = integrate_lyapunov(FIG2, FIG2_DRIVE, "ode", ps.v, t1,
+                            t_eval=[FIG5A_T0, t1],
+                            moment_init=FirstMoments.from_vector(ps.y),
+                            t_start=FIG5A_T0)
+    assert np.array_equal(lt.v[0], ps.v)
+    assert np.max(np.abs(lt.v[-1] - ps.v)) <= 1e-8 * np.max(np.abs(ps.v))
+
+
+def test_periodic_cm_is_physical(fig5a_periodic):
+    v = fig5a_periodic.v
+    assert np.array_equal(v, v.T)
+    assert np.min(symplectic_eigenvalues(v)) >= 0.5 - 1e-6
+
+
+def test_periodic_run_matches_brute_force_fig5a(tmp_path):
+    doc = {"params": {"delta_a": 1.0, "kappa": 2.0, "gamma_m": 1e-3,
+                      "g": 1e-5, "delta_c": -1.0, "gamma_a": 0.1,
+                      "G0": 1.0, "n_th": 0.0},
+           "drive": {"Omega": 2.0,
+                     "components": [{"n": 0, "re": 150000.0},
+                                    {"n": 1, "re": 30000.0},
+                                    {"n": -1, "re": 30000.0}]},
+           "horizon_periods": 200, "sample_periods": 2,
+           "samples_per_period": 50, "outputs": ["cm"]}
+    run_experiment(config_from_dict(doc), tmp_path)
+    rows = np.loadtxt(tmp_path / "cm.csv", delimiter=",", skiprows=1)
+
+    t_end = 200 * np.pi
+    t_eval = np.linspace(FIG5A_T0, t_end, 100)
+    lt = integrate_lyapunov(FIG2, FIG2_DRIVE, "ode", None, t_end,
+                            t_eval=t_eval)
+    iu = np.triu_indices(6)
+    want = lt.v[:, iu[0], iu[1]]
+    assert np.array_equal(rows[:, 0], t_eval)
+    scale = np.max(np.abs(want), axis=0)
+    assert np.max(np.abs(rows[:, 1:] - want) / scale) <= 1e-7
