@@ -101,27 +101,50 @@ def _cavity_mean(params: SystemParams, target: EngineeredCoupling, t):
         / (SQRT2 * params.g)
 
 
+def _transient_qpa(params: SystemParams, target: EngineeredCoupling,
+                   s_mech: np.ndarray, k_mech: np.ndarray, t):
+    """(<q>, <p>, <a>) at time t from the mechanical exponentials.
+
+    <q> is reconstructed from the momentum equation with <pdot> evaluated
+    by term-by-term differentiation of the exponential sum (never by
+    finite differences); <p> and <q> are returned complex.
+    """
+    exp_m = k_mech * np.exp(s_mech * t)
+    p = exp_m.sum()
+    pdot = (s_mech * exp_m).sum()
+    a = _cavity_mean(params, target, t)
+    q = (-pdot - params.gamma_m * p + params.g * abs(a) ** 2) \
+        / params.omega_m
+    return q, p, a
+
+
 def transient_first_moments(params: SystemParams,
                             target: EngineeredCoupling, t: float,
                             lc: LaplaceCoefficients | None = None
                             ) -> FirstMoments:
-    """Exact pre-asymptotic mean values at time t.
-
-    <q> is reconstructed from the momentum equation with <pdot> evaluated
-    by term-by-term differentiation of the exponential sum (never by
-    finite differences).
-    """
+    """Exact pre-asymptotic mean values at time t."""
     lc = lc or laplace_coefficients(params, target)
     s = np.asarray(lc.s)
     k = np.asarray(lc.k)
-    exp_m = k[:4] * np.exp(s[:4] * t)
-    p = np.sum(exp_m)
-    pdot = np.sum(s[:4] * exp_m)
-    a = _cavity_mean(params, target, t)
-    q = (-pdot - params.gamma_m * p + params.g * abs(a) ** 2) \
-        / params.omega_m
+    q, p, a = _transient_qpa(params, target, s[:4], k[:4], t)
     c = np.sum(k[4:] * np.exp(s[4:] * t))
     return FirstMoments(q=q.real, p=p.real, a=complex(a), c=complex(c))
+
+
+def engineered_mean_source(params: SystemParams,
+                           target: EngineeredCoupling,
+                           lc: LaplaceCoefficients | None = None):
+    """Callable t -> (<q>, <a>) of transient_first_moments, for drift
+    assembly; the exponents are fixed once and <c> is not evaluated."""
+    lc = lc or laplace_coefficients(params, target)
+    s_mech = np.asarray(lc.s[:4])
+    k_mech = np.asarray(lc.k[:4])
+
+    def source(t):
+        q, _, a = _transient_qpa(params, target, s_mech, k_mech, t)
+        return q.real, complex(a)
+
+    return source
 
 
 def asymptotic_first_moments(params: SystemParams,

@@ -16,8 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .engineering import laplace_coefficients, modulation_components, \
-    transient_first_moments
+from .engineering import engineered_mean_source, modulation_components
 from .errors import Diverged, NotStable, SimulationError
 from .fluctuations import LyapunovTrajectory, PeriodicState, \
     build_diffusion, build_drift, integrate_lyapunov, periodic_state, \
@@ -26,8 +25,9 @@ from .measures import log_negativity, mean_phonon_number, reduce_atom_mirror, \
     squeezing_parameter, wigner
 from .model import DriveSpec, EngineeredCoupling, FirstMoments, SystemParams, \
     ZERO_MOMENTS, validate_params
-from .moments import DEFAULT_J_MAX, DEFAULT_N_MAX, floquet_mean_source, \
-    floquet_recurse, integrate_first_moments, steady_state_constant
+from .moments import DEFAULT_J_MAX, DEFAULT_N_MAX, FloquetSolution, \
+    floquet_mean_source, floquet_recurse, integrate_first_moments, \
+    steady_state_constant
 from .numerics import StepperConfig
 from .tables import write_cm_csv, write_measures_csv, write_rows, \
     write_trajectory_csv, write_wigner_csv
@@ -194,13 +194,7 @@ def _moment_source(cfg: ExperimentConfig, drive: DriveSpec):
     if cfg.first_moment_source == "engineered":
         if cfg.engineered is None:
             raise ValueError("'engineered' source needs a coupling target")
-        lc = laplace_coefficients(cfg.params, cfg.engineered)
-
-        def source(t):
-            fm = transient_first_moments(cfg.params, cfg.engineered, t, lc)
-            return fm.q, fm.a
-
-        return source
+        return engineered_mean_source(cfg.params, cfg.engineered)
     return "ode"
 
 
@@ -256,14 +250,16 @@ def _write_wigner(cfg, out_dir, written, t, vs):
 
 
 def _periodic_start(cfg: ExperimentConfig, drive: DriveSpec, source,
-                    t_eval: np.ndarray) -> PeriodicState | None:
+                    t_eval: np.ndarray, series: FloquetSolution | None = None
+                    ) -> PeriodicState | None:
     """Periodic solve at the window's first time, when the means are
-    co-integrated and the window starts after t = 0; else None."""
+    co-integrated and the window starts after t = 0; else None.  series
+    is the run's Floquet expansion, if it has one already."""
     t0 = float(t_eval[0])
     if source != "ode" or t0 <= 0.0:
         return None
     return periodic_state(cfg.params, drive, t0, cfg.numerics, cfg.j_max,
-                          cfg.n_max)
+                          cfg.n_max, series)
 
 
 def _cm_window(cfg: ExperimentConfig, drive: DriveSpec, source,
@@ -307,18 +303,21 @@ def _run_modulated(cfg: ExperimentConfig, out_dir: Path,
         written["first_moments"] = path
 
     measured = any(o in cfg.outputs for o in MEASURE_OUTPUTS)
-    periodic = (_periodic_start(cfg, drive, source, t_eval) if measured
-                else None)
+    # one Floquet series serves the stability report and the shooting
+    series = None
+    if "stability" in cfg.outputs and source == "ode":
+        series = floquet_recurse(cfg.params, drive, cfg.j_max, cfg.n_max)
+    periodic = (_periodic_start(cfg, drive, source, t_eval, series)
+                if measured else None)
 
     if "stability" in cfg.outputs:
-        if source == "ode":
-            sol = floquet_recurse(cfg.params, drive, cfg.j_max, cfg.n_max)
-            stab_source = floquet_mean_source(sol, cfg.params.g)
-        else:
-            stab_source = source
+        stab_source = (source if series is None
+                       else floquet_mean_source(series, cfg.params.g))
         report = stability_check(cfg.params, drive, stab_source)
         stab = {"stable": report.stable, "margin": report.margin}
         if periodic is not None:
+            # the Floquet multipliers decide; margin stays the sampled one
+            stab["stable"] = periodic.max_multiplier < 1.0
             stab["max_multiplier"] = periodic.max_multiplier
             stab["transient_residue"] = periodic.transient_residue
         path = out_dir / "stability.json"
@@ -478,5 +477,5 @@ def run_sweep(cfg: ExperimentConfig, out_path: Path, jobs: int = 1) -> Path:
     else:
         rows = [_cell_worker(c) for c in cells]
     header = [ax.name for ax in axes] + ["status", "EN"]
-    write_rows(out_path, header, rows)
+    write_rows(out_path, header, list(zip(*rows)))
     return out_path

@@ -3,8 +3,13 @@
 Assembles the time-dependent drift matrix and the diffusion matrix of the
 linearized quadrature dynamics, propagates the 6x6 covariance matrix
 through the Lyapunov equation of motion, solves for the periodic
-asymptote of a modulated drive from one period's monodromy, and checks
-dynamical stability by sampled drift-matrix eigenvalues.
+asymptote of a modulated drive from one period's monodromy (whose
+Floquet multipliers are the stability verdict of a modulated run), and
+solves the algebraic steady state of a constant drive.  The hot loop
+fills one drift template per integration (drift_kernel); build_drift
+assembles a fresh matrix for everything else.  stability_check only
+samples instantaneous drift eigenvalues, which for a periodic drift is
+neither necessary nor sufficient for stability.
 
 Quadrature ordering is (dq, dp, dX, dY, dx, dy); vacuum variance 1/2.
 """
@@ -18,8 +23,8 @@ import numpy as np
 from .errors import NotStable, SimulationError, Singular, Unphysical
 from .measures import symplectic_eigenvalues
 from .model import DriveSpec, FirstMoments, SystemParams, ZERO_MOMENTS
-from .moments import DEFAULT_J_MAX, DEFAULT_N_MAX, _rhs_vector, \
-    default_stepper, effective_coupling, effective_detuning, \
+from .moments import DEFAULT_J_MAX, DEFAULT_N_MAX, FloquetSolution, \
+    _rhs_vector, default_stepper, effective_coupling, effective_detuning, \
     evaluate_floquet, floquet_recurse
 from .numerics import StepperConfig, integrate_adaptive, solve_linear
 
@@ -42,6 +47,33 @@ def build_drift(params: SystemParams, q_mean: float,
         [0.0,    0.0,           0.0,          g0,           -params.gamma_a, params.delta_c],
         [0.0,    0.0,           -g0,          0.0,          -params.delta_c, -params.gamma_a],
     ])
+
+
+def drift_kernel(params: SystemParams):
+    """(q_mean, a_mean) -> A(t), filling the six mean-dependent entries of
+    one template built by build_drift.
+
+    Every call returns the same array, so a caller must use it before the
+    next call and never keep it; the values equal build_drift's.
+    """
+    a_mat = build_drift(params, 0.0, 0j)
+    da0 = params.delta_a
+    g = params.g
+    g_root2 = np.sqrt(2.0) * g
+
+    def fill(q_mean, a_mean):
+        det = da0 - g * q_mean
+        gc = g_root2 * a_mean
+        gx, gy = gc.real, gc.imag
+        a_mat[1, 2] = gx
+        a_mat[1, 3] = gy
+        a_mat[2, 0] = -gy
+        a_mat[2, 3] = det
+        a_mat[3, 0] = gx
+        a_mat[3, 2] = -det
+        return a_mat
+
+    return fill
 
 
 def build_diffusion(params: SystemParams) -> np.ndarray:
@@ -79,16 +111,17 @@ def _moments_cm_rhs(params: SystemParams, drive: DriveSpec, d: np.ndarray):
     """RHS of the mean values co-integrated with the CM and, optionally, Phi.
 
     The state is (moments[6], V[36]) or (moments[6], V[36], Phi[36]); the
-    drift is rebuilt from the co-integrated means at every call, and the
+    drift is filled in from the co-integrated means at every call, and the
     fundamental matrix obeys dPhi/dt = A(t) Phi.
     """
     moment_rhs = _rhs_vector(params, drive)
+    drift = drift_kernel(params)
 
     def f(t, y):
         dy_m = moment_rhs(t, y[:6])
         v = y[6:42].reshape(6, 6)
         v = 0.5 * (v + v.T)
-        a_mat = build_drift(params, y[0], complex(y[2], y[3]))
+        a_mat = drift(y[0], complex(y[2], y[3]))
         dv = a_mat @ v + v @ a_mat.T + d
         if y.size == 42:
             return np.concatenate((dy_m, dv.ravel()))
@@ -108,7 +141,7 @@ def integrate_lyapunov(params: SystemParams, drive: DriveSpec,
     """Propagate dV/dt = A(t) V + V A^T + D from t_start to t_end.
 
     v0 and moment_init are the state at t_start.  first_moment_source
-    selects how A(t) is rebuilt at every step:
+    selects where the means that fill A(t) at every step come from:
 
     * "ode"    - co-integrate the mean-value ODEs alongside V, starting
                  from moment_init (the exact numerical route);
@@ -129,12 +162,12 @@ def integrate_lyapunov(params: SystemParams, drive: DriveSpec,
         vs = sol.y[6:].T.reshape(-1, 6, 6)
     else:
         source = first_moment_source
+        drift = drift_kernel(params)
 
         def f(t, y):
             v = y.reshape(6, 6)
             v = 0.5 * (v + v.T)
-            q_mean, a_mean = source(t)
-            a_mat = build_drift(params, q_mean, a_mean)
+            a_mat = drift(*source(t))
             dv = a_mat @ v + v @ a_mat.T + d
             return dv.ravel()
 
@@ -189,7 +222,9 @@ def _one_period(f, y, t0, tau, cfg):
 def periodic_state(params: SystemParams, drive: DriveSpec, t0: float,
                    cfg: StepperConfig | None = None,
                    j_max: int = DEFAULT_J_MAX,
-                   n_max: int = DEFAULT_N_MAX) -> PeriodicState | None:
+                   n_max: int = DEFAULT_N_MAX,
+                   series: FloquetSolution | None = None
+                   ) -> PeriodicState | None:
     """Limit cycle and periodic CM at t0 by one-period monodromy.
 
     Newton shooting on y(t0 + tau) - y(t0), started from the Floquet
@@ -200,12 +235,15 @@ def periodic_state(params: SystemParams, drive: DriveSpec, t0: float,
     periodic CM as the solution of V = Phi V Phi^T + W.  Returns None
     when the shooting cannot be carried out at all (a singular series
     denominator, a diverging or failing step, a singular Jacobian).
+    series is the Floquet expansion at (j_max, n_max) when the caller has
+    it already; otherwise it is computed here.
     """
     cfg = default_stepper(drive, cfg)
     f = _moments_cm_rhs(params, drive, build_diffusion(params))
     tau = drive.period
     try:
-        series = floquet_recurse(params, drive, j_max, n_max)
+        if series is None:
+            series = floquet_recurse(params, drive, j_max, n_max)
         y = evaluate_floquet(series, params.g, t0).to_vector()
         converged = False
         for _ in range(SHOOTING_MAX_PERIODS):

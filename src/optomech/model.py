@@ -83,6 +83,35 @@ class EngineeredCoupling:
     big_omega: float
 
 
+def drive_terms(drive: DriveSpec) -> tuple[list, np.ndarray]:
+    """Amplitudes E_n and exponent rates -i n Omega of a modulated drive,
+    in the order of drive.components."""
+    amps = list(drive.components.values())
+    rates = np.array([-1j * n * drive.big_omega for n in drive.components],
+                     dtype=complex)
+    return amps, rates
+
+
+def drive_kernel(drive: DriveSpec):
+    """Scalar-time E(t), with the harmonic terms worked out once.
+
+    Sums E_n exp(-i n Omega t) term by term from 0 in the order of
+    drive_value, so both give the same bits.
+    """
+    if drive.big_omega == 0.0:
+        e0 = drive.component(0)
+        return lambda t: e0
+    amps, rates = drive_terms(drive)
+
+    def kernel(t):
+        acc = 0j
+        for en, phase in zip(amps, np.exp(rates * t).tolist()):
+            acc += en * phase
+        return acc
+
+    return kernel
+
+
 def drive_value(drive: DriveSpec, t):
     """Evaluate E(t) = sum_n E_n exp(-i n Omega t); scalar or array t."""
     if drive.big_omega == 0.0:
@@ -92,8 +121,8 @@ def drive_value(drive: DriveSpec, t):
         return np.full(np.shape(t), e0, dtype=complex)
     t = np.asarray(t, dtype=float)
     out = np.zeros(t.shape, dtype=complex)
-    for n, en in drive.components.items():
-        out += en * np.exp(-1j * n * drive.big_omega * t)
+    for en, rate in zip(*drive_terms(drive)):
+        out += en * np.exp(rate * t)
     if out.ndim == 0:
         return complex(out)
     return out

@@ -17,25 +17,11 @@ import numpy as np
 
 from .errors import SingularDenominator
 from .model import (DriveSpec, FirstMoments, SystemParams, ZERO_MOMENTS,
-                    drive_value)
+                    drive_kernel)
 from .numerics import StepperConfig, integrate_adaptive
 
 DEFAULT_J_MAX = 6
 DEFAULT_N_MAX = 5
-
-
-def first_moment_rhs(params: SystemParams, drive: DriveSpec, t: float,
-                     state: FirstMoments) -> FirstMoments:
-    """Time derivative (dq, dp, da, dc) of the classical mean values."""
-    e = drive_value(drive, t)
-    q, p, a, c = state.q, state.p, state.a, state.c
-    dq = params.omega_m * p
-    dp = -params.omega_m * q - params.gamma_m * p + params.g * abs(a) ** 2
-    da = (-(params.kappa + 1j * (params.delta_a - params.g * q)) * a
-          - 1j * params.g0_collective * c + e)
-    dc = (-(params.gamma_a + 1j * params.delta_c) * c
-          - 1j * params.g0_collective * a)
-    return FirstMoments(q=dq, p=dp, a=da, c=dc)
 
 
 def _rhs_vector(params: SystemParams, drive: DriveSpec):
@@ -48,10 +34,11 @@ def _rhs_vector(params: SystemParams, drive: DriveSpec):
     ga = params.gamma_a
     dc0 = params.delta_c
     g0 = params.g0_collective
+    drive_at = drive_kernel(drive)
 
     def f(t, y):
         q, p, ar, ai, cr, ci = y
-        e = drive_value(drive, t)
+        e = drive_at(t)
         det = da0 - g * q
         dar = -kap * ar + det * ai + g0 * ci + e.real
         dai = -kap * ai - det * ar - g0 * cr + e.imag

@@ -1,31 +1,46 @@
-"""CSV emission with deterministic, shortest round-trip number formatting."""
+"""CSV emission with deterministic, shortest round-trip number formatting.
+
+Tables are handed over as columns and written CHUNK_ROWS rows at a time,
+so no Python list of all the rows is built and memory stays flat however
+long the table is.
+"""
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
 import numpy as np
 
-
-def fmt(x) -> str:
-    """Shortest decimal that round-trips the float exactly."""
-    return repr(float(x))
+CHUNK_ROWS = 4096
 
 
-def write_rows(path: Path, header: list[str], rows) -> None:
+def _cells(column):
+    """Text cells of one column slice.
+
+    Numbers become the shortest decimal that round-trips the float
+    exactly (repr); a column of str, such as the sweep statuses, is kept
+    as it is, so its cells must not need CSV quoting.
+    """
+    if isinstance(column[0], str):
+        return column
+    return map(repr, np.asarray(column, dtype=float).tolist())
+
+
+def write_rows(path: Path, header: list[str], columns) -> None:
+    """Write equal-length columns as the rows of a CSV under header."""
+    columns = list(columns)
+    n_rows = len(columns[0]) if columns else 0
     with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([cell if isinstance(cell, str) else fmt(cell)
-                             for cell in row])
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, n_rows, CHUNK_ROWS):
+            cells = [_cells(col[lo:lo + CHUNK_ROWS]) for col in columns]
+            fh.writelines([",".join(row) + "\n" for row in zip(*cells)])
 
 
 def write_trajectory_csv(path: Path, t, q, p, a, c) -> None:
     header = ["t", "q", "p", "re_a", "im_a", "re_c", "im_c"]
-    rows = zip(t, q, p, np.real(a), np.imag(a), np.real(c), np.imag(c))
-    write_rows(path, header, rows)
+    write_rows(path, header, (t, q, p, np.real(a), np.imag(a), np.real(c),
+                              np.imag(c)))
 
 
 def cm_header() -> list[str]:
@@ -38,22 +53,18 @@ def cm_header() -> list[str]:
 
 def write_cm_csv(path: Path, t, vs) -> None:
     """Row-major upper triangle, 21 value columns plus t."""
-    rows = []
     iu = np.triu_indices(6)
-    for ti, vi in zip(t, vs):
-        rows.append([ti, *vi[iu]])
-    write_rows(path, cm_header(), rows)
+    write_rows(path, cm_header(), (t, *np.asarray(vs)[:, iu[0], iu[1]].T))
 
 
 def write_measures_csv(path: Path, t, en, v11, v22, neff, r_db) -> None:
     header = ["t", "EN", "v11", "v22", "neff", "r_db"]
-    write_rows(path, header, zip(t, en, v11, v22, neff, r_db))
+    write_rows(path, header, (t, en, v11, v22, neff, r_db))
 
 
 def write_wigner_csv(path: Path, grid) -> None:
+    """x-major rows (x, y, W(x, y)) over the grid's two axes."""
     x_ax, y_ax = grid.axes
-    rows = []
-    for i, x in enumerate(x_ax):
-        for j, y in enumerate(y_ax):
-            rows.append([x, y, grid.values[i, j]])
-    write_rows(path, ["x", "y", "w"], rows)
+    write_rows(path, ["x", "y", "w"],
+               (np.repeat(x_ax, len(y_ax)), np.tile(y_ax, len(x_ax)),
+                grid.values.ravel()))

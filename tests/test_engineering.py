@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from optomech.engineering import (asymptotic_first_moments, exact_drive,
+from optomech.engineering import (asymptotic_first_moments,
+                                  engineered_mean_source, exact_drive,
                                   laplace_coefficients,
                                   modulation_components,
                                   transient_first_moments)
@@ -62,6 +63,20 @@ def test_momentum_at_origin_is_amplitude_sum():
     lc = laplace_coefficients(FIG6, TARGET)
     fm = transient_first_moments(FIG6, TARGET, 0.0, lc)
     assert fm.p == pytest.approx(sum(lc.k[:4]).real)
+
+
+def test_engineered_source_bitwise_equals_transient_moments():
+    lc = laplace_coefficients(FIG6, TARGET)
+    source = engineered_mean_source(FIG6, TARGET, lc)
+    ts = np.random.default_rng(3).uniform(0.0, 40.0 * np.pi, 300)
+    for t in [0.0, *ts, 5000.0]:
+        q, a = source(t)
+        fm = transient_first_moments(FIG6, TARGET, t, lc)
+        assert np.float64(q).tobytes() == np.float64(fm.q).tobytes()
+        assert np.complex128(a).tobytes() == np.complex128(fm.a).tobytes()
+    # without coefficients, it derives the same ones
+    q, a = engineered_mean_source(FIG6, TARGET)(1.5)
+    assert (q, a) == (source(1.5)[0], source(1.5)[1])
 
 
 def test_long_time_momentum_reduces_to_rotating_pair():

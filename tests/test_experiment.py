@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from optomech import fluctuations
+from optomech import experiment, fluctuations
 from optomech.cli import main as cli_main
 from optomech.experiment import (ExperimentConfig, SweepAxis,
                                  compare_sources, config_from_dict,
@@ -314,6 +314,40 @@ def test_unstable_cycle_takes_brute_force(tmp_path):
     status, en = evaluate_cell(cfg)
     assert status == "stable"
     assert en == max(log_negativity(reduce_atom_mirror(v)) for v in lt.v)
+
+
+@pytest.mark.parametrize("e0, e1, stable", [
+    (150000.0, 30000.0, True),    # fig5a drive, |mu| = 0.79
+    (50000.0, 80000.0, False),    # |mu| = 1.047, drift samples look fine
+])
+def test_stability_verdict_follows_floquet_multipliers(tmp_path, e0, e1,
+                                                       stable):
+    doc = dict(FIG2_DOC, horizon_periods=3.0, outputs=["EN", "stability"])
+    doc["drive"] = {"Omega": 2.0,
+                    "components": [{"n": 0, "re": e0}, {"n": 1, "re": e1},
+                                   {"n": -1, "re": e1}]}
+    run_experiment(config_from_dict(doc), tmp_path)
+    stab = json.loads((tmp_path / "stability.json").read_text())
+    assert stab["stable"] is stable
+    assert stab["stable"] == (stab["max_multiplier"] < 1.0)
+    assert stab["margin"] < 0.0    # the sampled drift still looks stable
+
+
+def test_floquet_series_computed_once_per_run(tmp_path, monkeypatch):
+    calls = []
+    recurse = experiment.floquet_recurse
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return recurse(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "floquet_recurse", counted)
+    monkeypatch.setattr(fluctuations, "floquet_recurse", counted)
+    doc = dict(FIG2_DOC, horizon_periods=3.0, outputs=["EN", "stability"])
+    run_experiment(config_from_dict(doc), tmp_path)
+    stab = json.loads((tmp_path / "stability.json").read_text())
+    assert "max_multiplier" in stab     # the periodic solve ran
+    assert len(calls) == 1
 
 
 def test_failed_shooting_takes_brute_force(tmp_path, monkeypatch):

@@ -6,12 +6,13 @@ from scipy.linalg import expm
 from optomech.errors import NotStable, Unphysical
 from optomech.experiment import config_from_dict, run_experiment
 from optomech.fluctuations import (build_diffusion, build_drift,
-                                   integrate_lyapunov, periodic_state,
+                                   drift_kernel, integrate_lyapunov,
+                                   periodic_state,
                                    stability_check, steady_state_lyapunov,
                                    thermal_vacuum_cm)
 from optomech.measures import symplectic_eigenvalues
 from optomech.model import DriveSpec, FirstMoments, SystemParams
-from optomech.moments import first_moment_rhs, steady_state_constant
+from optomech.moments import _rhs_vector, steady_state_constant
 
 FIG2 = SystemParams(delta_a=1.0, kappa=2.0, gamma_m=1e-3, g=1e-5,
                     delta_c=-1.0, gamma_a=0.1, g0_collective=1.0)
@@ -110,6 +111,25 @@ def test_drift_matches_transcription_oracle():
         want = transcription_oracle(params, q_mean, a_mean)
         assert np.max(np.abs(got - want)) <= 1e-9 * max(
             1.0, np.max(np.abs(want)))
+
+
+def test_drift_kernel_bitwise_equals_build_drift():
+    rng = np.random.default_rng(5)
+    for params in (FIG2, *(random_params(rng) for _ in range(5))):
+        fill = drift_kernel(params)
+        means = [(0.0, 0j), (12.3, 1.5 - 0.4j), (-7.0, -2.0 + 3.0j),
+                 (np.float64(4.5), complex(0.0, -8.0))]
+        for q_mean, a_mean in means:
+            got = fill(q_mean, a_mean)
+            want = build_drift(params, q_mean, a_mean)
+            assert got.tobytes() == want.tobytes()
+        # two calls in a row: no entry of the first call may survive
+        first = fill(12.3, 1.5 - 0.4j).copy()
+        second = fill(-7.0, -2.0 + 3.0j)
+        assert second.tobytes() == build_drift(params, -7.0,
+                                               -2.0 + 3.0j).tobytes()
+        assert first.tobytes() == build_drift(params, 12.3,
+                                              1.5 - 0.4j).tobytes()
 
 
 def test_diffusion_entries():
@@ -282,14 +302,9 @@ def test_periodic_state_returns_after_one_period(fig5a_periodic):
     ps = fig5a_periodic
     t1 = FIG5A_T0 + np.pi
 
-    # means: an independent route through the FirstMoments-object RHS
-    def rhs(t, y):
-        d = first_moment_rhs(FIG2, FIG2_DRIVE, t,
-                             FirstMoments.from_vector(y))
-        return d.to_vector()
-
-    sol = solve_ivp(rhs, (FIG5A_T0, t1), ps.y, method="DOP853",
-                    rtol=1e-12, atol=1e-9)
+    # means: an independent route through the DOP853 stepper
+    sol = solve_ivp(_rhs_vector(FIG2, FIG2_DRIVE), (FIG5A_T0, t1), ps.y,
+                    method="DOP853", rtol=1e-12, atol=1e-9)
     y1 = sol.y[:, -1]
     assert np.max(np.abs(y1 - ps.y)) <= 1e-8 * np.max(np.abs(ps.y))
 

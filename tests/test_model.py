@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from optomech.model import (DriveSpec, SystemParams, ZERO_MOMENTS,
-                            drive_value, validate_params)
+from optomech.engineering import modulation_components
+from optomech.model import (DriveSpec, EngineeredCoupling, SystemParams,
+                            ZERO_MOMENTS, drive_kernel, drive_value,
+                            validate_params)
 
 FIG2_PARAMS = SystemParams(delta_a=1.0, kappa=2.0, gamma_m=1e-3, g=1e-5,
                            delta_c=-1.0, gamma_a=0.1, g0_collective=1.0,
@@ -79,6 +81,27 @@ def test_conjugate_symmetric_drive_is_real(pairs, e0, big_omega, t):
     drive = DriveSpec(big_omega=big_omega, components=comps)
     val = drive_value(drive, t)
     assert abs(val.imag) <= 1e-12 * max(1.0, abs(val))
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("drive", [
+    FIG2_DRIVE,
+    # fig7: the four-component engineered drive
+    modulation_components(
+        SystemParams(delta_a=1.0, kappa=10.0, gamma_m=1e-3, g=1e-3,
+                     delta_c=-1.0, gamma_a=1e-3, g0_collective=1.0),
+        EngineeredCoupling(g1=1.2, g2=0.1, big_omega=2.0)),
+    DriveSpec(big_omega=0.0, components={0: 5.0 - 2.0j}),
+], ids=["fig2", "fig7", "constant"])
+def test_drive_kernel_bitwise_equals_drive_value(drive):
+    kernel = drive_kernel(drive)
+    ts = np.random.default_rng(7).uniform(0.0, 200.0 * np.pi, 500)
+    for t in [0.0, np.pi / 4, *ts]:
+        assert bits(kernel(t)) == bits(drive_value(drive, t))
+        assert bits(kernel(np.float64(t))) == bits(drive_value(drive, t))
 
 
 def test_moment_vector_round_trip():

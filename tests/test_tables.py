@@ -1,0 +1,68 @@
+import csv
+
+import numpy as np
+
+from optomech import tables
+from optomech.measures import wigner
+from optomech.tables import write_rows, write_wigner_csv
+
+SPECIALS = [float("nan"), float("inf"), float("-inf"), -0.0, 1e16, 1e-5,
+            5e-324, 0.1, -2.5, 1.0, 123456789.123]
+
+
+def reference_csv(path, header, rows):
+    """The row-by-row csv.writer output with repr(float(x)) numbers."""
+    with open(path, "w", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([c if isinstance(c, str) else repr(float(c))
+                             for c in row])
+
+
+def test_numeric_columns_match_csv_writer(tmp_path):
+    a = np.array(SPECIALS)
+    b = a[::-1].copy()
+    c = [int(k) for k in range(len(a))]
+    write_rows(tmp_path / "got.csv", ["a", "b", "c"], (a, b, c))
+    reference_csv(tmp_path / "want.csv", ["a", "b", "c"], zip(a, b, c))
+    got = (tmp_path / "got.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    assert got.splitlines()[1] == b"nan,123456789.123,0.0"
+
+
+def test_sweep_rows_with_status_match_csv_writer(tmp_path):
+    rows = [[1e4, 0.1, "stable", 0.25],
+            [2e4, -0.0, "error:Diverged", float("nan")],
+            [5e-324, 1e16, "unstable", float("-inf")]]
+    header = ["E0", "G0", "status", "EN"]
+    write_rows(tmp_path / "got.csv", header, list(zip(*rows)))
+    reference_csv(tmp_path / "want.csv", header, rows)
+    assert (tmp_path / "got.csv").read_bytes() == \
+        (tmp_path / "want.csv").read_bytes()
+
+
+def test_empty_sweep_writes_header_only(tmp_path):
+    write_rows(tmp_path / "got.csv", ["E0", "status", "EN"], list(zip()))
+    assert (tmp_path / "got.csv").read_bytes() == b"E0,status,EN\n"
+
+
+def test_chunk_boundaries_keep_every_row(tmp_path, monkeypatch):
+    monkeypatch.setattr(tables, "CHUNK_ROWS", 3)
+    t = np.linspace(0.0, 1.0, 10)
+    write_rows(tmp_path / "got.csv", ["t", "sq"], (t, t ** 2))
+    reference_csv(tmp_path / "want.csv", ["t", "sq"], zip(t, t ** 2))
+    assert (tmp_path / "got.csv").read_bytes() == \
+        (tmp_path / "want.csv").read_bytes()
+
+
+def test_wigner_grid_is_x_major(tmp_path):
+    axes = (np.linspace(-1.0, 1.0, 3), np.linspace(-2.0, 2.0, 4))
+    grid = wigner(np.array([[1.0, 0.2], [0.2, 0.7]]), axes=axes)
+    write_wigner_csv(tmp_path / "got.csv", grid)
+    x_ax, y_ax = grid.axes
+    rows = [(x, y, grid.values[i, j]) for i, x in enumerate(x_ax)
+            for j, y in enumerate(y_ax)]
+    reference_csv(tmp_path / "want.csv", ["x", "y", "w"], rows)
+    assert (tmp_path / "got.csv").read_bytes() == \
+        (tmp_path / "want.csv").read_bytes()
