@@ -16,7 +16,7 @@ def main():
     ap.add_argument("recipe", choices=recipe_names())
     ap.add_argument("--out", default=".", help="output directory")
     ap.add_argument("--jobs", type=int, default=1,
-                    help="workers for sweep recipes")
+                    help="workers for sweeps of a modulated drive")
     args = ap.parse_args()
 
     cfg = config_from_dict(load_recipe(args.recipe))

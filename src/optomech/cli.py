@@ -3,7 +3,7 @@
 Subcommands:
   simulate        run a configured experiment (optionally a shipped recipe)
   engineer-drive  emit the drive Fourier components for a coupling target
-  stability       sampled drift-matrix stability report
+  stability       the stability report a run writes to stability.json
   sweep           run the configured parameter sweep
   wigner          Wigner phase-space grids of the mechanical mode
 """
@@ -18,9 +18,7 @@ from pathlib import Path
 
 from .engineering import modulation_components
 from .experiment import compare_sources, config_from_dict, drive_to_dict, \
-    load_config, run_experiment
-from .fluctuations import stability_check
-from .moments import floquet_mean_source, floquet_recurse
+    load_config, run_experiment, stability_report
 from .recipes import load_recipe, recipe_names
 
 
@@ -48,25 +46,19 @@ def _add_common(sub):
                      help="shipped canonical configuration")
     sub.add_argument("--out", help="output directory")
     sub.add_argument("--jobs", type=int, default=1,
-                     help="worker pool size for sweeps")
+                     help="worker pool size for sweeps of a modulated "
+                     "drive; constant-drive sweeps run in process")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="optomech", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("simulate", "sweep"):
-        sub = subs.add_parser(name)
-        _add_common(sub)
-
-    sub = subs.add_parser("compare-sources")
-    _add_common(sub)
+    for name in ("simulate", "sweep", "compare-sources", "stability"):
+        _add_common(subs.add_parser(name))
 
     sub = subs.add_parser("engineer-drive")
     sub.add_argument("--config", required=True)
-
-    sub = subs.add_parser("stability")
-    _add_common(sub)
 
     sub = subs.add_parser("wigner")
     _add_common(sub)
@@ -85,46 +77,21 @@ def main(argv=None) -> int:
 
     cfg = _load(args)
 
-    if args.command in ("simulate", "sweep"):
-        written = run_experiment(cfg, _out_dir(args), jobs=args.jobs)
-        for name, path in written.items():
-            print(f"{name}: {path}")
-        return 0
-
-    if args.command == "compare-sources":
-        report = compare_sources(cfg)
+    if args.command in ("compare-sources", "stability"):
+        report = (compare_sources(cfg) if args.command == "compare-sources"
+                  else stability_report(cfg)[0])
         json.dump(report, sys.stdout, indent=2)
-        print()
-        return 0
-
-    if args.command == "stability":
-        drive = cfg.resolved_drive()
-        if drive.big_omega > 0:
-            sol = floquet_recurse(cfg.params, drive, cfg.j_max, cfg.n_max)
-            source = floquet_mean_source(sol, cfg.params.g)
-        else:
-            from .moments import steady_state_constant
-            fm, params_eff = steady_state_constant(
-                cfg.params, drive.component(0), cfg.delta_a_effective)
-            cfg.params = params_eff
-            source = lambda t: (fm.q, fm.a)
-        report = stability_check(cfg.params, drive, source)
-        json.dump({"stable": report.stable, "margin": report.margin,
-                   "worst_time": report.worst_time}, sys.stdout, indent=2)
         print()
         return 0
 
     if args.command == "wigner":
         if args.times:
-            times = tuple(float(t) for t in args.times.split(","))
-            cfg.wigner_times = times
+            cfg.wigner_times = tuple(float(t) for t in args.times.split(","))
         cfg.outputs = tuple(set(cfg.outputs) | {"wigner"})
-        written = run_experiment(cfg, _out_dir(args))
-        for name, path in written.items():
-            print(f"{name}: {path}")
-        return 0
-
-    return 1
+    written = run_experiment(cfg, _out_dir(args), jobs=args.jobs)
+    for name, path in written.items():
+        print(f"{name}: {path}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -43,7 +43,3 @@ class SingularCM(SimulationError):
 
 class Singular(SimulationError):
     """Linear system has no reliable solution (pivot underflow)."""
-
-
-class NoConvergence(SimulationError):
-    """An iterative kernel hit its iteration cap."""

@@ -11,17 +11,18 @@ import dataclasses
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .engineering import engineered_mean_source, modulation_components
-from .errors import Diverged, NotStable, SimulationError
+from .errors import Diverged, NonPhysical, NotStable, SimulationError
 from .fluctuations import LyapunovTrajectory, PeriodicState, \
-    build_diffusion, build_drift, integrate_lyapunov, periodic_state, \
-    stability_check, steady_state_lyapunov, thermal_vacuum_cm
-from .measures import log_negativity, mean_phonon_number, reduce_atom_mirror, \
+    build_diffusion, build_drift, integrate_lyapunov, lyapunov_stack, \
+    periodic_state, stability_check, steady_state_lyapunov
+from .measures import log_negativity_stack, reduce_atom_mirror_stack, \
     squeezing_parameter, wigner
 from .model import DriveSpec, EngineeredCoupling, FirstMoments, SystemParams, \
     ZERO_MOMENTS, validate_params
@@ -171,19 +172,13 @@ def load_config(path: str | Path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 def measures_from_cm_series(t: np.ndarray, vs: np.ndarray) -> dict:
-    en = np.empty(len(t))
-    v11 = np.empty(len(t))
-    v22 = np.empty(len(t))
-    neff = np.empty(len(t))
-    r_db = np.empty(len(t))
-    for i, v in enumerate(vs):
-        en[i] = log_negativity(reduce_atom_mirror(v))
-        v11[i] = v[0, 0]
-        v22[i] = v[1, 1]
-        neff[i] = mean_phonon_number(v)
-        _, _, r_db[i] = squeezing_parameter(v[:2, :2])
-    return {"t": t, "EN": en, "v11": v11, "v22": v22, "neff": neff,
-            "r_db": r_db}
+    en, physical = log_negativity_stack(reduce_atom_mirror_stack(vs))
+    if not physical.all():
+        raise NonPhysical("reduced CM is not a valid two-mode covariance "
+                          f"matrix at t = {t[np.argmin(physical)]:g}")
+    r_db = np.array([squeezing_parameter(v[:2, :2])[2] for v in vs])
+    return {"t": t, "EN": en, "v11": vs[:, 0, 0], "v22": vs[:, 1, 1],
+            "neff": (vs[:, 0, 0] + vs[:, 1, 1] - 1.0) / 2.0, "r_db": r_db}
 
 
 def _moment_source(cfg: ExperimentConfig, drive: DriveSpec):
@@ -202,29 +197,56 @@ def _moment_source(cfg: ExperimentConfig, drive: DriveSpec):
 # Single runs
 # ---------------------------------------------------------------------------
 
-def _run_constant(cfg: ExperimentConfig, out_dir: Path,
-                  written: dict) -> None:
+def _window(cfg: ExperimentConfig, drive: DriveSpec
+            ) -> tuple[float, np.ndarray]:
+    """(t_end, sample times) of a modulated run."""
+    tau = drive.period
+    t_end = cfg.horizon_periods * tau
+    t0 = max(0.0, t_end - cfg.sample_periods * tau)
+    n_samples = max(2, int(cfg.sample_periods * cfg.samples_per_period))
+    t_eval = np.linspace(t0, t_end, n_samples)
+    if cfg.wigner_times:
+        t_eval = np.unique(np.concatenate((t_eval, cfg.wigner_times)))
+    return t_end, t_eval
+
+
+def stability_report(cfg: ExperimentConfig, source=None
+                     ) -> tuple[dict, PeriodicState | None]:
+    """(what stability.json holds, the periodic solve made or None).
+
+    margin is the largest real part of the drift eigenvalues sampled over
+    one period, found at worst_time, and stable follows it, unless the
+    periodic solve ran (see _periodic_start): its Floquet multipliers
+    decide then.  source is the run's mean source, if it has one.
+    """
     drive = cfg.resolved_drive()
-    e0 = drive.component(0)
-    fm, params_eff = steady_state_constant(cfg.params, e0,
+    params, periodic = cfg.params, None
+    if drive.big_omega == 0.0:
+        fm, params = steady_state_constant(cfg.params, drive.component(0),
                                            cfg.delta_a_effective)
-    a_mat = build_drift(params_eff, fm.q, fm.a)
-    d_mat = build_diffusion(params_eff)
-    report = stability_check(params_eff, drive, lambda t: (fm.q, fm.a))
-    if "stability" in cfg.outputs:
-        path = out_dir / "stability.json"
-        path.write_text(json.dumps({"stable": report.stable,
-                                    "margin": report.margin}, indent=2))
-        written["stability"] = path
-    if "first_moments" in cfg.outputs:
-        path = out_dir / "first_moments.csv"
-        write_trajectory_csv(path, [0.0], [fm.q], [fm.p], [fm.a], [fm.c])
-        written["first_moments"] = path
-    if not any(o in cfg.outputs for o in MEASURE_OUTPUTS):
-        return
-    v = steady_state_lyapunov(a_mat, d_mat)
-    t = np.array([0.0])
-    vs = v[np.newaxis]
+        source = lambda t: (fm.q, fm.a)
+    else:
+        source = source or _moment_source(cfg, drive)
+    if source == "ode":
+        # one Floquet series starts the shooting and gives the means at
+        # which the drift is sampled
+        series = floquet_recurse(cfg.params, drive, cfg.j_max, cfg.n_max)
+        periodic = _periodic_start(cfg, drive, source,
+                                   _window(cfg, drive)[1], series)
+        source = floquet_mean_source(series, cfg.params.g)
+    report = stability_check(params, drive, source)
+    stab = {"stable": report.stable, "margin": report.margin,
+            "worst_time": report.worst_time}
+    if periodic is not None:
+        stab.update(stable=periodic.max_multiplier < 1.0,
+                    max_multiplier=periodic.max_multiplier,
+                    transient_residue=periodic.transient_residue)
+    return stab, periodic
+
+
+def _write_measures(cfg: ExperimentConfig, out_dir: Path, written: dict,
+                    t: np.ndarray, vs: np.ndarray) -> None:
+    """cm.csv (if asked for), measures.csv and the Wigner grids."""
     if "cm" in cfg.outputs:
         path = out_dir / "cm.csv"
         write_cm_csv(path, t, vs)
@@ -234,19 +256,33 @@ def _run_constant(cfg: ExperimentConfig, out_dir: Path,
     write_measures_csv(path, series["t"], series["EN"], series["v11"],
                        series["v22"], series["neff"], series["r_db"])
     written["measures"] = path
-    _write_wigner(cfg, out_dir, written, t, vs)
-
-
-def _write_wigner(cfg, out_dir, written, t, vs):
     if "wigner" not in cfg.outputs:
         return
-    targets = cfg.wigner_times or (t[-1],)
-    for k, tw in enumerate(targets):
+    for k, tw in enumerate(cfg.wigner_times or (t[-1],)):
         i = int(np.argmin(np.abs(t - tw)))
-        grid = wigner(vs[i][:2, :2])
         path = out_dir / f"wigner_{k}.csv"
-        write_wigner_csv(path, grid)
+        write_wigner_csv(path, wigner(vs[i][:2, :2]))
         written[f"wigner_{k}"] = path
+
+
+def _run_constant(cfg: ExperimentConfig, out_dir: Path,
+                  written: dict) -> None:
+    drive = cfg.resolved_drive()
+    fm, params_eff = steady_state_constant(cfg.params, drive.component(0),
+                                           cfg.delta_a_effective)
+    if "stability" in cfg.outputs:
+        written["stability"] = out_dir / "stability.json"
+        written["stability"].write_text(
+            json.dumps(stability_report(cfg)[0], indent=2))
+    if "first_moments" in cfg.outputs:
+        path = out_dir / "first_moments.csv"
+        write_trajectory_csv(path, [0.0], [fm.q], [fm.p], [fm.a], [fm.c])
+        written["first_moments"] = path
+    if not any(o in cfg.outputs for o in MEASURE_OUTPUTS):
+        return
+    v = steady_state_lyapunov(build_drift(params_eff, fm.q, fm.a),
+                              build_diffusion(params_eff))
+    _write_measures(cfg, out_dir, written, np.array([0.0]), v[np.newaxis])
 
 
 def _periodic_start(cfg: ExperimentConfig, drive: DriveSpec, source,
@@ -284,14 +320,7 @@ def _cm_window(cfg: ExperimentConfig, drive: DriveSpec, source,
 def _run_modulated(cfg: ExperimentConfig, out_dir: Path,
                    written: dict) -> None:
     drive = cfg.resolved_drive()
-    tau = drive.period
-    t_end = cfg.horizon_periods * tau
-    t0 = max(0.0, t_end - cfg.sample_periods * tau)
-    n_samples = max(2, int(cfg.sample_periods * cfg.samples_per_period))
-    t_eval = np.linspace(t0, t_end, n_samples)
-    if cfg.wigner_times:
-        t_eval = np.unique(np.concatenate((t_eval, cfg.wigner_times)))
-
+    t_end, t_eval = _window(cfg, drive)
     source = _moment_source(cfg, drive)
 
     if "first_moments" in cfg.outputs:
@@ -303,40 +332,16 @@ def _run_modulated(cfg: ExperimentConfig, out_dir: Path,
         written["first_moments"] = path
 
     measured = any(o in cfg.outputs for o in MEASURE_OUTPUTS)
-    # one Floquet series serves the stability report and the shooting
-    series = None
-    if "stability" in cfg.outputs and source == "ode":
-        series = floquet_recurse(cfg.params, drive, cfg.j_max, cfg.n_max)
-    periodic = (_periodic_start(cfg, drive, source, t_eval, series)
-                if measured else None)
-
     if "stability" in cfg.outputs:
-        stab_source = (source if series is None
-                       else floquet_mean_source(series, cfg.params.g))
-        report = stability_check(cfg.params, drive, stab_source)
-        stab = {"stable": report.stable, "margin": report.margin}
-        if periodic is not None:
-            # the Floquet multipliers decide; margin stays the sampled one
-            stab["stable"] = periodic.max_multiplier < 1.0
-            stab["max_multiplier"] = periodic.max_multiplier
-            stab["transient_residue"] = periodic.transient_residue
-        path = out_dir / "stability.json"
-        path.write_text(json.dumps(stab, indent=2))
-        written["stability"] = path
-
+        stab, periodic = stability_report(cfg, source)
+        written["stability"] = out_dir / "stability.json"
+        written["stability"].write_text(json.dumps(stab, indent=2))
+    elif measured:
+        periodic = _periodic_start(cfg, drive, source, t_eval)
     if not measured:
         return
     lt = _cm_window(cfg, drive, source, t_end, t_eval, periodic)
-    if "cm" in cfg.outputs:
-        path = out_dir / "cm.csv"
-        write_cm_csv(path, lt.t, lt.v)
-        written["cm"] = path
-    series = measures_from_cm_series(lt.t, lt.v)
-    path = out_dir / "measures.csv"
-    write_measures_csv(path, series["t"], series["EN"], series["v11"],
-                       series["v22"], series["neff"], series["r_db"])
-    written["measures"] = path
-    _write_wigner(cfg, out_dir, written, lt.t, lt.v)
+    _write_measures(cfg, out_dir, written, lt.t, lt.v)
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path,
@@ -410,6 +415,20 @@ def compare_sources(cfg: ExperimentConfig) -> dict[str, float]:
 # Sweeps
 # ---------------------------------------------------------------------------
 
+# Constant-drive sweep cells are solved this many at a time as stacked
+# arrays; the block's (cells, 36, 36) Kronecker stack takes 2.7 MB.
+SWEEP_BLOCK = 256
+
+
+def _apply_param(params: SystemParams, name: str,
+                 value: float) -> SystemParams:
+    if name == "G0":
+        return replace(params, g0_collective=value)
+    if name in _PARAM_KEYS:
+        return replace(params, **{name: value})
+    raise KeyError(name)
+
+
 def _apply_axis(cfg: ExperimentConfig, name: str,
                 value: float) -> ExperimentConfig:
     if name in ("E", "E0"):
@@ -419,63 +438,106 @@ def _apply_axis(cfg: ExperimentConfig, name: str,
         return replace(cfg, drive=DriveSpec(big_omega=drive.big_omega,
                                             components=comps),
                        engineered=None)
-    if name == "G0":
-        return replace(cfg, params=replace(cfg.params,
-                                           g0_collective=value))
-    if name in _PARAM_KEYS:
-        return replace(cfg, params=replace(cfg.params, **{name: value}))
-    raise KeyError(name)
+    return replace(cfg, params=_apply_param(cfg.params, name, value))
+
+
+def _cell_status(error: SimulationError | None, physical: bool = True):
+    if isinstance(error, (NotStable, Diverged)):
+        return "unstable"
+    if error is not None:
+        return f"error:{type(error).__name__}"
+    return "stable" if physical else "error:NonPhysical"
+
+
+def _constant_cells(cfg: ExperimentConfig, points) -> list[tuple[str, float]]:
+    """(status, EN) of constant-drive cells, one (params, E0) point each.
+
+    Each cell's working point is found on its own; the drift and
+    diffusion matrices there are then solved as one stack, in which a
+    failing cell flags only itself (its EN is NaN).
+    """
+    failed, drifts, diffusions = [], [], []
+    for params, e0 in points:
+        try:
+            fm, eff = steady_state_constant(params, e0,
+                                            cfg.delta_a_effective)
+            drifts.append(build_drift(eff, fm.q, fm.a))
+            diffusions.append(build_diffusion(eff))
+            failed.append(None)
+        except SimulationError as exc:
+            # a NaN drift, which the stack flags; exc keeps the status
+            drifts.append(np.full((6, 6), np.nan))
+            diffusions.append(np.zeros((6, 6)))
+            failed.append(exc)
+    v, errors = lyapunov_stack(np.array(drifts), np.array(diffusions))
+    en, physical = log_negativity_stack(reduce_atom_mirror_stack(v))
+    return [(_cell_status(exc or error, ok), value) for exc, error, ok, value
+            in zip(failed, errors, physical, en.tolist())]
 
 
 def evaluate_cell(cfg: ExperimentConfig) -> tuple[str, float]:
-    """(status, EN) for one sweep cell; failures flagged, not raised."""
+    """(status, EN) for one sweep cell; failures flagged, not raised.
+
+    A modulated cell whose periodic solve ran and found a Floquet
+    multiplier on or outside the unit circle is unstable.
+    """
     drive = cfg.resolved_drive()
+    if drive.big_omega == 0.0:
+        return _constant_cells(cfg, [(cfg.params, drive.component(0))])[0]
+    tau = drive.period
+    t_end = cfg.horizon_periods * tau
+    t_eval = np.linspace(t_end - tau, t_end, cfg.samples_per_period)
     try:
-        if drive.big_omega == 0.0:
-            fm, params_eff = steady_state_constant(
-                cfg.params, drive.component(0), cfg.delta_a_effective)
-            a_mat = build_drift(params_eff, fm.q, fm.a)
-            v = steady_state_lyapunov(a_mat, build_diffusion(params_eff))
-            return "stable", log_negativity(reduce_atom_mirror(v))
-        tau = drive.period
-        t_end = cfg.horizon_periods * tau
-        t_eval = np.linspace(t_end - tau, t_end, cfg.samples_per_period)
-        lt = _cm_window(cfg, drive, "ode", t_end, t_eval,
-                        _periodic_start(cfg, drive, "ode", t_eval))
-        en = [log_negativity(reduce_atom_mirror(v)) for v in lt.v]
-        return "stable", float(np.max(en))
-    except (NotStable, Diverged):
-        return "unstable", float("nan")
+        periodic = _periodic_start(cfg, drive, "ode", t_eval)
+        if periodic is not None and periodic.max_multiplier >= 1.0:
+            return "unstable", float("nan")
+        lt = _cm_window(cfg, drive, "ode", t_end, t_eval, periodic)
     except SimulationError as exc:
-        return f"error:{type(exc).__name__}", float("nan")
+        return _cell_status(exc), float("nan")
+    en, physical = log_negativity_stack(reduce_atom_mirror_stack(lt.v))
+    return _cell_status(None, physical.all()), float(np.max(en))
 
 
 def _cell_worker(args):
     cfg, values = args
     for ax, val in values:
         cfg = _apply_axis(cfg, ax.name, val)
-    status, en = evaluate_cell(cfg)
-    return [v for _, v in values] + [status, en]
+    return evaluate_cell(cfg)
+
+
+def _constant_point(params: SystemParams, e0: complex, values):
+    for ax, val in values:
+        if ax.name in ("E", "E0"):
+            e0 = complex(val)
+        else:
+            params = _apply_param(params, ax.name, val)
+    return params, e0
 
 
 def run_sweep(cfg: ExperimentConfig, out_path: Path, jobs: int = 1) -> Path:
-    """Grid sweep over 1 or 2 axes; one CSV row per cell, ordered."""
-    axes = cfg.sweep
-    grids = [ax.values() for ax in axes]
-    cells = []
-    if len(axes) == 1:
-        for v in grids[0]:
-            cells.append((cfg, [(axes[0], float(v))]))
-    else:
-        for v1 in grids[0]:
-            for v2 in grids[1]:
-                cells.append((cfg, [(axes[0], float(v1)),
-                                    (axes[1], float(v2))]))
-    if jobs > 1:
+    """Grid sweep over 1 or 2 axes; one CSV row per cell, ordered.
+
+    Constant-drive cells are solved in this process, SWEEP_BLOCK at a
+    time as stacked arrays.  Modulated cells, one ODE run each, go to a
+    pool of jobs processes when jobs > 1.
+    """
+    cells = list(product(*([(ax, float(v)) for v in ax.values()]
+                           for ax in cfg.sweep)))
+    drive = cfg.resolved_drive()
+    if drive.big_omega == 0.0:
+        points = [_constant_point(cfg.params, drive.component(0), values)
+                  for values in cells]
+        results = [cell for lo in range(0, len(points), SWEEP_BLOCK)
+                   for cell in _constant_cells(cfg,
+                                               points[lo:lo + SWEEP_BLOCK])]
+    elif jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_cell_worker, cells, chunksize=4))
+            results = list(pool.map(_cell_worker, [(cfg, v) for v in cells],
+                                    chunksize=4))
     else:
-        rows = [_cell_worker(c) for c in cells]
-    header = [ax.name for ax in axes] + ["status", "EN"]
+        results = [_cell_worker((cfg, values)) for values in cells]
+    rows = [[v for _, v in values] + list(result)
+            for values, result in zip(cells, results)]
+    header = [ax.name for ax in cfg.sweep] + ["status", "EN"]
     write_rows(out_path, header, list(zip(*rows)))
     return out_path

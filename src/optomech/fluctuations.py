@@ -5,17 +5,19 @@ linearized quadrature dynamics, propagates the 6x6 covariance matrix
 through the Lyapunov equation of motion, solves for the periodic
 asymptote of a modulated drive from one period's monodromy (whose
 Floquet multipliers are the stability verdict of a modulated run), and
-solves the algebraic steady state of a constant drive.  The hot loop
-fills one drift template per integration (drift_kernel); build_drift
-assembles a fresh matrix for everything else.  stability_check only
-samples instantaneous drift eigenvalues, which for a periodic drift is
-neither necessary nor sufficient for stability.
+solves the algebraic steady state of a constant drive for a whole stack
+of sweep cells at once (lyapunov_stack).  The hot loop fills one drift
+template per integration (drift_kernel); build_drift assembles a fresh
+matrix for everything else.  stability_check only samples instantaneous
+drift eigenvalues, which for a periodic drift is neither necessary nor
+sufficient for stability.
 
 Quadrature ordering is (dq, dp, dX, dY, dx, dy); vacuum variance 1/2.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +28,7 @@ from .model import DriveSpec, FirstMoments, SystemParams, ZERO_MOMENTS
 from .moments import DEFAULT_J_MAX, DEFAULT_N_MAX, FloquetSolution, \
     _rhs_vector, default_stepper, effective_coupling, effective_detuning, \
     evaluate_floquet, floquet_recurse
-from .numerics import StepperConfig, integrate_adaptive, solve_linear
+from .numerics import StepperConfig, integrate_adaptive
 
 PHYSICALITY_SLACK = 1e-6
 
@@ -93,9 +95,6 @@ def thermal_vacuum_cm(n_th: float) -> np.ndarray:
 class LyapunovTrajectory:
     t: np.ndarray
     v: np.ndarray           # (T, 6, 6), symmetrized
-
-    def at(self, i: int) -> np.ndarray:
-        return self.v[i]
 
 
 def _check_physical(t: np.ndarray, vs: np.ndarray):
@@ -273,27 +272,73 @@ def periodic_state(params: SystemParams, drive: DriveSpec, t0: float,
                          transient_residue=residue, usable=usable)
 
 
-def steady_state_lyapunov(a_const: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Algebraic steady state A V + V A^T + D = 0 by vectorization."""
-    a_const = np.asarray(a_const, dtype=float)
+def lyapunov_stack(a: np.ndarray, d: np.ndarray
+                   ) -> tuple[np.ndarray, list[SimulationError | None]]:
+    """Algebraic steady states A V + V A^T + D = 0 of stacked cells.
+
+    a and d are (cells, n, n).  Each cell solves (I (x) A + A (x) I) vec V
+    = -vec D, vec stacking columns, in one batched LAPACK call for all.
+    Returns (v, errors): errors[i] is None, or cell i's failure with v[i]
+    NaN.  NotStable: A is not Hurwitz.  Singular: A is not finite, or the
+    solve or the equation keeps a residual above its bound.  A failing
+    cell leaves its neighbours' results as they would be alone.
+    """
+    a = np.asarray(a, dtype=float)
     d = np.asarray(d, dtype=float)
-    eig = np.linalg.eigvals(a_const)
-    if np.max(eig.real) >= 0.0:
-        raise NotStable(
-            f"drift matrix not Hurwitz (max Re eig = {np.max(eig.real):g})")
-    n = a_const.shape[0]
-    eye = np.eye(n)
-    m = np.kron(eye, a_const) + np.kron(a_const, eye)
-    # column-stacked vectorization: vec(AV + VA^T) = M vec(V)
-    x = solve_linear(m, -d.flatten(order="F"))
-    v = x.reshape(n, n, order="F")
-    v = 0.5 * (v + v.T)
-    resid = np.max(np.abs(a_const @ v + v @ a_const.T + d))
-    scale = max(1.0, np.max(np.abs(d)),
-                np.max(np.abs(a_const)) * np.max(np.abs(v)))
-    if resid > 1e-10 * scale:
-        raise Singular(f"Lyapunov residual {resid:g} too large")
-    return v
+    n = a.shape[1]
+    v = np.full(a.shape, np.nan)
+    errors: list[SimulationError | None] = [None] * len(a)
+    finite = np.isfinite(a).all(axis=(1, 2))
+    top = np.full(len(a), np.nan)
+    top[finite] = np.linalg.eigvals(a[finite]).real.max(axis=1)
+    for i in np.flatnonzero(~(top < 0.0)):
+        errors[i] = (NotStable(f"drift matrix not Hurwitz (max Re eig = "
+                               f"{top[i]:g})") if finite[i]
+                     else Singular("drift matrix is not finite"))
+    idx = np.flatnonzero(top < 0.0)
+    a, d, eye = a[idx], d[idx], np.eye(n)
+    # m[c, (i, k), (j, l)] = I_ij A_kl + A_ij I_kl = kron(I, A) + kron(A, I)
+    m = (eye[:, None, :, None] * a[:, None, :, None, :]
+         + a[:, :, None, :, None] * eye[:, None, :]).reshape(-1, n * n, n * n)
+    b = -np.swapaxes(d, 1, 2).reshape(-1, n * n, 1)
+    try:
+        x = np.linalg.solve(m, b)
+    except np.linalg.LinAlgError:
+        # one exactly singular system fails the whole call: solve each
+        # alone, leaving NaN (flagged below) where LAPACK refuses
+        x = np.full(b.shape, np.nan)
+        for j in range(len(idx)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                x[j] = np.linalg.solve(m[j], b[j])
+    vs = x.reshape(-1, n, n).swapaxes(1, 2)
+    vs = 0.5 * (vs + vs.swapaxes(1, 2))
+    cell_max = lambda z: np.max(np.abs(z), axis=(1, 2))
+    with np.errstate(invalid="ignore", over="ignore"):
+        # residuals over their bounds: partial-pivoting solve, equation
+        solve = cell_max(m @ x - b) / np.maximum(1e-300, 1e-10 * (
+            np.max(np.sum(np.abs(m), axis=2), axis=1) * cell_max(x)
+            + cell_max(b)))
+        equation = cell_max(a @ vs + vs @ a.swapaxes(1, 2) + d) / (
+            1e-10 * np.maximum(np.maximum(1.0, cell_max(d)),
+                               cell_max(a) * cell_max(vs)))
+    good = np.isfinite(x).all(axis=(1, 2)) & (solve <= 1.0) \
+        & (equation <= 1.0)
+    v[idx[good]] = vs[good]
+    for j in np.flatnonzero(~good):
+        errors[idx[j]] = Singular(
+            f"residuals {solve[j]:.3g} (solve) and {equation[j]:.3g} "
+            "(equation) times their bounds; system numerically singular")
+    return v, errors
+
+
+def steady_state_lyapunov(a_const: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Algebraic steady state A V + V A^T + D = 0: one cell of
+    lyapunov_stack, whose error it raises."""
+    v, (error,) = lyapunov_stack(np.asarray(a_const, dtype=float)[None],
+                                 np.asarray(d, dtype=float)[None])
+    if error is not None:
+        raise error
+    return v[0]
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,7 @@
-"""Shared small-dense numerical kernels with explicit accuracy contracts.
+"""The adaptive stepper shared by every integration.
 
-The adaptive stepper is SciPy's embedded Runge-Kutta 4(5) pair with dense
-output; eigenvalue and linear-solve kernels wrap LAPACK through NumPy.
-All kernels are deterministic.
+It is SciPy's embedded Runge-Kutta 4(5) pair with dense output, guarded
+against overflow; it is deterministic.
 """
 
 from __future__ import annotations
@@ -12,9 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import Diverged, NoConvergence, Singular, StepFailure
-
-MAX_DENSE_DIM = 16
+from .errors import Diverged, StepFailure
 
 
 @dataclass(frozen=True)
@@ -57,35 +54,3 @@ def integrate_adaptive(f, t_span, y0, cfg: StepperConfig,
     if not sol.success:
         raise StepFailure(sol.message)
     return sol
-
-
-def eigenvalues_real(m: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a small real matrix (n <= 16)."""
-    m = np.asarray(m, dtype=float)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
-    if m.shape[0] > MAX_DENSE_DIM:
-        raise ValueError(f"kernel limited to n <= {MAX_DENSE_DIM}")
-    try:
-        return np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological
-        raise NoConvergence(str(exc)) from exc
-
-
-def solve_linear(m: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve m x = b by partial-pivoting elimination; residual-checked."""
-    m = np.asarray(m, dtype=float)
-    b = np.asarray(b, dtype=float)
-    scale = np.linalg.norm(m, np.inf)
-    try:
-        x = np.linalg.solve(m, b)
-    except np.linalg.LinAlgError as exc:
-        raise Singular(str(exc)) from exc
-    resid = np.linalg.norm(m @ x - b, np.inf)
-    bound = 1e-10 * (scale * np.linalg.norm(x, np.inf) +
-                     np.linalg.norm(b, np.inf))
-    if resid > max(bound, 1e-300):
-        raise Singular(
-            f"residual {resid:g} exceeds bound {bound:g}; system is "
-            "numerically singular")
-    return x

@@ -10,7 +10,6 @@ from optomech.experiment import (ExperimentConfig, SweepAxis,
                                  evaluate_cell, measures_from_cm_series,
                                  run_experiment)
 from optomech.fluctuations import integrate_lyapunov
-from optomech.measures import log_negativity, reduce_atom_mirror
 from optomech.model import DriveSpec, SystemParams
 from optomech.numerics import StepperConfig
 from optomech.recipes import load_recipe, recipe_names
@@ -203,6 +202,12 @@ def test_cli_engineer_drive_schema(tmp_path, capsys):
     assert sorted(orders) == [-1, 0, 1, 2]
 
 
+UNSTABLE_CYCLE_DRIVE = {"Omega": 2.0,
+                        "components": [{"n": 0, "re": 50000.0},
+                                       {"n": 1, "re": 80000.0},
+                                       {"n": -1, "re": 80000.0}]}
+
+
 def test_cli_stability(tmp_path, capsys):
     path = write_config(tmp_path, FIG2_DOC)
     rc = cli_main(["stability", "--config", str(path)])
@@ -210,6 +215,36 @@ def test_cli_stability(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["stable"] is True
     assert out["margin"] < 0.0
+    assert out["max_multiplier"] == pytest.approx(0.7885, abs=1e-4)
+
+    # |mu| = 1.047: the sampled drift looks stable, the cycle is not; the
+    # CLI prints what a run writes to stability.json
+    doc = dict(FIG2_DOC, horizon_periods=3.0, outputs=["stability"],
+               drive=UNSTABLE_CYCLE_DRIVE)
+    path = write_config(tmp_path, doc, "unstable.json")
+    rc = cli_main(["stability", "--config", str(path)])
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["stable"] is False
+    assert out["max_multiplier"] == pytest.approx(1.047, abs=1e-3)
+    assert out["margin"] < 0.0
+    assert 0.0 <= out["worst_time"] < np.pi
+    run_experiment(config_from_dict(doc), tmp_path / "run")
+    assert json.loads((tmp_path / "run" / "stability.json").read_text()) \
+        == out
+
+
+def test_stability_report_leaves_config_alone():
+    doc = {"params": dict(FIG2_DOC["params"], delta_a_effective=1.0,
+                          delta_a=0.3),
+           "drive": {"Omega": 0.0, "components": [{"n": 0, "re": 1.2e5}]}}
+    cfg = config_from_dict(doc)
+    params = cfg.params
+    report, periodic = experiment.stability_report(cfg)
+    assert cfg.params is params
+    assert periodic is None
+    assert report["stable"] is True
+    assert "max_multiplier" not in report
 
 
 def test_cli_wigner_times(tmp_path):
@@ -257,6 +292,97 @@ def test_sweep_parallel_matches_serial(tmp_path):
         (tmp_path / "par" / "sweep.csv").read_bytes()
 
 
+def test_modulated_sweep_parallel_matches_serial(tmp_path):
+    doc = dict(FIG2_DOC, horizon_periods=3.0, samples_per_period=20,
+               drive=UNSTABLE_CYCLE_DRIVE,
+               sweep={"axes": [{"name": "E0", "min": 5e4, "max": 1.5e5,
+                                "points": 3}]})
+    cfg = config_from_dict(doc)
+    run_experiment(cfg, tmp_path / "serial", jobs=1)
+    run_experiment(cfg, tmp_path / "par", jobs=2)
+    text = (tmp_path / "serial" / "sweep.csv").read_text()
+    assert text == (tmp_path / "par" / "sweep.csv").read_text()
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    assert rows[0][1:] == ["unstable", "nan"]    # the |mu| = 1.047 drive
+    assert rows[1][1] == "stable"
+
+
+FIG4A_BOX_DOC = {
+    "params": {"delta_a": 1.0, "kappa": 0.2, "gamma_m": 1e-3, "g": 1e-5,
+               "delta_c": -1.0, "gamma_a": 0.1, "G0": 1.0,
+               "delta_a_effective": 1.0},
+    "drive": {"Omega": 0.0, "components": [{"n": 0, "re": 1.2e5}]},
+    # 23 x 13 = 299 cells: one full block and a partial one
+    "sweep": {"axes": [{"name": "E0", "min": 1e4, "max": 3e5, "points": 23},
+                       {"name": "G0", "min": 0.1, "max": 3.0,
+                        "points": 13}]},
+}
+
+
+def read_sweep(path):
+    lines = path.read_text().splitlines()
+    return [line.split(",") for line in lines[1:]]
+
+
+def test_stacked_sweep_matches_one_cell_evaluation(tmp_path):
+    cfg = config_from_dict(FIG4A_BOX_DOC)
+    assert len(cfg.sweep[0].values()) * len(cfg.sweep[1].values()) \
+        % experiment.SWEEP_BLOCK != 0
+    run_experiment(cfg, tmp_path)
+    rows = read_sweep(tmp_path / "sweep.csv")
+    assert len(rows) == 299
+    statuses = [row[2] for row in rows]
+    assert "stable" in statuses and "unstable" in statuses
+    for e0, g0, status, en in rows:
+        cell = experiment._apply_axis(
+            experiment._apply_axis(cfg, "E0", float(e0)), "G0", float(g0))
+        want_status, want_en = evaluate_cell(cell)
+        assert status == want_status
+        if status == "stable":
+            assert float(en) == pytest.approx(want_en, rel=1e-13, abs=0.0)
+        else:
+            assert en == "nan" and np.isnan(want_en)
+
+
+def test_sweep_flags_forced_bad_cells_only(tmp_path, monkeypatch):
+    cfg = config_from_dict(FIG4A_BOX_DOC)
+    run_experiment(cfg, tmp_path / "clean")
+    clean = read_sweep(tmp_path / "clean" / "sweep.csv")
+    unstable_cell, nonphysical_cell = 270, 5
+    assert clean[unstable_cell][2] == clean[nonphysical_cell][2] == "stable"
+
+    # every cell of this box has a working point, so the k-th drift built
+    # is cell k's, and the first block holds cells 0-255 in order
+    build_drift = experiment.build_drift
+    reduce_stack = experiment.reduce_atom_mirror_stack
+    drifts, blocks = [], []
+
+    def forced_drift(params, q_mean, a_mean):
+        drifts.append(None)
+        if len(drifts) - 1 == unstable_cell:
+            return np.eye(6)
+        return build_drift(params, q_mean, a_mean)
+
+    def forced_reduction(vs):
+        r = reduce_stack(vs)
+        if not blocks:
+            r[nonphysical_cell] = np.block([[0.5 * np.eye(2), 5 * np.eye(2)],
+                                            [5 * np.eye(2), 0.5 * np.eye(2)]])
+        blocks.append(None)
+        return r
+
+    monkeypatch.setattr(experiment, "build_drift", forced_drift)
+    monkeypatch.setattr(experiment, "reduce_atom_mirror_stack",
+                        forced_reduction)
+    run_experiment(cfg, tmp_path / "forced")
+    forced = read_sweep(tmp_path / "forced" / "sweep.csv")
+    assert forced[unstable_cell][2:] == ["unstable", "nan"]
+    assert forced[nonphysical_cell][2:] == ["error:NonPhysical", "nan"]
+    for k, (got, want) in enumerate(zip(forced, clean)):
+        if k not in (unstable_cell, nonphysical_cell):
+            assert got == want
+
+
 def brute_force_window(cfg):
     """The sampled window of a modulated run integrated from t = 0."""
     drive = cfg.resolved_drive()
@@ -299,21 +425,17 @@ def test_unstable_cycle_takes_brute_force(tmp_path):
     # E0 = 5e4, E1 = 8e4: the instantaneous drift looks stable, but the
     # limit cycle's largest Floquet multiplier is 1.047.
     doc = dict(FIG2_DOC, horizon_periods=30.0,
-               outputs=["cm", "EN", "stability"])
-    doc["drive"] = {"Omega": 2.0,
-                    "components": [{"n": 0, "re": 50000.0},
-                                   {"n": 1, "re": 80000.0},
-                                   {"n": -1, "re": 80000.0}]}
+               outputs=["cm", "EN", "stability"], drive=UNSTABLE_CYCLE_DRIVE)
     cfg = config_from_dict(doc)
     run_experiment(cfg, tmp_path / "run")
     stab = json.loads((tmp_path / "run" / "stability.json").read_text())
     assert stab["max_multiplier"] == pytest.approx(1.047, abs=1e-3)
-    lt = assert_brute_force_csvs(cfg, tmp_path / "run", tmp_path / "ref")
+    assert_brute_force_csvs(cfg, tmp_path / "run", tmp_path / "ref")
 
-    # a sweep cell samples the same last period
+    # a sweep cell reads the same Floquet verdict
     status, en = evaluate_cell(cfg)
-    assert status == "stable"
-    assert en == max(log_negativity(reduce_atom_mirror(v)) for v in lt.v)
+    assert status == "unstable"
+    assert np.isnan(en)
 
 
 @pytest.mark.parametrize("e0, e1, stable", [

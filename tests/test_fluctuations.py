@@ -1,13 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from optomech.errors import NotStable, Unphysical
+from optomech.errors import NotStable, Singular, Unphysical
 from optomech.experiment import config_from_dict, run_experiment
 from optomech.fluctuations import (build_diffusion, build_drift,
                                    drift_kernel, integrate_lyapunov,
-                                   periodic_state,
+                                   lyapunov_stack, periodic_state,
                                    stability_check, steady_state_lyapunov,
                                    thermal_vacuum_cm)
 from optomech.measures import symplectic_eigenvalues
@@ -18,6 +20,7 @@ FIG2 = SystemParams(delta_a=1.0, kappa=2.0, gamma_m=1e-3, g=1e-5,
                     delta_c=-1.0, gamma_a=0.1, g0_collective=1.0)
 FIG2_DRIVE = DriveSpec(big_omega=2.0,
                        components={0: 15e4, 1: 3e4, -1: 3e4})
+FIG4 = replace(FIG2, kappa=0.2)
 
 
 def random_params(rng):
@@ -217,6 +220,87 @@ def test_steady_state_matches_long_time_integration_fig4_point():
 def test_steady_state_rejects_non_hurwitz():
     with pytest.raises(NotStable):
         steady_state_lyapunov(np.eye(6), np.eye(6))
+
+
+def fig4_stack(points):
+    """Drift and diffusion stacks at fig4 working points (E0, G0)."""
+    drifts, diffusions = [], []
+    for e0, g0 in points:
+        fm, eff = steady_state_constant(replace(FIG4, g0_collective=g0), e0,
+                                        delta_a_eff=1.0)
+        drifts.append(build_drift(eff, fm.q, fm.a))
+        diffusions.append(build_diffusion(eff))
+    return np.array(drifts), np.array(diffusions)
+
+
+def test_lyapunov_stack_equals_kronecker_route():
+    a, d = fig4_stack([(1.2e5, 1.0), (2e5, 2.5), (5e4, 0.5)])
+    v, errors = lyapunov_stack(a, d)
+    assert errors == [None, None, None]
+    eye = np.eye(6)
+    for ai, di, vi in zip(a, d, v):
+        m = np.kron(eye, ai) + np.kron(ai, eye)
+        x = np.linalg.solve(m, -di.flatten(order="F")).reshape(6, 6,
+                                                               order="F")
+        assert np.array_equal(vi, 0.5 * (x + x.T))
+
+
+def test_lyapunov_stack_flags_near_singular_cell():
+    # the middle drift is Hurwitz, but its slowest rate is subnormal, so
+    # V = D / (2 * 1e-320) overflows: the cell fails its residual check
+    # while its neighbours solve within the bound
+    a, d = fig4_stack([(1.2e5, 1.0), (2e5, 2.5)])
+    a = np.stack((a[0], np.diag([-1e-320, -1.0, -1.0, -1.0, -1.0, -1.0]),
+                  a[1]))
+    d = np.stack((d[0], np.eye(6), d[1]))
+    v, errors = lyapunov_stack(a, d)
+    assert isinstance(errors[1], Singular)
+    assert np.isnan(v[1]).all()
+    eye = np.eye(6)
+    for i in (0, 2):
+        assert errors[i] is None
+        assert np.array_equal(v[i], steady_state_lyapunov(a[i], d[i]))
+        m = np.kron(eye, a[i]) + np.kron(a[i], eye)
+        x = v[i].flatten(order="F")
+        b = -d[i].flatten(order="F")
+        resid = np.linalg.norm(m @ x - b, np.inf)
+        bound = 1e-10 * (np.linalg.norm(m, np.inf) * np.linalg.norm(x, np.inf)
+                         + np.linalg.norm(b, np.inf))
+        assert resid <= bound
+
+
+def test_lyapunov_stack_flags_non_hurwitz_cell_only():
+    a, d = fig4_stack([(1.2e5, 1.0), (2e5, 2.5)])
+    alone = [steady_state_lyapunov(ai, di) for ai, di in zip(a, d)]
+    v, errors = lyapunov_stack(np.stack((a[0], np.eye(6), a[1])),
+                               np.stack((d[0], np.eye(6), d[1])))
+    assert isinstance(errors[1], NotStable)
+    assert np.isnan(v[1]).all()
+    assert errors[0] is None and errors[2] is None
+    assert np.array_equal(v[0], alone[0])
+    assert np.array_equal(v[2], alone[1])
+
+
+def test_lyapunov_stack_isolates_failed_solve(monkeypatch):
+    # LAPACK raises for a whole stack when one of its systems is exactly
+    # singular; mark cell 1 (drift -7 I, Kronecker matrix -14 I) as one
+    a, d = fig4_stack([(1.2e5, 1.0), (2e5, 2.5)])
+    alone = [steady_state_lyapunov(ai, di) for ai, di in zip(a, d)]
+    solve = np.linalg.solve
+    marked = -14.0 * np.eye(36)
+
+    def solve_failing_on_mark(m, b):
+        if np.any(np.all(m == marked, axis=(-2, -1))):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(m, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve_failing_on_mark)
+    v, errors = lyapunov_stack(np.stack((a[0], -7.0 * np.eye(6), a[1])),
+                               np.stack((d[0], np.eye(6), d[1])))
+    assert isinstance(errors[1], Singular)
+    assert np.isnan(v[1]).all()
+    assert np.array_equal(v[0], alone[0])
+    assert np.array_equal(v[2], alone[1])
 
 
 def test_stability_decoupled_margin():

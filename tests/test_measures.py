@@ -1,13 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from optomech.errors import NonPhysical, NonPositive, SingularCM
+from optomech.fluctuations import (build_diffusion, build_drift,
+                                   steady_state_lyapunov)
 from optomech.measures import (ReducedCM, is_position_squeezed,
-                               log_negativity, mean_phonon_number,
+                               log_negativity, log_negativity_stack,
+                               mean_phonon_number,
                                position_variance, principal_axis_angle,
                                reduce_atom_mirror, squeezing_parameter,
                                symplectic_eigenvalues, wigner)
+from optomech.model import SystemParams
+from optomech.moments import steady_state_constant
 
 
 def two_mode_squeezed_cm(r):
@@ -80,6 +87,83 @@ def test_log_negativity_rejects_bogus_matrix():
                     c=5.0 * np.eye(2))
     with pytest.raises(NonPhysical):
         log_negativity(rcm)
+
+
+def log_negativity_reference(rcm):
+    """The one-CM formula on 0-d floats, as log negativity was computed
+    before it was stacked; raises ValueError where it is not physical."""
+    sigma = (np.linalg.det(rcm.a) + np.linalg.det(rcm.b)
+             - 2.0 * np.linalg.det(rcm.c))
+    disc = sigma ** 2 - 4.0 * np.linalg.det(rcm.full)
+    if disc < -1e-12:
+        raise ValueError("negative discriminant")
+    inner = 0.5 * (sigma - np.sqrt(max(disc, 0.0)))
+    if inner <= 0.0:
+        raise ValueError("collapsed eigenvalue")
+    return max(0.0, -np.log(2.0 * np.sqrt(inner)))
+
+
+def random_two_mode_cm(rng):
+    """A squeezed, locally transformed and noisy two-mode CM; its cross
+    block scaled up at random so that some are not physical."""
+    def local():
+        squeeze = np.diag(np.exp(np.array([-1.0, 1.0]) * rng.uniform(0, 1)))
+        return rotation(rng.uniform(0, np.pi)) @ squeeze \
+            @ rotation(rng.uniform(0, np.pi))
+
+    s = np.zeros((4, 4))
+    s[:2, :2], s[2:, 2:] = local(), local()
+    v = s @ two_mode_squeezed_cm(rng.uniform(0.0, 1.5)).full @ s.T \
+        + rng.uniform(0.0, 0.5) * np.eye(4)
+    v[:2, 2:] *= rng.choice([1.0, 1.0, 1.0, 3.0])
+    v[2:, :2] = v[:2, 2:].T
+    return ReducedCM(a=v[:2, :2], b=v[2:, 2:], c=v[:2, 2:])
+
+
+def test_log_negativity_stack_equals_one_cm_formula():
+    rng = np.random.default_rng(5)
+    cms = [random_two_mode_cm(rng) for _ in range(4000)]
+    en, physical = log_negativity_stack(np.array([r.full for r in cms]))
+    for rcm, got, ok in zip(cms, en, physical):
+        try:
+            want = log_negativity_reference(rcm)
+        except ValueError:
+            assert not ok and np.isnan(got)
+            continue
+        assert ok and got == want     # the same bits
+    assert 0 < np.sum(en > 0.0) and not physical.all()
+
+
+def test_log_negativity_stack_equals_one_cm_formula_near_threshold():
+    # fig4 working points whose EN, small against the CM entries, moves
+    # in its last bits if sigma^2 is rounded as x*x instead of by pow()
+    base = SystemParams(delta_a=1.0, kappa=0.2, gamma_m=1e-3, g=1e-5,
+                        delta_c=-1.0, gamma_a=0.1, g0_collective=1.0)
+    cms = []
+    for e0, g0 in ((34507.16899113914, 2.6775912873481316),
+                   (37143.53262750278, 0.7530458328026772)):
+        fm, eff = steady_state_constant(replace(base, g0_collective=g0), e0,
+                                        delta_a_eff=1.0)
+        cms.append(reduce_atom_mirror(steady_state_lyapunov(
+            build_drift(eff, fm.q, fm.a), build_diffusion(eff))))
+    en, physical = log_negativity_stack(np.array([r.full for r in cms]))
+    assert physical.all()
+    assert en.tolist() == [log_negativity_reference(r) for r in cms]
+
+
+def test_log_negativity_stack_flags_bogus_matrix_only():
+    bogus = ReducedCM(a=0.5 * np.eye(2), b=0.5 * np.eye(2),
+                      c=5.0 * np.eye(2))
+    thermal = ReducedCM(a=4.5 * np.eye(2), b=0.5 * np.eye(2),
+                        c=np.zeros((2, 2)))
+    cms = [two_mode_squeezed_cm(0.5), bogus, thermal,
+           two_mode_squeezed_cm(1.3)]
+    en, physical = log_negativity_stack(np.array([r.full for r in cms]))
+    assert physical.tolist() == [True, False, True, True]
+    assert np.isnan(en[1])
+    for i in (0, 2, 3):
+        assert en[i] == log_negativity(cms[i])
+    assert en[2] == 0.0
 
 
 def test_position_variance_and_flags():

@@ -3,8 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from optomech.errors import Diverged
-from optomech.numerics import (StepperConfig, eigenvalues_real,
-                               integrate_adaptive, solve_linear)
+from optomech.numerics import StepperConfig, integrate_adaptive
 
 
 def test_scalar_exponential():
@@ -37,53 +36,6 @@ def test_overflow_guard_raises_diverged():
     cfg = StepperConfig(overflow_guard=1e6)
     with pytest.raises(Diverged):
         integrate_adaptive(lambda t, y: y, (0.0, 30.0), [1.0], cfg)
-
-
-def test_eigenvalues_diagonal():
-    eig = np.sort(eigenvalues_real(np.diag([1.0, 2.0, 3.0])).real)
-    assert np.allclose(eig, [1.0, 2.0, 3.0], atol=1e-12)
-
-
-def test_eigenvalues_rotation_generator():
-    eig = eigenvalues_real(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    assert np.allclose(np.sort(eig.imag), [-1.0, 1.0], atol=1e-12)
-    assert np.allclose(eig.real, 0.0, atol=1e-12)
-
-
-def test_eigenvalues_companion_matrix_roots():
-    rng = np.random.default_rng(7)
-    roots = rng.uniform(-2.0, 2.0, 6) + 1j * rng.uniform(-1.0, 1.0, 6)
-    roots = np.concatenate((roots[:3], np.conj(roots[:3])))  # real poly
-    poly = np.real(np.poly(roots))
-    comp = np.diag(np.ones(5), -1)
-    comp[0, :] = -poly[1:] / poly[0]
-    eig = eigenvalues_real(comp)
-    got = np.sort_complex(eig)
-    want = np.sort_complex(roots)
-    assert np.max(np.abs(got - want)) <= 1e-9
-
-
-def test_solve_identity():
-    b = np.array([1.0, -2.0, 3.0])
-    assert np.array_equal(solve_linear(np.eye(3), b), b)
-
-
-def test_solve_diagonal():
-    x = solve_linear(np.array([[2.0, 0.0], [0.0, 4.0]]),
-                     np.array([2.0, 4.0]))
-    assert np.allclose(x, [1.0, 1.0])
-
-
-def test_solve_residual_bound_21x21():
-    rng = np.random.default_rng(3)
-    m = rng.standard_normal((21, 21)) + 21 * np.eye(21)
-    b = rng.standard_normal(21)
-    x = solve_linear(m, b)
-    resid = np.linalg.norm(m @ x - b, np.inf)
-    bound = 1e-10 * (np.linalg.norm(m, np.inf)
-                     * np.linalg.norm(x, np.inf)
-                     + np.linalg.norm(b, np.inf))
-    assert resid <= bound
 
 
 def test_lyapunov_flow_matches_matrix_exponential():
