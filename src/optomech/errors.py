@@ -25,20 +25,14 @@ class NotStable(SimulationError):
     """The drift matrix is not Hurwitz; no steady state exists."""
 
 
-class Unphysical(SimulationError):
-    """A symplectic eigenvalue dropped below the vacuum bound 1/2."""
-
-
 class NonPhysical(SimulationError):
-    """A covariance matrix failed a physicality requirement of a measure."""
+    """A covariance matrix is not a physical one: a symplectic eigenvalue
+    below the vacuum bound 1/2, a block that is not positive definite, or
+    a determinant that underflows."""
 
 
-class NonPositive(SimulationError):
-    """A matrix that must be positive definite is not."""
-
-
-class SingularCM(SimulationError):
-    """Covariance matrix is numerically singular; Wigner density undefined."""
+class NoConvergence(SimulationError):
+    """An iterative solve did not converge within its budget."""
 
 
 class Singular(SimulationError):

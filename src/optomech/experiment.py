@@ -22,20 +22,20 @@ from .errors import Diverged, NonPhysical, NotStable, SimulationError
 from .fluctuations import LyapunovTrajectory, PeriodicState, \
     build_diffusion, build_drift, integrate_lyapunov, lyapunov_stack, \
     periodic_state, stability_check, steady_state_lyapunov
-from .measures import log_negativity_stack, reduce_atom_mirror_stack, \
-    squeezing_parameter, wigner
+from .measures import log_negativity_stack, principal_axis_angle, \
+    reduce_atom_mirror_stack, squeezing_parameter, wigner
 from .model import DriveSpec, EngineeredCoupling, FirstMoments, SystemParams, \
     ZERO_MOMENTS, validate_params
-from .moments import DEFAULT_J_MAX, DEFAULT_N_MAX, FloquetSolution, \
-    floquet_mean_source, floquet_recurse, integrate_first_moments, \
-    steady_state_constant
+from .moments import DEFAULT_J_MAX, DEFAULT_N_MAX, floquet_mean_source, \
+    floquet_recurse, integrate_first_moments, steady_state_constant
 from .numerics import StepperConfig
 from .tables import write_cm_csv, write_measures_csv, write_rows, \
     write_trajectory_csv, write_wigner_csv
 
 KNOWN_OUTPUTS = ("first_moments", "cm", "EN", "variance", "neff",
-                 "squeezing", "wigner", "stability")
-MEASURE_OUTPUTS = ("cm", "EN", "variance", "neff", "squeezing", "wigner")
+                 "squeezing", "principal_axis", "wigner", "stability")
+MEASURE_OUTPUTS = ("cm", "EN", "variance", "neff", "squeezing",
+                   "principal_axis", "wigner")
 
 
 @dataclass(frozen=True)
@@ -181,6 +181,19 @@ def measures_from_cm_series(t: np.ndarray, vs: np.ndarray) -> dict:
             "neff": (vs[:, 0, 0] + vs[:, 1, 1] - 1.0) / 2.0, "r_db": r_db}
 
 
+def _principal_axis_columns(vs: np.ndarray) -> np.ndarray:
+    """(theta, lam_minus, lam_plus, r_db) columns of the mechanical
+    squeezing ellipse of each CM: its major-axis angle, the two CM
+    eigenvalues and the squeezing in dB."""
+    rows = []
+    for v in vs:
+        mech = v[:2, :2]
+        lam, _, r_db = squeezing_parameter(mech)
+        rows.append((principal_axis_angle(mech), lam,
+                     float(np.trace(mech)) - lam, r_db))
+    return np.array(rows).T
+
+
 def _moment_source(cfg: ExperimentConfig, drive: DriveSpec):
     """Mean-value source for drift assembly when not co-integrating."""
     if cfg.first_moment_source == "floquet":
@@ -210,38 +223,25 @@ def _window(cfg: ExperimentConfig, drive: DriveSpec
     return t_end, t_eval
 
 
-def stability_report(cfg: ExperimentConfig, source=None
+def stability_report(cfg: ExperimentConfig
                      ) -> tuple[dict, PeriodicState | None]:
     """(what stability.json holds, the periodic solve made or None).
 
-    margin is the largest real part of the drift eigenvalues sampled over
-    one period, found at worst_time, and stable follows it, unless the
-    periodic solve ran (see _periodic_start): its Floquet multipliers
-    decide then.  source is the run's mean source, if it has one.
+    A constant drive is judged by the Hurwitz test of the drift at its
+    working point, a modulated one by the Floquet multipliers of the
+    periodic state at the window's first time, whatever the mean source
+    (see stability_check).  Raises the periodic solve's SimulationError
+    when the cycle cannot be found.
     """
     drive = cfg.resolved_drive()
-    params, periodic = cfg.params, None
     if drive.big_omega == 0.0:
         fm, params = steady_state_constant(cfg.params, drive.component(0),
                                            cfg.delta_a_effective)
-        source = lambda t: (fm.q, fm.a)
-    else:
-        source = source or _moment_source(cfg, drive)
-    if source == "ode":
-        # one Floquet series starts the shooting and gives the means at
-        # which the drift is sampled
-        series = floquet_recurse(cfg.params, drive, cfg.j_max, cfg.n_max)
-        periodic = _periodic_start(cfg, drive, source,
-                                   _window(cfg, drive)[1], series)
-        source = floquet_mean_source(series, cfg.params.g)
-    report = stability_check(params, drive, source)
-    stab = {"stable": report.stable, "margin": report.margin,
-            "worst_time": report.worst_time}
-    if periodic is not None:
-        stab.update(stable=periodic.max_multiplier < 1.0,
-                    max_multiplier=periodic.max_multiplier,
-                    transient_residue=periodic.transient_residue)
-    return stab, periodic
+        return stability_check(build_drift(params, fm.q, fm.a)), None
+    periodic = periodic_state(cfg.params, drive,
+                              float(_window(cfg, drive)[1][0]),
+                              cfg.numerics, cfg.j_max, cfg.n_max)
+    return stability_check(periodic), periodic
 
 
 def _write_measures(cfg: ExperimentConfig, out_dir: Path, written: dict,
@@ -256,6 +256,11 @@ def _write_measures(cfg: ExperimentConfig, out_dir: Path, written: dict,
     write_measures_csv(path, series["t"], series["EN"], series["v11"],
                        series["v22"], series["neff"], series["r_db"])
     written["measures"] = path
+    if "principal_axis" in cfg.outputs:
+        path = out_dir / "principal_axis.csv"
+        write_rows(path, ["t", "theta", "lam_minus", "lam_plus", "r_db"],
+                   (t, *_principal_axis_columns(vs)))
+        written["principal_axis"] = path
     if "wigner" not in cfg.outputs:
         return
     for k, tw in enumerate(cfg.wigner_times or (t[-1],)):
@@ -270,32 +275,34 @@ def _run_constant(cfg: ExperimentConfig, out_dir: Path,
     drive = cfg.resolved_drive()
     fm, params_eff = steady_state_constant(cfg.params, drive.component(0),
                                            cfg.delta_a_effective)
+    drift = build_drift(params_eff, fm.q, fm.a)
     if "stability" in cfg.outputs:
         written["stability"] = out_dir / "stability.json"
         written["stability"].write_text(
-            json.dumps(stability_report(cfg)[0], indent=2))
+            json.dumps(stability_check(drift), indent=2))
     if "first_moments" in cfg.outputs:
         path = out_dir / "first_moments.csv"
         write_trajectory_csv(path, [0.0], [fm.q], [fm.p], [fm.a], [fm.c])
         written["first_moments"] = path
     if not any(o in cfg.outputs for o in MEASURE_OUTPUTS):
         return
-    v = steady_state_lyapunov(build_drift(params_eff, fm.q, fm.a),
-                              build_diffusion(params_eff))
+    v = steady_state_lyapunov(drift, build_diffusion(params_eff))
     _write_measures(cfg, out_dir, written, np.array([0.0]), v[np.newaxis])
 
 
 def _periodic_start(cfg: ExperimentConfig, drive: DriveSpec, source,
-                    t_eval: np.ndarray, series: FloquetSolution | None = None
-                    ) -> PeriodicState | None:
-    """Periodic solve at the window's first time, when the means are
-    co-integrated and the window starts after t = 0; else None.  series
-    is the run's Floquet expansion, if it has one already."""
+                    t_eval: np.ndarray) -> PeriodicState | None:
+    """Periodic solve at the window's first time, which can only shorten
+    the run when the means are co-integrated and the window starts after
+    t = 0.  None otherwise, or when the cycle cannot be found."""
     t0 = float(t_eval[0])
     if source != "ode" or t0 <= 0.0:
         return None
-    return periodic_state(cfg.params, drive, t0, cfg.numerics, cfg.j_max,
-                          cfg.n_max, series)
+    try:
+        return periodic_state(cfg.params, drive, t0, cfg.numerics,
+                              cfg.j_max, cfg.n_max)
+    except SimulationError:
+        return None
 
 
 def _cm_window(cfg: ExperimentConfig, drive: DriveSpec, source,
@@ -303,10 +310,11 @@ def _cm_window(cfg: ExperimentConfig, drive: DriveSpec, source,
                periodic: PeriodicState | None) -> LyapunovTrajectory:
     """CM over t_eval, which ends at t_end.
 
-    Only the window is integrated when the periodic state passes its gate
-    (see PeriodicState); otherwise the CM is integrated from t = 0.
+    Only the window is integrated when the means are co-integrated and
+    the periodic state passes its gate (see PeriodicState); otherwise the
+    CM is integrated from t = 0.
     """
-    if periodic is not None and periodic.usable:
+    if source == "ode" and periodic is not None and periodic.usable:
         return integrate_lyapunov(cfg.params, drive, "ode", periodic.v,
                                   t_end, t_eval=t_eval, cfg=cfg.numerics,
                                   moment_init=FirstMoments.from_vector(
@@ -333,7 +341,7 @@ def _run_modulated(cfg: ExperimentConfig, out_dir: Path,
 
     measured = any(o in cfg.outputs for o in MEASURE_OUTPUTS)
     if "stability" in cfg.outputs:
-        stab, periodic = stability_report(cfg, source)
+        stab, periodic = stability_report(cfg)
         written["stability"] = out_dir / "stability.json"
         written["stability"].write_text(json.dumps(stab, indent=2))
     elif measured:

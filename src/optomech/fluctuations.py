@@ -3,14 +3,13 @@
 Assembles the time-dependent drift matrix and the diffusion matrix of the
 linearized quadrature dynamics, propagates the 6x6 covariance matrix
 through the Lyapunov equation of motion, solves for the periodic
-asymptote of a modulated drive from one period's monodromy (whose
-Floquet multipliers are the stability verdict of a modulated run), and
-solves the algebraic steady state of a constant drive for a whole stack
-of sweep cells at once (lyapunov_stack).  The hot loop fills one drift
+asymptote of a modulated drive from one period's monodromy, and solves
+the algebraic steady state of a constant drive for a whole stack of
+sweep cells at once (lyapunov_stack).  The hot loop fills one drift
 template per integration (drift_kernel); build_drift assembles a fresh
-matrix for everything else.  stability_check only samples instantaneous
-drift eigenvalues, which for a periodic drift is neither necessary nor
-sufficient for stability.
+matrix for everything else.  stability_check gives the one stability
+verdict per drive kind: the Hurwitz test of the constant drift, or the
+largest Floquet multiplier of the periodic asymptote.
 
 Quadrature ordering is (dq, dp, dX, dY, dx, dy); vacuum variance 1/2.
 """
@@ -22,11 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotStable, SimulationError, Singular, Unphysical
+from .errors import NoConvergence, NonPhysical, NotStable, \
+    SimulationError, Singular
 from .measures import symplectic_eigenvalues
 from .model import DriveSpec, FirstMoments, SystemParams, ZERO_MOMENTS
-from .moments import DEFAULT_J_MAX, DEFAULT_N_MAX, FloquetSolution, \
-    _rhs_vector, default_stepper, effective_coupling, effective_detuning, \
+from .moments import DEFAULT_J_MAX, DEFAULT_N_MAX, _rhs_vector, \
+    default_stepper, effective_coupling, effective_detuning, \
     evaluate_floquet, floquet_recurse
 from .numerics import StepperConfig, integrate_adaptive
 
@@ -101,7 +101,7 @@ def _check_physical(t: np.ndarray, vs: np.ndarray):
     for ti, vi in zip(t, vs):
         nu = symplectic_eigenvalues(vi)
         if np.min(nu) < 0.5 - PHYSICALITY_SLACK:
-            raise Unphysical(
+            raise NonPhysical(
                 f"symplectic eigenvalue {np.min(nu):.8f} < 1/2 at "
                 f"t = {ti:g}; integration accuracy insufficient")
 
@@ -185,7 +185,7 @@ def integrate_lyapunov(params: SystemParams, drive: DriveSpec,
 _QUADRATURE_SCALE = np.array([1.0, 1.0] + [np.sqrt(2.0)] * 4)
 # Shooting converges quadratically; from the Floquet series it takes three
 # periods at the fig5a working point.  Slower convergence means the series
-# start is poor, and the brute-force route is used instead.
+# start is poor, and the periodic solve gives up.
 SHOOTING_MAX_PERIODS = 5
 
 
@@ -198,8 +198,8 @@ class PeriodicState:
     modulus, from the one-period fundamental matrix; transient_residue =
     max_multiplier**floor(t0/tau) bounds the share of the initial
     transient that a run from t = 0 still carries at t0.  usable is the
-    gate: shooting converged, the cycle attracts (max_multiplier < 1) and
-    the residue is within the stepper's rel_tol.
+    gate: the cycle attracts (max_multiplier < 1) and the residue is
+    within the stepper's rel_tol.
     """
 
     y: np.ndarray
@@ -221,9 +221,7 @@ def _one_period(f, y, t0, tau, cfg):
 def periodic_state(params: SystemParams, drive: DriveSpec, t0: float,
                    cfg: StepperConfig | None = None,
                    j_max: int = DEFAULT_J_MAX,
-                   n_max: int = DEFAULT_N_MAX,
-                   series: FloquetSolution | None = None
-                   ) -> PeriodicState | None:
+                   n_max: int = DEFAULT_N_MAX) -> PeriodicState:
     """Limit cycle and periodic CM at t0 by one-period monodromy.
 
     Newton shooting on y(t0 + tau) - y(t0), started from the Floquet
@@ -231,35 +229,37 @@ def periodic_state(params: SystemParams, drive: DriveSpec, t0: float,
     matrix Phi integrated alongside, so it costs no extra integration.
     It has converged once the residual is within rel_tol of max |y|.
     The forced CM W (W(t0) = 0) of the converged period then gives the
-    periodic CM as the solution of V = Phi V Phi^T + W.  Returns None
-    when the shooting cannot be carried out at all (a singular series
-    denominator, a diverging or failing step, a singular Jacobian).
-    series is the Floquet expansion at (j_max, n_max) when the caller has
-    it already; otherwise it is computed here.
+    periodic CM as the solution of V = Phi V Phi^T + W.  Raises a
+    SimulationError saying why when the cycle cannot be found: a singular
+    series denominator, a diverging or failing step, a singular Jacobian
+    (Singular) or no convergence within SHOOTING_MAX_PERIODS
+    (NoConvergence).
     """
     cfg = default_stepper(drive, cfg)
     f = _moments_cm_rhs(params, drive, build_diffusion(params))
     tau = drive.period
-    try:
-        if series is None:
-            series = floquet_recurse(params, drive, j_max, n_max)
-        y = evaluate_floquet(series, params.g, t0).to_vector()
-        converged = False
-        for _ in range(SHOOTING_MAX_PERIODS):
-            y_end, phi, w = _one_period(f, y, t0, tau, cfg)
-            resid = y_end - y
-            if np.max(np.abs(resid)) <= cfg.rel_tol * np.max(np.abs(y)):
-                converged = True
-                break
-            jac = (phi * _QUADRATURE_SCALE) / _QUADRATURE_SCALE[:, None] \
-                - np.eye(6)
+    series = floquet_recurse(params, drive, j_max, n_max)
+    y = evaluate_floquet(series, params.g, t0).to_vector()
+    for _ in range(SHOOTING_MAX_PERIODS):
+        y_end, phi, w = _one_period(f, y, t0, tau, cfg)
+        resid = y_end - y
+        if np.max(np.abs(resid)) <= cfg.rel_tol * np.max(np.abs(y)):
+            break
+        jac = (phi * _QUADRATURE_SCALE) / _QUADRATURE_SCALE[:, None] \
+            - np.eye(6)
+        try:
             y = y - np.linalg.solve(jac, resid)
-    except (SimulationError, np.linalg.LinAlgError):
-        return None
+        except np.linalg.LinAlgError:
+            raise Singular(f"shooting Jacobian singular at t0 = {t0:g}") \
+                from None
+    else:
+        raise NoConvergence(
+            f"shooting for the limit cycle at t0 = {t0:g} did not converge "
+            f"in {SHOOTING_MAX_PERIODS} periods")
     mu = float(np.max(np.abs(np.linalg.eigvals(phi))))
     with np.errstate(over="ignore"):
         residue = float(np.power(mu, np.floor(t0 / tau)))
-    usable = converged and mu < 1.0 and residue <= cfg.rel_tol
+    usable = mu < 1.0 and residue <= cfg.rel_tol
     v = None
     if usable:
         # V = Phi V Phi^T + W, row-major vectorized: the Kronecker solve
@@ -270,6 +270,24 @@ def periodic_state(params: SystemParams, drive: DriveSpec, t0: float,
         v = 0.5 * (v + v.T)
     return PeriodicState(y=y, v=v, max_multiplier=mu,
                          transient_residue=residue, usable=usable)
+
+
+def stability_check(subject: np.ndarray | PeriodicState) -> dict:
+    """The stability verdict, as stability.json holds it.
+
+    subject is the drift matrix at a constant drive's working point, or
+    the periodic state of a modulated drive.  A constant drive is stable
+    when the drift is Hurwitz, the test lyapunov_stack applies:
+    {stable, margin} with margin = max Re eig(A) < 0.  A modulated drive
+    is stable when every Floquet multiplier lies inside the unit circle:
+    {stable, max_multiplier, transient_residue}.
+    """
+    if isinstance(subject, PeriodicState):
+        return {"stable": subject.max_multiplier < 1.0,
+                "max_multiplier": subject.max_multiplier,
+                "transient_residue": subject.transient_residue}
+    margin = float(np.max(np.linalg.eigvals(subject).real))
+    return {"stable": margin < 0.0, "margin": margin}
 
 
 def lyapunov_stack(a: np.ndarray, d: np.ndarray
@@ -339,36 +357,3 @@ def steady_state_lyapunov(a_const: np.ndarray, d: np.ndarray) -> np.ndarray:
     if error is not None:
         raise error
     return v[0]
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    stable: bool
-    margin: float        # max over sampled t of max Re eigenvalue
-    worst_time: float
-
-
-def stability_check(params: SystemParams, drive: DriveSpec,
-                    first_moment_source,
-                    samples_per_period: int = 64) -> StabilityReport:
-    """Sample A(t) eigenvalues over one modulation period.
-
-    Stable iff the largest real part stays below 0 (tolerance 1e-10) at
-    every sample; the margin is reported either way.
-    """
-    if drive is not None and drive.big_omega > 0:
-        times = np.linspace(0.0, drive.period, samples_per_period,
-                            endpoint=False)
-    else:
-        times = np.array([0.0])
-    worst = -np.inf
-    worst_t = 0.0
-    for t in times:
-        q_mean, a_mean = first_moment_source(t)
-        a_mat = build_drift(params, q_mean, a_mean)
-        top = np.max(np.linalg.eigvals(a_mat).real)
-        if top > worst:
-            worst = top
-            worst_t = float(t)
-    return StabilityReport(stable=bool(worst < 1e-10), margin=float(worst),
-                           worst_time=worst_t)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPhysical, NonPositive, SingularCM
+from .errors import NonPhysical
 
 
 def symplectic_eigenvalues(v: np.ndarray) -> np.ndarray:
@@ -116,11 +116,11 @@ def squeezing_parameter(mech_cm: np.ndarray
     mech_cm = np.asarray(mech_cm, dtype=float)
     det = np.linalg.det(mech_cm)
     if det <= 0.0:
-        raise NonPositive(f"mechanical block determinant {det:g} <= 0")
+        raise NonPhysical(f"mechanical block determinant {det:g} <= 0")
     m = 0.5 * np.trace(mech_cm)
     lam = m - np.sqrt(max(m * m - det, 0.0))
     if lam <= 0.0:
-        raise NonPositive("mechanical block not positive definite")
+        raise NonPhysical("mechanical block not positive definite")
     r_raw = -10.0 * np.log10(lam)
     r_db = -10.0 * np.log10(2.0 * lam)
     return float(lam), float(r_raw), float(r_db)
@@ -159,7 +159,7 @@ def wigner(cm: np.ndarray, span_sigmas: float = 6.0,
     n_modes = dim // 2
     det = np.linalg.det(cm)
     if det < 1e-300:
-        raise SingularCM(f"covariance determinant {det:g} underflows")
+        raise NonPhysical(f"covariance determinant {det:g} underflows")
     inv = np.linalg.inv(cm)
     if axes is None:
         sig = np.sqrt(np.diag(cm))

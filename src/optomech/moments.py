@@ -53,18 +53,13 @@ def _rhs_vector(params: SystemParams, drive: DriveSpec):
 
 @dataclass
 class MomentTrajectory:
-    """Sampled first-moment trajectory plus its dense interpolant."""
+    """Sampled first-moment trajectory."""
 
     t: np.ndarray
     q: np.ndarray
     p: np.ndarray
     a: np.ndarray
     c: np.ndarray
-    dense: object = None   # scipy OdeSolution, 4th-order interpolant
-
-    def moments_at(self, t: float) -> FirstMoments:
-        y = self.dense(t)
-        return FirstMoments.from_vector(y)
 
 
 def default_stepper(drive: DriveSpec | None = None,
@@ -92,12 +87,10 @@ def integrate_first_moments(params: SystemParams, drive: DriveSpec,
         raise ValueError("t_end must be positive")
     cfg = default_stepper(drive, cfg)
     sol = integrate_adaptive(_rhs_vector(params, drive), (0.0, t_end),
-                             init.to_vector(), cfg, t_eval=t_eval,
-                             dense_output=True)
+                             init.to_vector(), cfg, t_eval=t_eval)
     y = sol.y
     return MomentTrajectory(t=sol.t, q=y[0], p=y[1],
-                            a=y[2] + 1j * y[3], c=y[4] + 1j * y[5],
-                            dense=sol.sol)
+                            a=y[2] + 1j * y[3], c=y[4] + 1j * y[5])
 
 
 # ---------------------------------------------------------------------------
@@ -276,16 +269,16 @@ def _constant_cavity_amplitude(params: SystemParams, e0: complex,
 
 
 def steady_state_constant(params: SystemParams, e0: complex,
-                          delta_a_eff: float | None = None,
-                          max_iter: int = 500, tol: float = 1e-12,
-                          relax: float = 0.5
+                          delta_a_eff: float | None = None
                           ) -> tuple[FirstMoments, SystemParams]:
     """Fixed point of the mean-value ODEs for a constant drive E_0.
 
     When delta_a_eff is given, the working-point detuning is prescribed
     and delta_a is back-computed; the returned params carry that delta_a.
-    Otherwise a damped fixed-point iteration on q is used (the branch
-    reached from q = 0), with a long-time integration fallback.
+    Otherwise n = |<a>|^2 solves the stationary cubic
+    n [(Re K)^2 + (Im K + delta_a - g^2 n / omega_m)^2] = |E_0|^2, with
+    K = kappa + G0^2 / (gamma_a + i delta_c), and the lowest real root,
+    the branch reached from q = 0, is the working point.
     """
     if delta_a_eff is not None:
         a = _constant_cavity_amplitude(params, e0, delta_a_eff)
@@ -300,23 +293,17 @@ def steady_state_constant(params: SystemParams, e0: complex,
                            n_th=params.n_th, omega_m=params.omega_m)
         return FirstMoments(q=q, p=0.0, a=a, c=c), eff
 
-    q = 0.0
-    for _ in range(max_iter):
-        a = _constant_cavity_amplitude(params, e0,
-                                       params.delta_a - params.g * q)
-        q_new = params.g * abs(a) ** 2 / params.omega_m
-        if abs(q_new - q) <= tol * max(1.0, abs(q_new)):
-            q = q_new
-            break
-        q = (1.0 - relax) * q + relax * q_new
-    else:
-        # iteration cycled (multistable region); settle by integration
-        drive = DriveSpec(big_omega=0.0, components={0: complex(e0)})
-        horizon = 20.0 / min(params.kappa, max(params.gamma_a, 1e-6),
-                             params.gamma_m)
-        traj = integrate_first_moments(params, drive, t_end=horizon)
-        final = traj.moments_at(horizon)
-        return final, params
+    k = params.kappa + params.g0_collective ** 2 / (params.gamma_a
+                                                    + 1j * params.delta_c)
+    u = params.g ** 2 / params.omega_m
+    b = k.imag + params.delta_a
+    roots = np.roots([u * u, -2.0 * b * u, k.real ** 2 + b * b,
+                      -abs(e0) ** 2])
+    # next to a fold the two merging roots come back as a pair split off
+    # the real axis by rounding, O(sqrt(eps)) of their size
+    n = float(np.min(roots.real[np.abs(roots.imag)
+                                <= 1e-6 * np.abs(roots)]))
+    q = params.g * n / params.omega_m
     a = _constant_cavity_amplitude(params, e0,
                                    params.delta_a - params.g * q)
     c = (-1j * params.g0_collective * a

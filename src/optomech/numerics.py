@@ -1,7 +1,7 @@
 """The adaptive stepper shared by every integration.
 
-It is SciPy's embedded Runge-Kutta 4(5) pair with dense output, guarded
-against overflow; it is deterministic.
+It is SciPy's embedded Runge-Kutta 4(5) pair, guarded against overflow;
+it is deterministic.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ class StepperConfig:
             raise ValueError("max_step must be positive")
 
 
-def integrate_adaptive(f, t_span, y0, cfg: StepperConfig,
-                       t_eval=None, dense_output=False):
+def integrate_adaptive(f, t_span, y0, cfg: StepperConfig, t_eval=None):
     """Integrate dy/dt = f(t, y) with the RK45 embedded pair.
 
     Raises Diverged when any |y| crosses cfg.overflow_guard and StepFailure
@@ -46,8 +45,7 @@ def integrate_adaptive(f, t_span, y0, cfg: StepperConfig,
 
     sol = solve_ivp(f, t_span, y0, method="RK45",
                     rtol=cfg.rel_tol, atol=cfg.abs_tol,
-                    max_step=cfg.max_step, t_eval=t_eval,
-                    dense_output=dense_output, events=overflow)
+                    max_step=cfg.max_step, t_eval=t_eval, events=overflow)
     if sol.status == 1:
         raise Diverged(
             f"state magnitude exceeded {guard:g} at t = {sol.t_events[0][0]:g}")

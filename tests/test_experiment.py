@@ -9,7 +9,9 @@ from optomech.experiment import (ExperimentConfig, SweepAxis,
                                  compare_sources, config_from_dict,
                                  evaluate_cell, measures_from_cm_series,
                                  run_experiment)
+from optomech.errors import NoConvergence, NotStable
 from optomech.fluctuations import integrate_lyapunov
+from optomech.measures import principal_axis_angle, squeezing_parameter
 from optomech.model import DriveSpec, SystemParams
 from optomech.numerics import StepperConfig
 from optomech.recipes import load_recipe, recipe_names
@@ -214,7 +216,6 @@ def test_cli_stability(tmp_path, capsys):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["stable"] is True
-    assert out["margin"] < 0.0
     assert out["max_multiplier"] == pytest.approx(0.7885, abs=1e-4)
 
     # |mu| = 1.047: the sampled drift looks stable, the cycle is not; the
@@ -227,8 +228,6 @@ def test_cli_stability(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["stable"] is False
     assert out["max_multiplier"] == pytest.approx(1.047, abs=1e-3)
-    assert out["margin"] < 0.0
-    assert 0.0 <= out["worst_time"] < np.pi
     run_experiment(config_from_dict(doc), tmp_path / "run")
     assert json.loads((tmp_path / "run" / "stability.json").read_text()) \
         == out
@@ -452,7 +451,6 @@ def test_stability_verdict_follows_floquet_multipliers(tmp_path, e0, e1,
     stab = json.loads((tmp_path / "stability.json").read_text())
     assert stab["stable"] is stable
     assert stab["stable"] == (stab["max_multiplier"] < 1.0)
-    assert stab["margin"] < 0.0    # the sampled drift still looks stable
 
 
 def test_floquet_series_computed_once_per_run(tmp_path, monkeypatch):
@@ -493,3 +491,90 @@ def test_failed_shooting_takes_brute_force(tmp_path, monkeypatch):
     scale = np.max(np.abs(brute), axis=0)
     assert np.max(np.abs(shortcut - brute) / scale) <= \
         10 * cfg.numerics.rel_tol
+
+
+# delta_a = 3, E0 = 7.5e5: the working point, the one real root of the
+# stationary cubic, has a drift with max Re eig = +0.205
+CYCLING_POINT_DOC = {
+    "params": dict(FIG2_DOC["params"], delta_a=3.0),
+    "drive": {"Omega": 0.0, "components": [{"n": 0, "re": 7.5e5}]},
+}
+
+
+def test_constant_run_at_unstable_working_point(tmp_path):
+    doc = dict(CYCLING_POINT_DOC, outputs=["stability", "EN"])
+    with pytest.raises(NotStable):
+        run_experiment(config_from_dict(doc), tmp_path)
+    stab = json.loads((tmp_path / "stability.json").read_text())
+    assert stab["stable"] is False
+    assert stab["margin"] == pytest.approx(0.205, abs=1e-3)
+    assert set(stab) == {"stable", "margin"}
+
+    # a one-cell sweep there reads the same verdict
+    doc = dict(CYCLING_POINT_DOC, sweep={"axes": [
+        {"name": "E0", "min": 7.5e5, "max": 7.5e5, "points": 1}]})
+    run_experiment(config_from_dict(doc), tmp_path / "sweep")
+    rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+    assert rows == ["E0,status,EN", "750000.0,unstable,nan"]
+
+
+def _fig7_engineered():
+    return dict(load_recipe("fig7"), horizon_periods=3.0,
+                sample_periods=1.0, samples_per_period=20)
+
+
+def _floquet_source():
+    return dict(FIG2_DOC, horizon_periods=3.0,
+                first_moment_source="floquet")
+
+
+@pytest.mark.parametrize("make_doc", [_fig7_engineered, _floquet_source])
+def test_stability_is_floquet_for_every_source(tmp_path, make_doc):
+    doc = dict(make_doc(), outputs=["EN", "stability"])
+    run_experiment(config_from_dict(doc), tmp_path)
+    stab = json.loads((tmp_path / "stability.json").read_text())
+    assert set(stab) == {"stable", "max_multiplier", "transient_residue"}
+    assert stab["stable"] is True
+    assert 0.0 < stab["max_multiplier"] < 1.0
+    # the window starts two periods in
+    assert stab["transient_residue"] == pytest.approx(
+        stab["max_multiplier"] ** 2)
+
+
+def test_stability_at_window_from_t0_is_floquet(tmp_path):
+    doc = dict(FIG2_DOC, horizon_periods=2.0, sample_periods=2.0,
+               outputs=["cm", "stability"])
+    run_experiment(config_from_dict(doc), tmp_path)
+    stab = json.loads((tmp_path / "stability.json").read_text())
+    assert stab["max_multiplier"] == pytest.approx(0.7885, abs=1e-4)
+    assert stab["transient_residue"] == 1.0
+
+
+def test_stability_raises_when_cycle_not_found(tmp_path, monkeypatch):
+    monkeypatch.setattr(fluctuations, "SHOOTING_MAX_PERIODS", 1)
+    doc = dict(FIG2_DOC, horizon_periods=3.0, outputs=["EN", "stability"])
+    with pytest.raises(NoConvergence):
+        run_experiment(config_from_dict(doc), tmp_path)
+    path = write_config(tmp_path, doc)
+    with pytest.raises(NoConvergence):
+        cli_main(["stability", "--config", str(path)])
+
+
+def test_principal_axis_output_follows_cm(tmp_path):
+    doc = dict(FIG2_DOC, outputs=["cm", "principal_axis"])
+    written = run_experiment(config_from_dict(doc), tmp_path)
+    assert written["principal_axis"] == tmp_path / "principal_axis.csv"
+    lines = (tmp_path / "principal_axis.csv").read_text().splitlines()
+    assert lines[0] == "t,theta,lam_minus,lam_plus,r_db"
+    assert (tmp_path / "measures.csv").read_text().splitlines()[0] == \
+        "t,EN,v11,v22,neff,r_db"
+    cm = np.loadtxt(tmp_path / "cm.csv", delimiter=",", skiprows=1)
+    got = np.loadtxt(tmp_path / "principal_axis.csv", delimiter=",",
+                     skiprows=1)
+    assert got.shape == (40, 5)
+    for row, want in zip(cm, got):
+        # v11, v12, v22 are columns 1, 2 and 7 of cm.csv
+        mech = np.array([[row[1], row[2]], [row[2], row[7]]])
+        lam, _, r_db = squeezing_parameter(mech)
+        assert list(want) == [row[0], principal_axis_angle(mech), lam,
+                              float(np.trace(mech)) - lam, r_db]

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from optomech.errors import NotStable, Singular, Unphysical
+from optomech.errors import NonPhysical, NotStable, Singular
 from optomech.experiment import config_from_dict, run_experiment
 from optomech.fluctuations import (build_diffusion, build_drift,
                                    drift_kernel, integrate_lyapunov,
@@ -306,29 +306,29 @@ def test_lyapunov_stack_isolates_failed_solve(monkeypatch):
 def test_stability_decoupled_margin():
     params = SystemParams(delta_a=1.0, kappa=2.0, gamma_m=1e-3, g=0.0,
                           delta_c=-1.0, gamma_a=0.1, g0_collective=0.0)
-    report = stability_check(params, DriveSpec(big_omega=0.0,
-                                               components={}),
-                             lambda t: (0.0, 0j))
-    assert report.stable
-    assert report.margin == pytest.approx(-params.gamma_m / 2, rel=1e-6)
+    report = stability_check(build_drift(params, 0.0, 0j))
+    assert report["stable"] is True
+    assert report["margin"] == pytest.approx(-params.gamma_m / 2, rel=1e-6)
 
 
 def test_stability_fig2_configuration():
-    from optomech.moments import floquet_mean_source, floquet_recurse
-    sol = floquet_recurse(FIG2, FIG2_DRIVE)
-    report = stability_check(FIG2, FIG2_DRIVE,
-                             floquet_mean_source(sol, FIG2.g))
-    assert report.stable
+    # the periodic state one period in: the Floquet verdict
+    report = stability_check(periodic_state(FIG2, FIG2_DRIVE, np.pi))
+    assert report["stable"] is True
+    assert report["max_multiplier"] == pytest.approx(0.7885, abs=1e-4)
+    assert "margin" not in report
 
 
 def test_stability_fig4_unstable_point():
-    from dataclasses import replace
     params = replace(FIG2, kappa=0.2, g0_collective=0.5)
     fm, eff = steady_state_constant(params, 3e5, delta_a_eff=1.0)
-    report = stability_check(eff, DriveSpec(big_omega=0.0,
-                                            components={0: 3e5}),
-                             lambda t: (fm.q, fm.a))
-    assert not report.stable
+    report = stability_check(build_drift(eff, fm.q, fm.a))
+    assert report["stable"] is False
+    assert report["margin"] > 0.0
+    # the stacked Lyapunov solve applies the same Hurwitz test
+    _, (error,) = lyapunov_stack(build_drift(eff, fm.q, fm.a)[None],
+                                 build_diffusion(eff)[None])
+    assert isinstance(error, NotStable)
 
 
 def test_propagator_form_agrees_over_one_step():
@@ -361,7 +361,7 @@ def test_unphysical_alarm_triggers_on_bogus_cm():
     drive = DriveSpec(big_omega=0.0, components={})
     params = SystemParams(delta_a=1.0, kappa=2.0, gamma_m=0.1, g=0.0,
                           delta_c=-1.0, gamma_a=0.1, g0_collective=0.0)
-    with pytest.raises(Unphysical):
+    with pytest.raises(NonPhysical):
         integrate_lyapunov(params, drive, lambda t: (0.0, 0j),
                            np.zeros((6, 6)), 1.0, t_eval=[0.0, 1.0])
 

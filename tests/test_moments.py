@@ -1,3 +1,6 @@
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -206,3 +209,59 @@ def test_steady_state_self_consistent_iteration():
                                          components={0: 1.2e5}), 0.0, fm)
     assert abs(d.a) <= 1e-8 * abs(fm.a)
     assert abs(d.p) <= 1e-8 * max(1.0, abs(fm.q))
+
+
+def steady_residual(params, e0, fm):
+    """max |RHS| of the mean-value equations at fm, relative to max |y|."""
+    y = fm.to_vector()
+    d = _rhs_vector(params, DriveSpec(big_omega=0.0, components={0: e0}))
+    return np.max(np.abs(d(0.0, y))) / np.max(np.abs(y))
+
+
+def stationary_cubic_roots(params, e0):
+    """n = |<a>|^2 roots of the stationary cubic, by an independent
+    expansion: n [(Re K)^2 + (Im K + delta_a - g^2 n)^2] = |E0|^2."""
+    k = params.kappa + params.g0_collective ** 2 / (
+        params.gamma_a + 1j * params.delta_c)
+    u, b = params.g ** 2, k.imag + params.delta_a
+    return np.roots([u * u, -2 * b * u, abs(k) ** 2 + 2 * k.imag
+                     * params.delta_a + params.delta_a ** 2, -e0 ** 2])
+
+
+def test_steady_state_where_damped_iteration_cycled():
+    # delta_a = 3, E0 = 7.5e5: a damped fixed-point iteration from q = 0
+    # cycles here; the cubic has one real root, an unstable working point
+    params = replace(FIG2, delta_a=3.0)
+    start = time.perf_counter()
+    fm, eff = steady_state_constant(params, 7.5e5)
+    assert time.perf_counter() - start < 1.0
+    assert eff is params
+    assert fm.p == 0.0
+    assert steady_residual(params, 7.5e5, fm) <= 1e-12
+    roots = stationary_cubic_roots(params, 7.5e5)
+    assert np.sum(roots.imag == 0.0) == 1
+    n = roots[roots.imag == 0.0].real[0]
+    assert fm.q == pytest.approx(params.g * n, rel=1e-12)
+
+
+def test_steady_state_three_roots_takes_lowest():
+    params = replace(FIG2, delta_a=0.0, g0_collective=3.0)
+    fm, _ = steady_state_constant(params, 9e5)
+    roots = stationary_cubic_roots(params, 9e5)
+    assert np.all(roots.imag == 0.0)
+    assert fm.q == pytest.approx(params.g * np.min(roots.real), rel=1e-12)
+    # the value a damped fixed-point iteration from q = 0 converged to
+    assert fm.q == pytest.approx(119232.11245942199, rel=1e-11)
+    assert steady_residual(params, 9e5, fm) <= 1e-12
+
+
+def test_steady_state_next_to_fold():
+    # the lower two roots merge at this E0 (to the last bit); rounding
+    # may return them as a pair just off the real axis
+    params = replace(FIG2, delta_a=0.0, g0_collective=3.0)
+    e0 = 1147730.1473779457
+    fm, _ = steady_state_constant(params, e0)
+    upper = params.g * np.max(stationary_cubic_roots(params, e0).real)
+    assert fm.q < 0.5 * upper     # the lower branch, not the upper one
+    assert fm.q == pytest.approx(348365.85, rel=1e-6)
+    assert steady_residual(params, e0, fm) <= 1e-12
