@@ -513,13 +513,29 @@ def _cell_worker(args):
     return evaluate_cell(cfg)
 
 
-def _constant_point(params: SystemParams, e0: complex, values):
-    for ax, val in values:
-        if ax.name in ("E", "E0"):
-            e0 = complex(val)
-        else:
-            params = _apply_param(params, ax.name, val)
-    return params, e0
+def _constant_points(params: SystemParams, e0: complex, cells):
+    """(params, E0) of each constant-drive cell.
+
+    Each distinct combination of parameter-axis values builds its
+    SystemParams once, and the cells that share it share the object.
+    """
+    built, points = {}, []
+    for values in cells:
+        e = e0
+        key = []
+        for ax, val in values:
+            if ax.name in ("E", "E0"):
+                e = complex(val)
+            else:
+                key.append((ax.name, val))
+        key = tuple(key)
+        if key not in built:
+            cell_params = params
+            for name, val in key:
+                cell_params = _apply_param(cell_params, name, val)
+            built[key] = cell_params
+        points.append((built[key], e))
+    return points
 
 
 def run_sweep(cfg: ExperimentConfig, out_path: Path, jobs: int = 1) -> Path:
@@ -533,8 +549,7 @@ def run_sweep(cfg: ExperimentConfig, out_path: Path, jobs: int = 1) -> Path:
                            for ax in cfg.sweep)))
     drive = cfg.resolved_drive()
     if drive.big_omega == 0.0:
-        points = [_constant_point(cfg.params, drive.component(0), values)
-                  for values in cells]
+        points = _constant_points(cfg.params, drive.component(0), cells)
         results = [cell for lo in range(0, len(points), SWEEP_BLOCK)
                    for cell in _constant_cells(cfg,
                                                points[lo:lo + SWEEP_BLOCK])]

@@ -98,12 +98,15 @@ class LyapunovTrajectory:
 
 
 def _check_physical(t: np.ndarray, vs: np.ndarray):
-    for ti, vi in zip(t, vs):
-        nu = symplectic_eigenvalues(vi)
-        if np.min(nu) < 0.5 - PHYSICALITY_SLACK:
-            raise NonPhysical(
-                f"symplectic eigenvalue {np.min(nu):.8f} < 1/2 at "
-                f"t = {ti:g}; integration accuracy insufficient")
+    """Raise NonPhysical at the first CM of the series whose smallest
+    symplectic eigenvalue falls below 1/2 by more than the slack."""
+    nu_min = symplectic_eigenvalues(vs)[:, 0]
+    bad = np.flatnonzero(nu_min < 0.5 - PHYSICALITY_SLACK)
+    if bad.size:
+        k = bad[0]
+        raise NonPhysical(
+            f"symplectic eigenvalue {nu_min[k]:.8f} < 1/2 at "
+            f"t = {t[k]:g}; integration accuracy insufficient")
 
 
 def _moments_cm_rhs(params: SystemParams, drive: DriveSpec, d: np.ndarray):

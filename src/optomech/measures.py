@@ -14,16 +14,20 @@ from .errors import NonPhysical
 
 
 def symplectic_eigenvalues(v: np.ndarray) -> np.ndarray:
-    """Symplectic spectrum of a 2N x 2N covariance matrix (ascending)."""
+    """Symplectic spectrum of a 2N x 2N covariance matrix (ascending).
+
+    A stack (..., 2N, 2N) gives one spectrum per matrix, from one
+    eigenvalue call; each equals the spectrum of that matrix alone.
+    """
     v = np.asarray(v, dtype=float)
-    n = v.shape[0] // 2
-    omega = np.zeros_like(v)
+    n = v.shape[-1] // 2
+    omega = np.zeros(v.shape[-2:])
     for i in range(n):
         omega[2 * i, 2 * i + 1] = 1.0
         omega[2 * i + 1, 2 * i] = -1.0
     eig = np.linalg.eigvals(omega @ v)
-    nu = np.sort(np.abs(eig.imag))
-    return nu[::2]     # eigenvalues come in +/- i nu pairs
+    nu = np.sort(np.abs(eig.imag), axis=-1)
+    return nu[..., ::2]     # eigenvalues come in +/- i nu pairs
 
 
 @dataclass(frozen=True)

@@ -82,7 +82,7 @@ def integrate_first_moments(params: SystemParams, drive: DriveSpec,
                             t_eval: np.ndarray | None = None,
                             cfg: StepperConfig | None = None
                             ) -> MomentTrajectory:
-    """Adaptive RK45 solution of the mean-value ODEs on [0, t_end]."""
+    """Adaptive solution of the mean-value ODEs on [0, t_end]."""
     if t_end <= 0:
         raise ValueError("t_end must be positive")
     cfg = default_stepper(drive, cfg)

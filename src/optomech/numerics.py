@@ -1,7 +1,8 @@
 """The adaptive stepper shared by every integration.
 
-It is SciPy's embedded Runge-Kutta 4(5) pair, guarded against overflow;
-it is deterministic.
+It is SciPy's Dormand-Prince 8(5,3) pair (DOP853), stepped in one loop
+that checks each accepted step against an overflow guard; it is
+deterministic.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853
 
 from .errors import Diverged, StepFailure
 
@@ -28,27 +29,48 @@ class StepperConfig:
             raise ValueError("max_step must be positive")
 
 
+@dataclass(frozen=True)
+class Solution:
+    """States y[:, k] at times t[k], and the RHS calls that produced them."""
+
+    t: np.ndarray
+    y: np.ndarray
+    nfev: int
+
+
 def integrate_adaptive(f, t_span, y0, cfg: StepperConfig, t_eval=None):
-    """Integrate dy/dt = f(t, y) with the RK45 embedded pair.
+    """Integrate dy/dt = f(t, y) forward with the DOP853 pair.
 
-    Raises Diverged when any |y| crosses cfg.overflow_guard and StepFailure
-    when the stepper cannot meet its tolerances.
+    t_eval (ascending, within t_span) is read off each step's dense output,
+    as solve_ivp does; without it the solution holds the end state only.
+    Raises Diverged when an accepted step leaves some |y| above
+    cfg.overflow_guard and StepFailure when the stepper cannot meet its
+    tolerances.
     """
-    y0 = np.asarray(y0, dtype=float)
-    guard = cfg.overflow_guard
-
-    def overflow(t, y):
-        return guard - np.max(np.abs(y))
-
-    overflow.terminal = True
-    overflow.direction = -1
-
-    sol = solve_ivp(f, t_span, y0, method="RK45",
+    t0, t_end = map(float, t_span)
+    solver = DOP853(f, t0, np.asarray(y0, dtype=float), t_end,
                     rtol=cfg.rel_tol, atol=cfg.abs_tol,
-                    max_step=cfg.max_step, t_eval=t_eval, events=overflow)
-    if sol.status == 1:
-        raise Diverged(
-            f"state magnitude exceeded {guard:g} at t = {sol.t_events[0][0]:g}")
-    if not sol.success:
-        raise StepFailure(sol.message)
-    return sol
+                    max_step=cfg.max_step)
+    if t_eval is not None:
+        t_eval = np.asarray(t_eval, dtype=float)
+        if (np.any(t_eval < t0) or np.any(t_eval > t_end)
+                or np.any(np.diff(t_eval) <= 0)):
+            raise ValueError("t_eval must ascend within t_span")
+    i = 0
+    ys = []
+    while solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            raise StepFailure(message)
+        if np.max(np.abs(solver.y)) > cfg.overflow_guard:
+            raise Diverged(f"state magnitude exceeded "
+                           f"{cfg.overflow_guard:g} at t = {solver.t:g}")
+        if t_eval is not None:
+            i_new = np.searchsorted(t_eval, solver.t, side="right")
+            if i_new > i:
+                ys.append(solver.dense_output()(t_eval[i:i_new]))
+                i = i_new
+    if t_eval is None:
+        return Solution(t=np.array([solver.t]), y=solver.y[:, None],
+                        nfev=solver.nfev)
+    return Solution(t=t_eval, y=np.hstack(ys), nfev=solver.nfev)

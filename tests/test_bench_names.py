@@ -4,6 +4,7 @@ benchmark run fails."""
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -21,3 +22,11 @@ def test_traced_name_resolves(qual):
     module, name = qual.split(".")
     home = importlib.import_module("optomech." + module)
     assert callable(getattr(home, name, None)), qual
+
+
+def test_stepper_takes_the_rhs_first():
+    # the tracer counts numerics.nfev by wrapping the first positional
+    # argument of integrate_adaptive; it must stay the RHS f
+    from optomech.numerics import integrate_adaptive
+    params = list(inspect.signature(integrate_adaptive).parameters)
+    assert params == ["f", "t_span", "y0", "cfg", "t_eval"]

@@ -7,11 +7,11 @@ from scipy.linalg import expm
 
 from optomech.errors import NonPhysical, NotStable, Singular
 from optomech.experiment import config_from_dict, run_experiment
-from optomech.fluctuations import (build_diffusion, build_drift,
-                                   drift_kernel, integrate_lyapunov,
-                                   lyapunov_stack, periodic_state,
-                                   stability_check, steady_state_lyapunov,
-                                   thermal_vacuum_cm)
+from optomech.fluctuations import (_check_physical, build_diffusion,
+                                   build_drift, drift_kernel,
+                                   integrate_lyapunov, lyapunov_stack,
+                                   periodic_state, stability_check,
+                                   steady_state_lyapunov, thermal_vacuum_cm)
 from optomech.measures import symplectic_eigenvalues
 from optomech.model import DriveSpec, FirstMoments, SystemParams
 from optomech.moments import _rhs_vector, steady_state_constant
@@ -366,6 +366,31 @@ def test_unphysical_alarm_triggers_on_bogus_cm():
                            np.zeros((6, 6)), 1.0, t_eval=[0.0, 1.0])
 
 
+def _random_cms(rng, count):
+    """Physical CMs: the vacuum plus a random positive semidefinite part."""
+    a = rng.standard_normal((count, 6, 6))
+    return 0.5 * np.eye(6) + a @ np.transpose(a, (0, 2, 1))
+
+
+def test_stacked_symplectic_minimum_matches_per_cm():
+    vs = _random_cms(np.random.default_rng(23), 40)
+    stacked = symplectic_eigenvalues(vs)
+    for k, v in enumerate(vs):
+        assert np.array_equal(stacked[k], symplectic_eigenvalues(v))
+        assert stacked[k, 0] == np.min(symplectic_eigenvalues(v))
+
+
+def test_physicality_check_raises_at_the_bogus_cm():
+    vs = _random_cms(np.random.default_rng(29), 9)
+    t = np.linspace(0.0, 4.0, 9)
+    _check_physical(t, vs)
+    vs[5] = 0.3 * np.eye(6)
+    vs[7] = 0.2 * np.eye(6)
+    with pytest.raises(NonPhysical,
+                       match=r"0\.30000000 < 1/2 at t = 2\.5;"):
+        _check_physical(t, vs)
+
+
 # fig5a: 200 periods, the last two sampled; the window starts at 198 tau.
 FIG5A_T0 = 198 * np.pi
 
@@ -386,9 +411,10 @@ def test_periodic_state_returns_after_one_period(fig5a_periodic):
     ps = fig5a_periodic
     t1 = FIG5A_T0 + np.pi
 
-    # means: an independent route through the DOP853 stepper
+    # means: an independent route through SciPy's RK45 pair, not the
+    # library's DOP853 stepping loop
     sol = solve_ivp(_rhs_vector(FIG2, FIG2_DRIVE), (FIG5A_T0, t1), ps.y,
-                    method="DOP853", rtol=1e-12, atol=1e-9)
+                    method="RK45", rtol=1e-12, atol=1e-9)
     y1 = sol.y[:, -1]
     assert np.max(np.abs(y1 - ps.y)) <= 1e-8 * np.max(np.abs(ps.y))
 

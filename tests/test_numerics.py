@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from optomech.errors import Diverged
@@ -71,3 +72,49 @@ def test_determinism():
                                   (0.0, 5.0), [0.2], cfg).y
 
     assert np.array_equal(run(), run())
+
+
+def _driven_lyapunov():
+    """A 3x3 Lyapunov flow with a periodically modulated drift."""
+    rng = np.random.default_rng(5)
+    a0 = rng.standard_normal((3, 3)) - 2.0 * np.eye(3)
+    a1 = rng.standard_normal((3, 3))
+    d = np.diag([0.3, 1.0, 0.6])
+
+    def f(t, y):
+        a = a0 + np.cos(2.0 * t) * a1
+        v = y.reshape(3, 3)
+        return (a @ v + v @ a.T + d).ravel()
+
+    return f, (0.5 * np.eye(3)).ravel()
+
+
+def test_matches_solve_ivp_dop853_bitwise():
+    f, y0 = _driven_lyapunov()
+    cfg = StepperConfig(rel_tol=1e-8, abs_tol=1e-11, max_step=np.pi / 50)
+    t_eval = np.linspace(1.0, 6.0, 37)
+    got = integrate_adaptive(f, (0.0, 6.0), y0, cfg, t_eval=t_eval)
+    want = solve_ivp(f, (0.0, 6.0), y0, method="DOP853", rtol=cfg.rel_tol,
+                     atol=cfg.abs_tol, max_step=cfg.max_step, t_eval=t_eval)
+    assert np.array_equal(got.t, want.t)
+    assert np.array_equal(got.y, want.y)
+    assert got.nfev == want.nfev
+
+
+def test_end_state_only_without_t_eval():
+    f, y0 = _driven_lyapunov()
+    cfg = StepperConfig(max_step=0.2)
+    got = integrate_adaptive(f, (0.0, 3.0), y0, cfg)
+    want = solve_ivp(f, (0.0, 3.0), y0, method="DOP853", rtol=cfg.rel_tol,
+                     atol=cfg.abs_tol, max_step=cfg.max_step)
+    assert np.array_equal(got.t, [3.0])
+    assert got.y.shape == (9, 1)
+    assert np.array_equal(got.y[:, 0], want.y[:, -1])
+    assert got.nfev == want.nfev
+
+
+@pytest.mark.parametrize("t_eval", [[-0.1, 0.5], [0.5, 1.1], [0.6, 0.4]])
+def test_t_eval_outside_span_or_unsorted_rejected(t_eval):
+    with pytest.raises(ValueError):
+        integrate_adaptive(lambda t, y: -y, (0.0, 1.0), [1.0],
+                           StepperConfig(), t_eval=t_eval)
