@@ -14,11 +14,12 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .engineering import modulation_components
-from .experiment import compare_sources, config_from_dict, drive_to_dict, \
-    load_config, run_experiment, stability_report
+from .experiment import compare_sources, config_from_dict, \
+    drive_to_dict, load_config, run_experiment, sample_times, solve
 from .recipes import load_recipe, recipe_names
 
 
@@ -79,7 +80,8 @@ def main(argv=None) -> int:
 
     if args.command in ("compare-sources", "stability"):
         report = (compare_sources(cfg) if args.command == "compare-sources"
-                  else stability_report(cfg)[0])
+                  else solve(replace(cfg, outputs=("stability",)),
+                             sample_times(cfg))[3])
         json.dump(report, sys.stdout, indent=2)
         print()
         return 0

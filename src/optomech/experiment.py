@@ -1,8 +1,10 @@
 """Experiment orchestration: config ingestion, single runs and sweeps.
 
-A run executes first moments -> covariance propagation -> measures and
-emits one CSV per requested output plus a JSON manifest echoing the
-resolved configuration.
+solve decides, in one place, how a run, a sweep cell or a stability
+report reaches its samples: the working point, the periodic state or an
+integration from t = 0.  A run writes one file per requested output from
+what solve returns, plus a JSON manifest echoing the resolved
+configuration.
 """
 
 from __future__ import annotations
@@ -19,15 +21,16 @@ import numpy as np
 from . import __version__
 from .engineering import engineered_mean_source, modulation_components
 from .errors import Diverged, NonPhysical, NotStable, SimulationError
-from .fluctuations import LyapunovTrajectory, PeriodicState, \
-    build_diffusion, build_drift, integrate_lyapunov, lyapunov_stack, \
-    periodic_state, stability_check, steady_state_lyapunov
+from .fluctuations import build_diffusion, build_drift, \
+    integrate_lyapunov, lyapunov_stack, periodic_state, stability_check, \
+    steady_state_lyapunov
 from .measures import log_negativity_stack, principal_axis_angle, \
     reduce_atom_mirror_stack, squeezing_parameter, wigner
 from .model import DriveSpec, EngineeredCoupling, FirstMoments, SystemParams, \
     ZERO_MOMENTS, validate_params
-from .moments import DEFAULT_J_MAX, DEFAULT_N_MAX, floquet_mean_source, \
-    floquet_recurse, integrate_first_moments, steady_state_constant
+from .moments import DEFAULT_J_MAX, DEFAULT_N_MAX, MomentTrajectory, \
+    floquet_mean_source, floquet_recurse, integrate_first_moments, \
+    steady_state_constant
 from .numerics import StepperConfig
 from .tables import write_cm_csv, write_measures_csv, write_rows, \
     write_trajectory_csv, write_wigner_csv
@@ -97,6 +100,19 @@ class ExperimentConfig:
             report.extend(validate_params(self.params, self.drive))
         else:
             report.extend(validate_params(self.params))
+        if self.first_moment_source not in ("ode", "floquet", "engineered"):
+            report.append("unknown first_moment_source "
+                          f"{self.first_moment_source!r}")
+        elif self.first_moment_source == "engineered" \
+                and self.engineered is None:
+            report.append("'engineered' source needs a coupling target")
+        drive = self.drive or self.engineered    # both carry big_omega
+        if self.wigner_times and drive and drive.big_omega > 0.0:
+            t_end = self.horizon_periods * (2.0 * np.pi / drive.big_omega)
+            bad = [t for t in self.wigner_times if not 0.0 <= t <= t_end]
+            if bad:
+                report.append(f"wigner_times {bad} lie outside the run's "
+                              f"[0, {t_end:g}]")
         return report
 
 
@@ -194,25 +210,16 @@ def _principal_axis_columns(vs: np.ndarray) -> np.ndarray:
     return np.array(rows).T
 
 
-def _moment_source(cfg: ExperimentConfig, drive: DriveSpec):
-    """Mean-value source for drift assembly when not co-integrating."""
-    if cfg.first_moment_source == "floquet":
-        sol = floquet_recurse(cfg.params, drive, cfg.j_max, cfg.n_max)
-        return floquet_mean_source(sol, cfg.params.g)
-    if cfg.first_moment_source == "engineered":
-        if cfg.engineered is None:
-            raise ValueError("'engineered' source needs a coupling target")
-        return engineered_mean_source(cfg.params, cfg.engineered)
-    return "ode"
-
-
 # ---------------------------------------------------------------------------
 # Single runs
 # ---------------------------------------------------------------------------
 
-def _window(cfg: ExperimentConfig, drive: DriveSpec
-            ) -> tuple[float, np.ndarray]:
-    """(t_end, sample times) of a modulated run."""
+def sample_times(cfg: ExperimentConfig) -> np.ndarray:
+    """Sample times of a run: t = 0 alone for a constant drive, else the
+    last sample_periods of the horizon with the wigner_times added."""
+    drive = cfg.resolved_drive()
+    if drive.big_omega == 0.0:
+        return np.array([0.0])
     tau = drive.period
     t_end = cfg.horizon_periods * tau
     t0 = max(0.0, t_end - cfg.sample_periods * tau)
@@ -220,136 +227,125 @@ def _window(cfg: ExperimentConfig, drive: DriveSpec
     t_eval = np.linspace(t0, t_end, n_samples)
     if cfg.wigner_times:
         t_eval = np.unique(np.concatenate((t_eval, cfg.wigner_times)))
-    return t_end, t_eval
+    return t_eval
 
 
-def stability_report(cfg: ExperimentConfig
-                     ) -> tuple[dict, PeriodicState | None]:
-    """(what stability.json holds, the periodic solve made or None).
+def _working_point(cfg: ExperimentConfig, params: SystemParams,
+                   e0: complex):
+    """(means, drift, diffusion) at a constant drive's working point."""
+    fm, eff = steady_state_constant(params, e0, cfg.delta_a_effective)
+    return fm, build_drift(eff, fm.q, fm.a), build_diffusion(eff)
 
-    A constant drive is judged by the Hurwitz test of the drift at its
-    working point, a modulated one by the Floquet multipliers of the
-    periodic state at the window's first time, whatever the mean source
-    (see stability_check).  Raises the periodic solve's SimulationError
-    when the cycle cannot be found.
+
+def solve(cfg: ExperimentConfig, t_eval: np.ndarray):
+    """(t, means, vs, stability): the run's means, CMs and verdict at t_eval.
+
+    Every run, sweep cell and stability report decides here how its
+    samples are reached.  A constant drive is sampled at its working
+    point (t_eval = [0]); stability is the Hurwitz verdict of its drift.
+    A modulated drive is sampled at t_eval, which ends at t_end:
+
+    * The periodic solve at t0 = t_eval[0] gives stability.  It runs
+      whenever the verdict is asked for, and a failure raises; otherwise
+      only when a CM output is asked for with co-integrated means
+      ("ode") and t0 > 0, and a failure falls back to t = 0.
+    * The CM window starts at t0 from the periodic state when that is
+      usable and the means are co-integrated, else at t = 0 from the
+      configured initial state.
+
+    means (a MomentTrajectory) is asked for by first_moments; it is the
+    co-integrated means when the CM integration has them, and
+    integrate_first_moments from t = 0 otherwise.  vs, the (T, 6, 6)
+    CMs, is asked for by the measure outputs.  vs is None, with no
+    integration made, when the verdict rules out a stationary window: a
+    drift that is not Hurwitz, or an unstable cycle whose verdict was not
+    asked for.  Either is None when not asked for.
     """
     drive = cfg.resolved_drive()
+    measured = any(o in cfg.outputs for o in MEASURE_OUTPUTS)
     if drive.big_omega == 0.0:
-        fm, params = steady_state_constant(cfg.params, drive.component(0),
-                                           cfg.delta_a_effective)
-        return stability_check(build_drift(params, fm.q, fm.a)), None
-    periodic = periodic_state(cfg.params, drive,
-                              float(_window(cfg, drive)[1][0]),
-                              cfg.numerics, cfg.j_max, cfg.n_max)
-    return stability_check(periodic), periodic
+        fm, drift, diffusion = _working_point(cfg, cfg.params,
+                                              drive.component(0))
+        stability = stability_check(drift)
+        vs = (steady_state_lyapunov(drift, diffusion)[np.newaxis]
+              if measured and stability["stable"] else None)
+        means = MomentTrajectory(t=t_eval, q=np.array([fm.q]),
+                                 p=np.array([fm.p]), a=np.array([fm.a]),
+                                 c=np.array([fm.c]))
+        return t_eval, means, vs, stability
+
+    def recurse():
+        return floquet_recurse(cfg.params, drive, cfg.j_max, cfg.n_max)
+
+    asked = "stability" in cfg.outputs
+    source = cfg.first_moment_source
+    t0, t_end = float(t_eval[0]), float(t_eval[-1])
+    series = recurse() if measured and source == "floquet" else None
+    periodic = stability = means = vs = None
+    if asked or (measured and source == "ode" and t0 > 0.0):
+        try:
+            periodic = periodic_state(cfg.params, drive, t0, cfg.numerics,
+                                      recurse() if series is None
+                                      else series)
+        except SimulationError:
+            if asked:
+                raise
+        else:
+            stability = stability_check(periodic)
+    if measured and (asked or periodic is None or stability["stable"]):
+        if source == "floquet":
+            source = floquet_mean_source(series, cfg.params.g)
+        elif source == "engineered":
+            source = engineered_mean_source(cfg.params, cfg.engineered)
+        if source == "ode" and periodic is not None and periodic.usable:
+            t_start, v0 = t0, periodic.v
+            y0 = FirstMoments.from_vector(periodic.y)
+        else:
+            t_start, v0, y0 = 0.0, cfg.init_cm, cfg.init_moments
+        lt = integrate_lyapunov(cfg.params, drive, source, v0, t_end,
+                                t_eval=t_eval, cfg=cfg.numerics,
+                                moment_init=y0, t_start=t_start)
+        means, vs = lt.means, lt.v
+    if means is None and "first_moments" in cfg.outputs:
+        means = integrate_first_moments(cfg.params, drive, cfg.init_moments,
+                                        t_end, t_eval=t_eval,
+                                        cfg=cfg.numerics)
+    return t_eval, means, vs, stability
 
 
-def _write_measures(cfg: ExperimentConfig, out_dir: Path, written: dict,
-                    t: np.ndarray, vs: np.ndarray) -> None:
-    """cm.csv (if asked for), measures.csv and the Wigner grids."""
+def _write_outputs(cfg: ExperimentConfig, out_dir: Path, written: dict,
+                   t, means, vs, stability) -> None:
+    """Each file cfg.outputs asks for, from what solve returned."""
+    if "stability" in cfg.outputs:
+        written["stability"] = out_dir / "stability.json"
+        written["stability"].write_text(json.dumps(stability, indent=2))
+    if "first_moments" in cfg.outputs:
+        written["first_moments"] = out_dir / "first_moments.csv"
+        write_trajectory_csv(written["first_moments"], means)
+    if not any(o in cfg.outputs for o in MEASURE_OUTPUTS):
+        return
+    if vs is None:
+        raise NotStable("no stationary window to sample: "
+                        + json.dumps(stability))
     if "cm" in cfg.outputs:
-        path = out_dir / "cm.csv"
-        write_cm_csv(path, t, vs)
-        written["cm"] = path
+        written["cm"] = out_dir / "cm.csv"
+        write_cm_csv(written["cm"], t, vs)
     series = measures_from_cm_series(t, vs)
-    path = out_dir / "measures.csv"
-    write_measures_csv(path, series["t"], series["EN"], series["v11"],
-                       series["v22"], series["neff"], series["r_db"])
-    written["measures"] = path
+    written["measures"] = out_dir / "measures.csv"
+    write_measures_csv(written["measures"], series["t"], series["EN"],
+                       series["v11"], series["v22"], series["neff"],
+                       series["r_db"])
     if "principal_axis" in cfg.outputs:
-        path = out_dir / "principal_axis.csv"
-        write_rows(path, ["t", "theta", "lam_minus", "lam_plus", "r_db"],
+        written["principal_axis"] = out_dir / "principal_axis.csv"
+        write_rows(written["principal_axis"],
+                   ["t", "theta", "lam_minus", "lam_plus", "r_db"],
                    (t, *_principal_axis_columns(vs)))
-        written["principal_axis"] = path
     if "wigner" not in cfg.outputs:
         return
     for k, tw in enumerate(cfg.wigner_times or (t[-1],)):
         i = int(np.argmin(np.abs(t - tw)))
-        path = out_dir / f"wigner_{k}.csv"
-        write_wigner_csv(path, wigner(vs[i][:2, :2]))
-        written[f"wigner_{k}"] = path
-
-
-def _run_constant(cfg: ExperimentConfig, out_dir: Path,
-                  written: dict) -> None:
-    drive = cfg.resolved_drive()
-    fm, params_eff = steady_state_constant(cfg.params, drive.component(0),
-                                           cfg.delta_a_effective)
-    drift = build_drift(params_eff, fm.q, fm.a)
-    if "stability" in cfg.outputs:
-        written["stability"] = out_dir / "stability.json"
-        written["stability"].write_text(
-            json.dumps(stability_check(drift), indent=2))
-    if "first_moments" in cfg.outputs:
-        path = out_dir / "first_moments.csv"
-        write_trajectory_csv(path, [0.0], [fm.q], [fm.p], [fm.a], [fm.c])
-        written["first_moments"] = path
-    if not any(o in cfg.outputs for o in MEASURE_OUTPUTS):
-        return
-    v = steady_state_lyapunov(drift, build_diffusion(params_eff))
-    _write_measures(cfg, out_dir, written, np.array([0.0]), v[np.newaxis])
-
-
-def _periodic_start(cfg: ExperimentConfig, drive: DriveSpec, source,
-                    t_eval: np.ndarray) -> PeriodicState | None:
-    """Periodic solve at the window's first time, which can only shorten
-    the run when the means are co-integrated and the window starts after
-    t = 0.  None otherwise, or when the cycle cannot be found."""
-    t0 = float(t_eval[0])
-    if source != "ode" or t0 <= 0.0:
-        return None
-    try:
-        return periodic_state(cfg.params, drive, t0, cfg.numerics,
-                              cfg.j_max, cfg.n_max)
-    except SimulationError:
-        return None
-
-
-def _cm_window(cfg: ExperimentConfig, drive: DriveSpec, source,
-               t_end: float, t_eval: np.ndarray,
-               periodic: PeriodicState | None) -> LyapunovTrajectory:
-    """CM over t_eval, which ends at t_end.
-
-    Only the window is integrated when the means are co-integrated and
-    the periodic state passes its gate (see PeriodicState); otherwise the
-    CM is integrated from t = 0.
-    """
-    if source == "ode" and periodic is not None and periodic.usable:
-        return integrate_lyapunov(cfg.params, drive, "ode", periodic.v,
-                                  t_end, t_eval=t_eval, cfg=cfg.numerics,
-                                  moment_init=FirstMoments.from_vector(
-                                      periodic.y),
-                                  t_start=float(t_eval[0]))
-    return integrate_lyapunov(cfg.params, drive, source, cfg.init_cm,
-                              t_end, t_eval=t_eval, cfg=cfg.numerics,
-                              moment_init=cfg.init_moments)
-
-
-def _run_modulated(cfg: ExperimentConfig, out_dir: Path,
-                   written: dict) -> None:
-    drive = cfg.resolved_drive()
-    t_end, t_eval = _window(cfg, drive)
-    source = _moment_source(cfg, drive)
-
-    if "first_moments" in cfg.outputs:
-        traj = integrate_first_moments(cfg.params, drive,
-                                       cfg.init_moments, t_end,
-                                       t_eval=t_eval, cfg=cfg.numerics)
-        path = out_dir / "first_moments.csv"
-        write_trajectory_csv(path, traj.t, traj.q, traj.p, traj.a, traj.c)
-        written["first_moments"] = path
-
-    measured = any(o in cfg.outputs for o in MEASURE_OUTPUTS)
-    if "stability" in cfg.outputs:
-        stab, periodic = stability_report(cfg)
-        written["stability"] = out_dir / "stability.json"
-        written["stability"].write_text(json.dumps(stab, indent=2))
-    elif measured:
-        periodic = _periodic_start(cfg, drive, source, t_eval)
-    if not measured:
-        return
-    lt = _cm_window(cfg, drive, source, t_end, t_eval, periodic)
-    _write_measures(cfg, out_dir, written, lt.t, lt.v)
+        written[f"wigner_{k}"] = out_dir / f"wigner_{k}.csv"
+        write_wigner_csv(written[f"wigner_{k}"], wigner(vs[i][:2, :2]))
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path,
@@ -373,13 +369,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path,
     if cfg.sweep:
         written["sweep"] = run_sweep(cfg, out_dir / "sweep.csv", jobs)
         return written
-    if not cfg.outputs:
-        return written
-    drive = cfg.resolved_drive()
-    if drive.big_omega == 0.0:
-        _run_constant(cfg, out_dir, written)
-    else:
-        _run_modulated(cfg, out_dir, written)
+    if cfg.outputs:
+        _write_outputs(cfg, out_dir, written, *solve(cfg, sample_times(cfg)))
     return written
 
 
@@ -406,14 +397,12 @@ def compare_sources(cfg: ExperimentConfig) -> dict[str, float]:
     tau = drive.period
     t_end = cfg.horizon_periods * tau
     t_eval = np.linspace(t_end - 2.0 * tau, t_end, 400)
-    traj = integrate_first_moments(cfg.params, drive, cfg.init_moments,
-                                   t_end, t_eval=t_eval, cfg=cfg.numerics)
+    traj = solve(replace(cfg, outputs=("first_moments",)), t_eval)[1]
     sol = floquet_recurse(cfg.params, drive, cfg.j_max, cfg.n_max)
     series = sol.evaluate(cfg.params.g, t_eval)
-    numeric = {"q": traj.q, "p": traj.p, "a": traj.a, "c": traj.c}
     out = {}
     for obs in ("q", "p", "a", "c"):
-        ref = numeric[obs]
+        ref = getattr(traj, obs)
         dev = np.abs(series[obs] - ref) / np.maximum(1.0, np.abs(ref))
         out[obs] = float(np.max(dev))
     return out
@@ -467,16 +456,14 @@ def _constant_cells(cfg: ExperimentConfig, points) -> list[tuple[str, float]]:
     failed, drifts, diffusions = [], [], []
     for params, e0 in points:
         try:
-            fm, eff = steady_state_constant(params, e0,
-                                            cfg.delta_a_effective)
-            drifts.append(build_drift(eff, fm.q, fm.a))
-            diffusions.append(build_diffusion(eff))
+            _, drift, diffusion = _working_point(cfg, params, e0)
             failed.append(None)
         except SimulationError as exc:
             # a NaN drift, which the stack flags; exc keeps the status
-            drifts.append(np.full((6, 6), np.nan))
-            diffusions.append(np.zeros((6, 6)))
+            drift, diffusion = np.full((6, 6), np.nan), np.zeros((6, 6))
             failed.append(exc)
+        drifts.append(drift)
+        diffusions.append(diffusion)
     v, errors = lyapunov_stack(np.array(drifts), np.array(diffusions))
     en, physical = log_negativity_stack(reduce_atom_mirror_stack(v))
     return [(_cell_status(exc or error, ok), value) for exc, error, ok, value
@@ -486,23 +473,24 @@ def _constant_cells(cfg: ExperimentConfig, points) -> list[tuple[str, float]]:
 def evaluate_cell(cfg: ExperimentConfig) -> tuple[str, float]:
     """(status, EN) for one sweep cell; failures flagged, not raised.
 
-    A modulated cell whose periodic solve ran and found a Floquet
-    multiplier on or outside the unit circle is unstable.
+    A modulated cell is solved over its last period with co-integrated
+    means; one whose periodic solve finds a Floquet multiplier on or
+    outside the unit circle is unstable, and its window is not
+    integrated.
     """
     drive = cfg.resolved_drive()
     if drive.big_omega == 0.0:
         return _constant_cells(cfg, [(cfg.params, drive.component(0))])[0]
-    tau = drive.period
-    t_end = cfg.horizon_periods * tau
-    t_eval = np.linspace(t_end - tau, t_end, cfg.samples_per_period)
+    t_end = cfg.horizon_periods * drive.period
+    t_eval = np.linspace(t_end - drive.period, t_end, cfg.samples_per_period)
     try:
-        periodic = _periodic_start(cfg, drive, "ode", t_eval)
-        if periodic is not None and periodic.max_multiplier >= 1.0:
-            return "unstable", float("nan")
-        lt = _cm_window(cfg, drive, "ode", t_end, t_eval, periodic)
+        vs = solve(replace(cfg, first_moment_source="ode", outputs=("EN",)),
+                   t_eval)[2]
     except SimulationError as exc:
         return _cell_status(exc), float("nan")
-    en, physical = log_negativity_stack(reduce_atom_mirror_stack(lt.v))
+    if vs is None:
+        return "unstable", float("nan")
+    en, physical = log_negativity_stack(reduce_atom_mirror_stack(vs))
     return _cell_status(None, physical.all()), float(np.max(en))
 
 

@@ -12,6 +12,9 @@ verdict per drive kind: the Hurwitz test of the constant drift, or the
 largest Floquet multiplier of the periodic asymptote.
 
 Quadrature ordering is (dq, dp, dX, dY, dx, dy); vacuum variance 1/2.
+Every integration carries the symmetric CM as vech V, its 21 entries
+V[VECH] on and above the diagonal in row-major order, the column order
+of cm.csv; V = vech[UNVECH] rebuilds the matrix.
 """
 
 from __future__ import annotations
@@ -25,12 +28,22 @@ from .errors import NoConvergence, NonPhysical, NotStable, \
     SimulationError, Singular
 from .measures import symplectic_eigenvalues
 from .model import DriveSpec, FirstMoments, SystemParams, ZERO_MOMENTS
-from .moments import DEFAULT_J_MAX, DEFAULT_N_MAX, _rhs_vector, \
+from .moments import FloquetSolution, MomentTrajectory, _rhs_vector, \
     default_stepper, effective_coupling, effective_detuning, \
     evaluate_floquet, floquet_recurse
 from .numerics import StepperConfig, integrate_adaptive
 
 PHYSICALITY_SLACK = 1e-6
+# vech V = V[VECH]; UNVECH[i, j] is the vech index of entry (i, j) and of
+# (j, i), so vech[UNVECH] is V again.  vech(M + M^T) = M.take(_UPPER) +
+# M.take(_LOWER), and _DUPLICATION maps vech V to the row-major vec V
+# (Magnus & Neudecker's duplication matrix D).
+VECH = np.triu_indices(6)
+UNVECH = np.zeros((6, 6), dtype=int)
+UNVECH[VECH] = UNVECH.T[VECH] = np.arange(21)
+_UPPER = np.ravel_multi_index(VECH, (6, 6))
+_LOWER = np.ravel_multi_index(VECH[::-1], (6, 6))
+_DUPLICATION = np.eye(21)[UNVECH.ravel()]
 
 
 def build_drift(params: SystemParams, q_mean: float,
@@ -94,7 +107,8 @@ def thermal_vacuum_cm(n_th: float) -> np.ndarray:
 @dataclass
 class LyapunovTrajectory:
     t: np.ndarray
-    v: np.ndarray           # (T, 6, 6), symmetrized
+    v: np.ndarray                       # (T, 6, 6)
+    means: MomentTrajectory | None      # the co-integrated means, if any
 
 
 def _check_physical(t: np.ndarray, vs: np.ndarray):
@@ -109,26 +123,26 @@ def _check_physical(t: np.ndarray, vs: np.ndarray):
             f"t = {t[k]:g}; integration accuracy insufficient")
 
 
-def _moments_cm_rhs(params: SystemParams, drive: DriveSpec, d: np.ndarray):
+def _moments_cm_rhs(params: SystemParams, drive: DriveSpec):
     """RHS of the mean values co-integrated with the CM and, optionally, Phi.
 
-    The state is (moments[6], V[36]) or (moments[6], V[36], Phi[36]); the
-    drift is filled in from the co-integrated means at every call, and the
-    fundamental matrix obeys dPhi/dt = A(t) Phi.
+    The state is (moments[6], vech V[21]) or (moments[6], vech V[21],
+    Phi[36]); the drift is filled in from the co-integrated means at every
+    call, and the fundamental matrix obeys dPhi/dt = A(t) Phi.
     """
     moment_rhs = _rhs_vector(params, drive)
     drift = drift_kernel(params)
+    d = build_diffusion(params)[VECH]
 
     def f(t, y):
         dy_m = moment_rhs(t, y[:6])
-        v = y[6:42].reshape(6, 6)
-        v = 0.5 * (v + v.T)
         a_mat = drift(y[0], complex(y[2], y[3]))
-        dv = a_mat @ v + v @ a_mat.T + d
-        if y.size == 42:
-            return np.concatenate((dy_m, dv.ravel()))
-        dphi = a_mat @ y[42:].reshape(6, 6)
-        return np.concatenate((dy_m, dv.ravel(), dphi.ravel()))
+        av = a_mat @ y[6:27][UNVECH]
+        dv = av.take(_UPPER) + av.take(_LOWER) + d
+        if y.size == 27:
+            return np.concatenate((dy_m, dv))
+        dphi = a_mat @ y[27:].reshape(6, 6)
+        return np.concatenate((dy_m, dv, dphi.ravel()))
 
     return f
 
@@ -142,45 +156,40 @@ def integrate_lyapunov(params: SystemParams, drive: DriveSpec,
                        t_start: float = 0.0) -> LyapunovTrajectory:
     """Propagate dV/dt = A(t) V + V A^T + D from t_start to t_end.
 
-    v0 and moment_init are the state at t_start.  first_moment_source
-    selects where the means that fill A(t) at every step come from:
+    v0 (read on and above its diagonal) and moment_init are the state at
+    t_start.  first_moment_source selects where the means that fill A(t)
+    at every step come from:
 
     * "ode"    - co-integrate the mean-value ODEs alongside V, starting
-                 from moment_init (the exact numerical route);
+                 from moment_init (the exact numerical route); the
+                 trajectory then carries them as means;
     * callable - t -> (q_mean, a_mean), e.g. the Floquet series or an
                  asymptotic closed form.
     """
     if v0 is None:
         v0 = thermal_vacuum_cm(params.n_th)
-    v0 = np.asarray(v0, dtype=float)
+    v0 = np.asarray(v0, dtype=float)[VECH]
     cfg = default_stepper(drive, cfg)
-    d = build_diffusion(params)
-
     if first_moment_source == "ode":
-        f = _moments_cm_rhs(params, drive, d)
-        y0 = np.concatenate((moment_init.to_vector(), v0.ravel()))
-        sol = integrate_adaptive(f, (t_start, t_end), y0, cfg,
-                                 t_eval=t_eval)
-        vs = sol.y[6:].T.reshape(-1, 6, 6)
+        f = _moments_cm_rhs(params, drive)
+        y0 = np.concatenate((moment_init.to_vector(), v0))
     else:
         source = first_moment_source
         drift = drift_kernel(params)
+        d = build_diffusion(params)[VECH]
 
         def f(t, y):
-            v = y.reshape(6, 6)
-            v = 0.5 * (v + v.T)
-            a_mat = drift(*source(t))
-            dv = a_mat @ v + v @ a_mat.T + d
-            return dv.ravel()
+            av = drift(*source(t)) @ y[UNVECH]
+            return av.take(_UPPER) + av.take(_LOWER) + d
 
-        sol = integrate_adaptive(f, (t_start, t_end), v0.ravel(), cfg,
-                                 t_eval=t_eval)
-        vs = sol.y.T.reshape(-1, 6, 6)
-
-    vs = 0.5 * (vs + np.transpose(vs, (0, 2, 1)))
+        y0 = v0
+    sol = integrate_adaptive(f, (t_start, t_end), y0, cfg, t_eval=t_eval)
+    vs = sol.y[-21:].T[:, UNVECH]
     if check_physical:
         _check_physical(sol.t, vs)
-    return LyapunovTrajectory(t=sol.t, v=vs)
+    means = (MomentTrajectory.from_states(sol.t, sol.y[:6])
+             if first_moment_source == "ode" else None)
+    return LyapunovTrajectory(t=sol.t, v=vs, means=means)
 
 
 # Quadrature scaling between the mean-value vector (q, p, Re a, Im a,
@@ -213,23 +222,21 @@ class PeriodicState:
 
 
 def _one_period(f, y, t0, tau, cfg):
-    """(y, Phi, W) after one period from (y, Phi = I, W = 0) at t0."""
-    state = np.concatenate((y, np.zeros(36), np.eye(6).ravel()))
-    sol = integrate_adaptive(f, (t0, t0 + tau), state, cfg)
-    end = sol.y[:, -1]
-    w = end[6:42].reshape(6, 6)
-    return end[:6], end[42:].reshape(6, 6), 0.5 * (w + w.T)
+    """(y, Phi, vech W) after one period from (y, W = 0, Phi = I) at t0."""
+    state = np.concatenate((y, np.zeros(21), np.eye(6).ravel()))
+    end = integrate_adaptive(f, (t0, t0 + tau), state, cfg).y[:, -1]
+    return end[:6], end[27:].reshape(6, 6), end[6:27]
 
 
 def periodic_state(params: SystemParams, drive: DriveSpec, t0: float,
                    cfg: StepperConfig | None = None,
-                   j_max: int = DEFAULT_J_MAX,
-                   n_max: int = DEFAULT_N_MAX) -> PeriodicState:
+                   series: FloquetSolution | None = None) -> PeriodicState:
     """Limit cycle and periodic CM at t0 by one-period monodromy.
 
     Newton shooting on y(t0 + tau) - y(t0), started from the Floquet
-    series at t0; its Jacobian S^-1 Phi S - I comes from the fundamental
-    matrix Phi integrated alongside, so it costs no extra integration.
+    series at t0 (series, or floquet_recurse's default orders); its
+    Jacobian S^-1 Phi S - I comes from the fundamental matrix Phi
+    integrated alongside, so it costs no extra integration.
     It has converged once the residual is within rel_tol of max |y|.
     The forced CM W (W(t0) = 0) of the converged period then gives the
     periodic CM as the solution of V = Phi V Phi^T + W.  Raises a
@@ -239,9 +246,10 @@ def periodic_state(params: SystemParams, drive: DriveSpec, t0: float,
     (NoConvergence).
     """
     cfg = default_stepper(drive, cfg)
-    f = _moments_cm_rhs(params, drive, build_diffusion(params))
+    f = _moments_cm_rhs(params, drive)
     tau = drive.period
-    series = floquet_recurse(params, drive, j_max, n_max)
+    if series is None:
+        series = floquet_recurse(params, drive)
     y = evaluate_floquet(series, params.g, t0).to_vector()
     for _ in range(SHOOTING_MAX_PERIODS):
         y_end, phi, w = _one_period(f, y, t0, tau, cfg)
@@ -265,12 +273,10 @@ def periodic_state(params: SystemParams, drive: DriveSpec, t0: float,
     usable = mu < 1.0 and residue <= cfg.rel_tol
     v = None
     if usable:
-        # V = Phi V Phi^T + W, row-major vectorized: the Kronecker solve
-        # of scipy.linalg.solve_discrete_lyapunov at this size, through
-        # NumPy's LAPACK, which the run has loaded already
-        v = np.linalg.solve(np.eye(36) - np.kron(phi, phi),
-                            w.ravel()).reshape(6, 6)
-        v = 0.5 * (v + v.T)
+        # V = Phi V Phi^T + W on vech V: (I - L (Phi (x) Phi) D) vech V =
+        # vech W, with L the rows of vec V that vech keeps
+        kron = np.kron(phi, phi)[_UPPER] @ _DUPLICATION
+        v = np.linalg.solve(np.eye(21) - kron, w)[UNVECH]
     return PeriodicState(y=y, v=v, max_multiplier=mu,
                          transient_residue=residue, usable=usable)
 

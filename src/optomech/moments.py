@@ -61,6 +61,12 @@ class MomentTrajectory:
     a: np.ndarray
     c: np.ndarray
 
+    @staticmethod
+    def from_states(t: np.ndarray, y: np.ndarray) -> "MomentTrajectory":
+        """Rows y = (q, p, Re a, Im a, Re c, Im c) sampled at t."""
+        return MomentTrajectory(t=t, q=y[0], p=y[1], a=y[2] + 1j * y[3],
+                                c=y[4] + 1j * y[5])
+
 
 def default_stepper(drive: DriveSpec | None = None,
                     base: StepperConfig | None = None) -> StepperConfig:
@@ -88,9 +94,7 @@ def integrate_first_moments(params: SystemParams, drive: DriveSpec,
     cfg = default_stepper(drive, cfg)
     sol = integrate_adaptive(_rhs_vector(params, drive), (0.0, t_end),
                              init.to_vector(), cfg, t_eval=t_eval)
-    y = sol.y
-    return MomentTrajectory(t=sol.t, q=y[0], p=y[1],
-                            a=y[2] + 1j * y[3], c=y[4] + 1j * y[5])
+    return MomentTrajectory.from_states(sol.t, sol.y)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .fluctuations import VECH
+
 CHUNK_ROWS = 4096
 
 
@@ -37,24 +39,18 @@ def write_rows(path: Path, header: list[str], columns) -> None:
             fh.writelines([",".join(row) + "\n" for row in zip(*cells)])
 
 
-def write_trajectory_csv(path: Path, t, q, p, a, c) -> None:
+def write_trajectory_csv(path: Path, traj) -> None:
+    """One row (t, q, p, re_a, im_a, re_c, im_c) per sample of traj."""
     header = ["t", "q", "p", "re_a", "im_a", "re_c", "im_c"]
-    write_rows(path, header, (t, q, p, np.real(a), np.imag(a), np.real(c),
-                              np.imag(c)))
-
-
-def cm_header() -> list[str]:
-    cols = ["t"]
-    for i in range(1, 7):
-        for j in range(i, 7):
-            cols.append(f"v{i}{j}")
-    return cols
+    write_rows(path, header, (traj.t, traj.q, traj.p, np.real(traj.a),
+                              np.imag(traj.a), np.real(traj.c),
+                              np.imag(traj.c)))
 
 
 def write_cm_csv(path: Path, t, vs) -> None:
-    """Row-major upper triangle, 21 value columns plus t."""
-    iu = np.triu_indices(6)
-    write_rows(path, cm_header(), (t, *np.asarray(vs)[:, iu[0], iu[1]].T))
+    """t and vech V of each CM (fluctuations.VECH): v11, v12, ..., v66."""
+    header = ["t"] + [f"v{i + 1}{j + 1}" for i, j in zip(*VECH)]
+    write_rows(path, header, (t, *np.asarray(vs)[:, VECH[0], VECH[1]].T))
 
 
 def write_measures_csv(path: Path, t, en, v11, v22, neff, r_db) -> None:

@@ -53,6 +53,14 @@ def test_config_rejects_double_drive():
     assert any("exactly one" in r for r in cfg.validate())
 
 
+@pytest.mark.parametrize("source, message", [
+    ("odes", "unknown first_moment_source 'odes'"),
+    ("engineered", "'engineered' source needs a coupling target")])
+def test_config_rejects_unusable_source(source, message):
+    cfg = config_from_dict(dict(FIG2_DOC, first_moment_source=source))
+    assert cfg.validate() == [message]
+
+
 def test_config_rejects_unknown_output():
     doc = dict(FIG2_DOC)
     doc["outputs"] = ["EN", "nonsense"]
@@ -233,15 +241,20 @@ def test_cli_stability(tmp_path, capsys):
         == out
 
 
-def test_stability_report_leaves_config_alone():
+def test_stability_report_leaves_config_alone(monkeypatch):
     doc = {"params": dict(FIG2_DOC["params"], delta_a_effective=1.0,
                           delta_a=0.3),
-           "drive": {"Omega": 0.0, "components": [{"n": 0, "re": 1.2e5}]}}
+           "drive": {"Omega": 0.0, "components": [{"n": 0, "re": 1.2e5}]},
+           "outputs": ["stability"]}
     cfg = config_from_dict(doc)
     params = cfg.params
-    report, periodic = experiment.stability_report(cfg)
+    periodic = []
+    monkeypatch.setattr(experiment, "periodic_state",
+                        lambda *args: periodic.append(args))
+    t, _, _, report = experiment.solve(cfg, experiment.sample_times(cfg))
     assert cfg.params is params
-    assert periodic is None
+    assert periodic == []           # no periodic solve for a constant drive
+    assert list(t) == [0.0]
     assert report["stable"] is True
     assert "max_multiplier" not in report
 
@@ -453,21 +466,39 @@ def test_stability_verdict_follows_floquet_multipliers(tmp_path, e0, e1,
     assert stab["stable"] == (stab["max_multiplier"] < 1.0)
 
 
-def test_floquet_series_computed_once_per_run(tmp_path, monkeypatch):
+def counting(monkeypatch, fn, *modules):
+    """(args, kwargs) of each call of fn made through any of modules,
+    which it is patched in."""
     calls = []
-    recurse = experiment.floquet_recurse
 
     def counted(*args, **kwargs):
-        calls.append(args)
-        return recurse(*args, **kwargs)
+        calls.append((args, kwargs))
+        return fn(*args, **kwargs)
 
-    monkeypatch.setattr(experiment, "floquet_recurse", counted)
-    monkeypatch.setattr(fluctuations, "floquet_recurse", counted)
-    doc = dict(FIG2_DOC, horizon_periods=3.0, outputs=["EN", "stability"])
+    for module in modules:
+        monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
+
+
+def assert_floquet_series_computed_once(tmp_path, monkeypatch, source):
+    calls = counting(monkeypatch, experiment.floquet_recurse, experiment,
+                     fluctuations)
+    doc = dict(FIG2_DOC, horizon_periods=3.0, outputs=["EN", "stability"],
+               first_moment_source=source)
     run_experiment(config_from_dict(doc), tmp_path)
     stab = json.loads((tmp_path / "stability.json").read_text())
     assert "max_multiplier" in stab     # the periodic solve ran
     assert len(calls) == 1
+
+
+def test_floquet_series_computed_once_per_run(tmp_path, monkeypatch):
+    assert_floquet_series_computed_once(tmp_path, monkeypatch, "ode")
+
+
+def test_floquet_series_computed_once_per_floquet_run(tmp_path,
+                                                      monkeypatch):
+    # the floquet mean source and the periodic solve share one series
+    assert_floquet_series_computed_once(tmp_path, monkeypatch, "floquet")
 
 
 def test_failed_shooting_takes_brute_force(tmp_path, monkeypatch):
@@ -578,3 +609,67 @@ def test_principal_axis_output_follows_cm(tmp_path):
         lam, _, r_db = squeezing_parameter(mech)
         assert list(want) == [row[0], principal_axis_angle(mech), lam,
                               float(np.trace(mech)) - lam, r_db]
+
+
+@pytest.mark.parametrize("horizon", [10.0, 70.0])
+def test_first_moments_come_from_the_cm_integration(tmp_path, monkeypatch,
+                                                    horizon):
+    # 10 periods: the window is inside the transient, integrated from
+    # t = 0; 70 periods at rel_tol 1e-6: it starts at the periodic state
+    doc = dict(FIG2_DOC, horizon_periods=horizon,
+               numerics={"rel_tol": 1e-6, "abs_tol": 1e-9})
+    cfg = config_from_dict(doc)
+    lyapunov = counting(monkeypatch, experiment.integrate_lyapunov,
+                        experiment)
+    moments = counting(monkeypatch, experiment.integrate_first_moments,
+                       experiment)
+    run_experiment(cfg, tmp_path)
+    assert len(lyapunov) == 1 and moments == []
+    t_start = lyapunov[0][1]["t_start"]
+    assert (t_start > 0.0) == (horizon == 70.0)
+    fm = np.loadtxt(tmp_path / "first_moments.csv", delimiter=",",
+                    skiprows=1)
+    meas = np.loadtxt(tmp_path / "measures.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(fm[:, 0], meas[:, 0])
+
+    # the means alone, integrated from t = 0, agree to the stepper's
+    # accuracy
+    alone = dict(doc, outputs=["first_moments"])
+    run_experiment(config_from_dict(alone), tmp_path / "alone")
+    assert len(moments) == 1
+    ref = np.loadtxt(tmp_path / "alone" / "first_moments.csv",
+                     delimiter=",", skiprows=1)
+    assert np.array_equal(ref[:, 0], fm[:, 0])
+    scale = np.max(np.abs(ref), axis=0)
+    assert np.max(np.abs(fm - ref)[:, 1:] / scale[1:]) <= \
+        10 * cfg.numerics.rel_tol
+
+
+@pytest.mark.parametrize("t_wigner", [1e6, -1.0])
+def test_wigner_times_outside_the_run_are_rejected(tmp_path, t_wigner):
+    doc = dict(load_recipe("fig2"), outputs=["wigner"],
+               wigner_times=[t_wigner])
+    cfg = config_from_dict(doc)
+    report = cfg.validate()
+    assert len(report) == 1 and "wigner_times" in report[0]
+    assert repr(t_wigner) in report[0]
+    with pytest.raises(ValueError, match="wigner_times"):
+        run_experiment(cfg, tmp_path)
+
+    # a constant drive samples t = 0 alone, whatever the times
+    doc = dict(CYCLING_POINT_DOC, wigner_times=[t_wigner])
+    assert config_from_dict(doc).validate() == []
+
+
+def test_unstable_cycle_integrates_no_window(tmp_path, monkeypatch):
+    # |mu| = 1.047 and no verdict asked for: no stationary window exists
+    doc = dict(FIG2_DOC, horizon_periods=3.0, samples_per_period=20,
+               outputs=["EN"], drive=UNSTABLE_CYCLE_DRIVE)
+    cfg = config_from_dict(doc)
+    calls = counting(monkeypatch, experiment.integrate_lyapunov, experiment)
+    assert evaluate_cell(cfg) == ("unstable", pytest.approx(np.nan,
+                                                            nan_ok=True))
+    with pytest.raises(NotStable, match="max_multiplier"):
+        run_experiment(cfg, tmp_path)
+    assert calls == []
+    assert not (tmp_path / "measures.csv").exists()

@@ -3,18 +3,21 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm
+from scipy.linalg import expm, solve_discrete_lyapunov
 
 from optomech.errors import NonPhysical, NotStable, Singular
 from optomech.experiment import config_from_dict, run_experiment
-from optomech.fluctuations import (_check_physical, build_diffusion,
+from optomech.fluctuations import (UNVECH, _check_physical,
+                                   _moments_cm_rhs, _one_period,
+                                   build_diffusion,
                                    build_drift, drift_kernel,
                                    integrate_lyapunov, lyapunov_stack,
                                    periodic_state, stability_check,
                                    steady_state_lyapunov, thermal_vacuum_cm)
 from optomech.measures import symplectic_eigenvalues
 from optomech.model import DriveSpec, FirstMoments, SystemParams
-from optomech.moments import _rhs_vector, steady_state_constant
+from optomech.moments import _rhs_vector, default_stepper, \
+    steady_state_constant
 
 FIG2 = SystemParams(delta_a=1.0, kappa=2.0, gamma_m=1e-3, g=1e-5,
                     delta_c=-1.0, gamma_a=0.1, g0_collective=1.0)
@@ -430,6 +433,19 @@ def test_periodic_cm_is_physical(fig5a_periodic):
     v = fig5a_periodic.v
     assert np.array_equal(v, v.T)
     assert np.min(symplectic_eigenvalues(v)) >= 0.5 - 1e-6
+
+
+def test_periodic_cm_solves_the_discrete_lyapunov_equation(fig5a_periodic):
+    ps = fig5a_periodic
+    f = _moments_cm_rhs(FIG2, FIG2_DRIVE)
+    _, phi, w = _one_period(f, ps.y, FIG5A_T0, np.pi,
+                            default_stepper(FIG2_DRIVE))
+    assert w.shape == (21,)
+    w = w[UNVECH]
+    scale = np.max(np.abs(ps.v))
+    oracle = solve_discrete_lyapunov(phi, w)
+    assert np.max(np.abs(ps.v - oracle)) <= 1e-12 * scale
+    assert np.max(np.abs(ps.v - phi @ ps.v @ phi.T - w)) <= 1e-12 * scale
 
 
 def test_periodic_run_matches_brute_force_fig5a(tmp_path):

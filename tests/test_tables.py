@@ -3,8 +3,9 @@ import csv
 import numpy as np
 
 from optomech import tables
+from optomech.fluctuations import UNVECH, VECH
 from optomech.measures import wigner
-from optomech.tables import write_rows, write_wigner_csv
+from optomech.tables import write_cm_csv, write_rows, write_wigner_csv
 
 SPECIALS = [float("nan"), float("inf"), float("-inf"), -0.0, 1e16, 1e-5,
             5e-324, 0.1, -2.5, 1.0, 123456789.123]
@@ -66,3 +67,19 @@ def test_wigner_grid_is_x_major(tmp_path):
     reference_csv(tmp_path / "want.csv", ["x", "y", "w"], rows)
     assert (tmp_path / "got.csv").read_bytes() == \
         (tmp_path / "want.csv").read_bytes()
+
+
+def test_cm_row_is_the_state_vech(tmp_path):
+    rng = np.random.default_rng(11)
+    m = rng.normal(size=(6, 6))
+    v = m + m.T
+    write_cm_csv(tmp_path / "cm.csv", [0.5], v[np.newaxis])
+    header, row = (tmp_path / "cm.csv").read_text().splitlines()
+    names = header.split(",")
+    cells = [float(x) for x in row.split(",")]
+    assert names[:3] == ["t", "v11", "v12"] and names[-1] == "v66"
+    assert cells[0] == 0.5
+    assert cells[1:] == v[VECH].tolist()
+    assert np.array_equal(np.array(cells[1:])[UNVECH], v)
+    for name, x in zip(names[1:], cells[1:]):
+        assert x == v[int(name[1]) - 1, int(name[2]) - 1]
