@@ -96,6 +96,8 @@ class ExperimentConfig:
             except KeyError:
                 report.append(f"sweep axis '{ax.name}' does not name a "
                               "scalar parameter")
+            if ax.points < 1:
+                report.append(f"sweep axis '{ax.name}' needs points >= 1")
         if self.drive is not None:
             report.extend(validate_params(self.params, self.drive))
         else:
@@ -107,7 +109,14 @@ class ExperimentConfig:
                 and self.engineered is None:
             report.append("'engineered' source needs a coupling target")
         drive = self.drive or self.engineered    # both carry big_omega
-        if self.wigner_times and drive and drive.big_omega > 0.0:
+        if not (drive and drive.big_omega > 0.0):
+            return report       # a constant drive samples t = 0 alone
+        for name in ("horizon_periods", "sample_periods"):
+            if not getattr(self, name) > 0.0:
+                report.append(f"{name} must be positive")
+        if self.samples_per_period < 1:
+            report.append("samples_per_period must be at least 1")
+        if self.wigner_times:
             t_end = self.horizon_periods * (2.0 * np.pi / drive.big_omega)
             bad = [t for t in self.wigner_times if not 0.0 <= t <= t_end]
             if bad:
@@ -413,7 +422,7 @@ def compare_sources(cfg: ExperimentConfig) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 
 # Constant-drive sweep cells are solved this many at a time as stacked
-# arrays; the block's (cells, 36, 36) Kronecker stack takes 2.7 MB.
+# arrays; one block's lyapunov_stack call peaks at 3.6 MB (tracemalloc).
 SWEEP_BLOCK = 256
 
 

@@ -12,9 +12,10 @@ verdict per drive kind: the Hurwitz test of the constant drift, or the
 largest Floquet multiplier of the periodic asymptote.
 
 Quadrature ordering is (dq, dp, dX, dY, dx, dy); vacuum variance 1/2.
-Every integration carries the symmetric CM as vech V, its 21 entries
-V[VECH] on and above the diagonal in row-major order, the column order
-of cm.csv; V = vech[UNVECH] rebuilds the matrix.
+Every integration and both algebraic solves carry the symmetric CM as
+vech V, its 21 entries V[VECH] on and above the diagonal in row-major
+order, the column order of cm.csv; V = vech[UNVECH] rebuilds the matrix,
+and _vech_kron gives the solves their Kronecker operators on vech V.
 """
 
 from __future__ import annotations
@@ -44,6 +45,14 @@ UNVECH[VECH] = UNVECH.T[VECH] = np.arange(21)
 _UPPER = np.ravel_multi_index(VECH, (6, 6))
 _LOWER = np.ravel_multi_index(VECH[::-1], (6, 6))
 _DUPLICATION = np.eye(21)[UNVECH.ravel()]
+
+
+def _vech_kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """L (x (x) y) D, which maps vech V to vech(x V y^T), for 6x6 x and y
+    or stacks of them; L keeps the vech rows of the row-major vec V and
+    D = _DUPLICATION.  Only the 21 kept rows of x (x) y are built."""
+    rows = x[..., VECH[0], :, None] * y[..., VECH[1], None, :]
+    return rows.reshape(*rows.shape[:-2], 36) @ _DUPLICATION
 
 
 def build_drift(params: SystemParams, q_mean: float,
@@ -273,10 +282,8 @@ def periodic_state(params: SystemParams, drive: DriveSpec, t0: float,
     usable = mu < 1.0 and residue <= cfg.rel_tol
     v = None
     if usable:
-        # V = Phi V Phi^T + W on vech V: (I - L (Phi (x) Phi) D) vech V =
-        # vech W, with L the rows of vec V that vech keeps
-        kron = np.kron(phi, phi)[_UPPER] @ _DUPLICATION
-        v = np.linalg.solve(np.eye(21) - kron, w)[UNVECH]
+        # V = Phi V Phi^T + W as (I - L (Phi (x) Phi) D) vech V = vech W
+        v = np.linalg.solve(np.eye(21) - _vech_kron(phi, phi), w)[UNVECH]
     return PeriodicState(y=y, v=v, max_multiplier=mu,
                          transient_residue=residue, usable=usable)
 
@@ -301,18 +308,17 @@ def stability_check(subject: np.ndarray | PeriodicState) -> dict:
 
 def lyapunov_stack(a: np.ndarray, d: np.ndarray
                    ) -> tuple[np.ndarray, list[SimulationError | None]]:
-    """Algebraic steady states A V + V A^T + D = 0 of stacked cells.
+    """Algebraic steady states A V + V A^T + D = 0 of stacked 6x6 cells.
 
-    a and d are (cells, n, n).  Each cell solves (I (x) A + A (x) I) vec V
-    = -vec D, vec stacking columns, in one batched LAPACK call for all.
-    Returns (v, errors): errors[i] is None, or cell i's failure with v[i]
-    NaN.  NotStable: A is not Hurwitz.  Singular: A is not finite, or the
-    solve or the equation keeps a residual above its bound.  A failing
-    cell leaves its neighbours' results as they would be alone.
+    a and d are (cells, 6, 6).  Each cell solves L (A (x) I + I (x) A) D
+    vech V = -vech D, 21x21, in one batched LAPACK call for all.  Returns
+    (v, errors): errors[i] is None, or cell i's failure with v[i] NaN.
+    NotStable: A is not Hurwitz.  Singular: A is not finite, or the solve
+    or the equation keeps a residual above its bound.  A failing cell
+    leaves its neighbours' results as they would be alone.
     """
     a = np.asarray(a, dtype=float)
     d = np.asarray(d, dtype=float)
-    n = a.shape[1]
     v = np.full(a.shape, np.nan)
     errors: list[SimulationError | None] = [None] * len(a)
     finite = np.isfinite(a).all(axis=(1, 2))
@@ -323,11 +329,9 @@ def lyapunov_stack(a: np.ndarray, d: np.ndarray
                                f"{top[i]:g})") if finite[i]
                      else Singular("drift matrix is not finite"))
     idx = np.flatnonzero(top < 0.0)
-    a, d, eye = a[idx], d[idx], np.eye(n)
-    # m[c, (i, k), (j, l)] = I_ij A_kl + A_ij I_kl = kron(I, A) + kron(A, I)
-    m = (eye[:, None, :, None] * a[:, None, :, None, :]
-         + a[:, :, None, :, None] * eye[:, None, :]).reshape(-1, n * n, n * n)
-    b = -np.swapaxes(d, 1, 2).reshape(-1, n * n, 1)
+    a, d, eye = a[idx], d[idx], np.eye(6)
+    m = _vech_kron(a, eye) + _vech_kron(eye, a)
+    b = -d[:, VECH[0], VECH[1], None]
     try:
         x = np.linalg.solve(m, b)
     except np.linalg.LinAlgError:
@@ -337,8 +341,7 @@ def lyapunov_stack(a: np.ndarray, d: np.ndarray
         for j in range(len(idx)):
             with contextlib.suppress(np.linalg.LinAlgError):
                 x[j] = np.linalg.solve(m[j], b[j])
-    vs = x.reshape(-1, n, n).swapaxes(1, 2)
-    vs = 0.5 * (vs + vs.swapaxes(1, 2))
+    vs = x[:, UNVECH, 0]
     cell_max = lambda z: np.max(np.abs(z), axis=(1, 2))
     with np.errstate(invalid="ignore", over="ignore"):
         # residuals over their bounds: partial-pivoting solve, equation

@@ -93,21 +93,6 @@ def log_negativity(rcm: ReducedCM) -> float:
     return float(en[0])
 
 
-def position_variance(v: np.ndarray) -> float:
-    """Mechanical position variance <dq^2> = V_11."""
-    return float(np.asarray(v)[0, 0])
-
-
-def is_position_squeezed(v: np.ndarray) -> bool:
-    return position_variance(v) < 0.5
-
-
-def mean_phonon_number(v: np.ndarray) -> float:
-    """Effective occupation n_eff = (V_11 + V_22 - 1)/2."""
-    v = np.asarray(v)
-    return float((v[0, 0] + v[1, 1] - 1.0) / 2.0)
-
-
 def squeezing_parameter(mech_cm: np.ndarray
                         ) -> tuple[float, float, float]:
     """(lambda, r_raw, r_db) of the mechanical 2x2 block.

@@ -117,10 +117,6 @@ class FloquetSolution:
     j_max: int
     big_omega: float
 
-    def coefficient(self, obs: str, n: int, j: int) -> complex:
-        arr = getattr(self, obs)
-        return complex(arr[n + self.n_max, j])
-
     def evaluate(self, g: float, t) -> dict[str, np.ndarray]:
         """Series values at time(s) t; q and p are real by symmetry."""
         t = np.atleast_1d(np.asarray(t, dtype=float))

@@ -11,14 +11,14 @@ from scipy.spatial.distance import directed_hausdorff
 
 from optomech.engineering import modulation_components
 from optomech.errors import NotStable
-from optomech.experiment import compare_sources, config_from_dict
+from optomech.experiment import compare_sources, config_from_dict, \
+    measures_from_cm_series
 from optomech.fluctuations import (build_diffusion, build_drift,
                                    integrate_lyapunov,
                                    steady_state_lyapunov)
-from optomech.measures import (log_negativity, mean_phonon_number,
-                               principal_axis_angle, reduce_atom_mirror,
-                               squeezing_parameter, symplectic_eigenvalues,
-                               wigner)
+from optomech.measures import (log_negativity, principal_axis_angle,
+                               reduce_atom_mirror, squeezing_parameter,
+                               symplectic_eigenvalues, wigner)
 from optomech.model import (DriveSpec, EngineeredCoupling, SystemParams,
                             ZERO_MOMENTS)
 from optomech.moments import integrate_first_moments, steady_state_constant
@@ -205,10 +205,9 @@ def test_criterion_7_mechanical_squeezing(fig8_run, fig8_no_atoms_run,
 
 def test_criterion_8_cooling_interference(fig8_run, fig8_no_atoms_run,
                                           fig8_hot_run):
-    neff = np.mean([mean_phonon_number(v) for v in fig8_run.v])
-    neff_free = np.mean([mean_phonon_number(v)
-                         for v in fig8_no_atoms_run.v])
-    neff_hot = np.mean([mean_phonon_number(v) for v in fig8_hot_run.v])
+    neff, neff_free, neff_hot = (
+        np.mean(measures_from_cm_series(run.t, run.v)["neff"])
+        for run in (fig8_run, fig8_no_atoms_run, fig8_hot_run))
     report("ensemble-assisted cooling reaches the ground-state regime",
            neff < 1.0 and 30.0 <= neff_free <= 50.0 and neff_hot < 1.0)
 

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -356,6 +358,21 @@ def test_stacked_sweep_matches_one_cell_evaluation(tmp_path):
             assert en == "nan" and np.isnan(want_en)
 
 
+def test_fig4a_sweep_matches_independent_oracle(tmp_path):
+    # bench/check.py's oracle solves each cell by Bartels-Stewart from its
+    # own drift transcription; the stacked sweep must agree on every cell
+    path = Path(__file__).resolve().parents[1] / "bench" / "check.py"
+    spec = importlib.util.spec_from_file_location("bench_check", path)
+    check = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(check)
+    doc = load_recipe("fig4a")
+    written = run_experiment(config_from_dict(doc), tmp_path)
+    expected = check.sweep_oracle(doc)
+    assert len(expected) == 625
+    bad, problems = check.compare_sweep(expected, written["sweep"])
+    assert bad == 0, problems
+
+
 def test_sweep_flags_forced_bad_cells_only(tmp_path, monkeypatch):
     cfg = config_from_dict(FIG4A_BOX_DOC)
     run_experiment(cfg, tmp_path / "clean")
@@ -659,6 +676,31 @@ def test_wigner_times_outside_the_run_are_rejected(tmp_path, t_wigner):
     # a constant drive samples t = 0 alone, whatever the times
     doc = dict(CYCLING_POINT_DOC, wigner_times=[t_wigner])
     assert config_from_dict(doc).validate() == []
+
+
+@pytest.mark.parametrize("key, value", [
+    ("horizon_periods", 0.0), ("horizon_periods", -5.0),
+    ("sample_periods", 0.0), ("samples_per_period", 0),
+    ("points", 0), ("points", -2)])
+def test_run_window_and_grid_counts_are_checked(tmp_path, key, value):
+    if key == "points":
+        doc = load_recipe("fig4a")
+        axes = [doc["sweep"]["axes"][0],
+                dict(doc["sweep"]["axes"][1], points=value)]
+        doc = dict(doc, sweep={"axes": axes})
+    else:
+        doc = dict(load_recipe("fig2"), **{key: value})
+    cfg = config_from_dict(doc)
+    report = cfg.validate()
+    assert len(report) == 1 and key in report[0]
+    with pytest.raises(ValueError, match=key):
+        run_experiment(cfg, tmp_path)
+    assert not (tmp_path / "sweep.csv").exists()
+
+    if key != "points":
+        # a constant drive samples t = 0 alone, whatever its window
+        doc = dict(CYCLING_POINT_DOC, **{key: value})
+        assert config_from_dict(doc).validate() == []
 
 
 def test_unstable_cycle_integrates_no_window(tmp_path, monkeypatch):

@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm, solve_discrete_lyapunov
+from scipy.linalg import expm, solve_continuous_lyapunov, \
+    solve_discrete_lyapunov
 
 from optomech.errors import NonPhysical, NotStable, Singular
 from optomech.experiment import config_from_dict, run_experiment
@@ -236,16 +237,14 @@ def fig4_stack(points):
     return np.array(drifts), np.array(diffusions)
 
 
-def test_lyapunov_stack_equals_kronecker_route():
+def test_lyapunov_stack_matches_scipy_lyapunov():
     a, d = fig4_stack([(1.2e5, 1.0), (2e5, 2.5), (5e4, 0.5)])
     v, errors = lyapunov_stack(a, d)
     assert errors == [None, None, None]
-    eye = np.eye(6)
+    assert np.array_equal(v, v.swapaxes(1, 2))
     for ai, di, vi in zip(a, d, v):
-        m = np.kron(eye, ai) + np.kron(ai, eye)
-        x = np.linalg.solve(m, -di.flatten(order="F")).reshape(6, 6,
-                                                               order="F")
-        assert np.array_equal(vi, 0.5 * (x + x.T))
+        want = solve_continuous_lyapunov(ai, -di)
+        assert np.max(np.abs(vi - want)) <= 1e-12 * np.max(np.abs(vi))
 
 
 def test_lyapunov_stack_flags_near_singular_cell():
@@ -286,11 +285,11 @@ def test_lyapunov_stack_flags_non_hurwitz_cell_only():
 
 def test_lyapunov_stack_isolates_failed_solve(monkeypatch):
     # LAPACK raises for a whole stack when one of its systems is exactly
-    # singular; mark cell 1 (drift -7 I, Kronecker matrix -14 I) as one
+    # singular; mark cell 1 (drift -7 I, vech operator -14 I) as one
     a, d = fig4_stack([(1.2e5, 1.0), (2e5, 2.5)])
     alone = [steady_state_lyapunov(ai, di) for ai, di in zip(a, d)]
     solve = np.linalg.solve
-    marked = -14.0 * np.eye(36)
+    marked = -14.0 * np.eye(21)
 
     def solve_failing_on_mark(m, b):
         if np.any(np.all(m == marked, axis=(-2, -1))):

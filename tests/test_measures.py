@@ -7,10 +7,9 @@ from hypothesis import given, settings, strategies as st
 from optomech.errors import NonPhysical
 from optomech.fluctuations import (build_diffusion, build_drift,
                                    steady_state_lyapunov)
-from optomech.measures import (ReducedCM, is_position_squeezed,
-                               log_negativity, log_negativity_stack,
-                               mean_phonon_number,
-                               position_variance, principal_axis_angle,
+from optomech.experiment import measures_from_cm_series
+from optomech.measures import (ReducedCM, log_negativity,
+                               log_negativity_stack, principal_axis_angle,
                                reduce_atom_mirror, squeezing_parameter,
                                symplectic_eigenvalues, wigner)
 from optomech.model import SystemParams
@@ -167,13 +166,16 @@ def test_log_negativity_stack_flags_bogus_matrix_only():
 
 
 def test_position_variance_and_flags():
-    v = 0.5 * np.eye(6)
-    assert position_variance(v) == 0.5
-    assert not is_position_squeezed(v)
-    v[0, 0] = 0.3
-    assert is_position_squeezed(v)
-    assert mean_phonon_number(0.5 * np.eye(6)) == 0.0
-    assert mean_phonon_number(np.diag([10.5, 10.5, 1, 1, 1, 1])) == 10.0
+    squeezed = 0.5 * np.eye(6)
+    squeezed[0, 0] = 0.3
+    vs = np.array([0.5 * np.eye(6), squeezed,
+                   np.diag([10.5, 10.5, 1, 1, 1, 1])])
+    cols = measures_from_cm_series(np.arange(3.0), vs)
+    assert cols["v11"][0] == 0.5
+    assert not cols["v11"][0] < 0.5       # the vacuum is not squeezed
+    assert cols["v11"][1] < 0.5
+    assert cols["neff"][0] == 0.0
+    assert cols["neff"][2] == 10.0
 
 
 def test_squeezing_parameter_vacuum():

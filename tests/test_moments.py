@@ -80,8 +80,8 @@ def test_floquet_zero_order_undriven():
 def test_floquet_zero_order_fig2_closed_form():
     sol = floquet_zero_order(FIG2, FIG2_DRIVE)
     want = (0.1 - 1.0j) * 15e4 / ((2.0 + 1.0j) * (0.1 - 1.0j) + 1.0)
-    assert sol.coefficient("a", 0, 0) == pytest.approx(want)
-    assert sol.coefficient("a", 2, 0) == 0  # no E_{-2} component
+    assert sol.a[0 + sol.n_max, 0] == pytest.approx(want)
+    assert sol.a[2 + sol.n_max, 0] == 0  # no E_{-2} component
     assert not sol.q.any() and not sol.p.any()
 
 
