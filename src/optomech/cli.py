@@ -79,6 +79,7 @@ def main(argv=None) -> int:
     cfg = _load(args)
 
     if args.command in ("compare-sources", "stability"):
+        cfg.check()
         report = (compare_sources(cfg) if args.command == "compare-sources"
                   else solve(replace(cfg, outputs=("stability",)),
                              sample_times(cfg))[3])

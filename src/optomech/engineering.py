@@ -101,21 +101,34 @@ def _cavity_mean(params: SystemParams, target: EngineeredCoupling, t):
         / (SQRT2 * params.g)
 
 
-def _transient_qpa(params: SystemParams, target: EngineeredCoupling,
-                   s_mech: np.ndarray, k_mech: np.ndarray, t):
-    """(<q>, <p>, <a>) at time t from the mechanical exponentials.
+def _transient_kernel(params: SystemParams, target: EngineeredCoupling,
+                      lc: LaplaceCoefficients):
+    """Scalar-time t -> (<q>, <p>, <a>) from the mechanical exponentials.
 
     <q> is reconstructed from the momentum equation with <pdot> evaluated
     by term-by-term differentiation of the exponential sum (never by
-    finite differences); <p> and <q> are returned complex.
+    finite differences).  One vector exp gives the four exponentials and
+    the cavity phase e^{-i Omega t}; the rest is Python complex
+    arithmetic, as in model.drive_kernel.
     """
-    exp_m = k_mech * np.exp(s_mech * t)
-    p = exp_m.sum()
-    pdot = (s_mech * exp_m).sum()
-    a = _cavity_mean(params, target, t)
-    q = (-pdot - params.gamma_m * p + params.g * abs(a) ** 2) \
-        / params.omega_m
-    return q, p, a
+    rates = np.array([*lc.s[:4], -1j * target.big_omega])
+    terms = [(complex(s), complex(k)) for s, k in zip(lc.s[:4], lc.k[:4])]
+    g1, g2 = target.g1, target.g2
+    gm, g, om = params.gamma_m, params.g, params.omega_m
+    root2_g = float(SQRT2 * g)
+
+    def kernel(t):
+        *exps, phase = np.exp(rates * t).tolist()
+        p = pdot = 0j
+        for (s, k), e in zip(terms, exps):
+            term = k * e
+            p += term
+            pdot += s * term
+        a = (g1 + g2 * phase) / root2_g
+        q = (-pdot - gm * p + g * abs(a) ** 2) / om
+        return q.real, p.real, a
+
+    return kernel
 
 
 def transient_first_moments(params: SystemParams,
@@ -124,25 +137,22 @@ def transient_first_moments(params: SystemParams,
                             ) -> FirstMoments:
     """Exact pre-asymptotic mean values at time t."""
     lc = lc or laplace_coefficients(params, target)
-    s = np.asarray(lc.s)
-    k = np.asarray(lc.k)
-    q, p, a = _transient_qpa(params, target, s[:4], k[:4], t)
-    c = np.sum(k[4:] * np.exp(s[4:] * t))
-    return FirstMoments(q=q.real, p=p.real, a=complex(a), c=complex(c))
+    q, p, a = _transient_kernel(params, target, lc)(t)
+    c = np.sum(np.asarray(lc.k[4:]) * np.exp(np.asarray(lc.s[4:]) * t))
+    return FirstMoments(q=q, p=p, a=a, c=complex(c))
 
 
 def engineered_mean_source(params: SystemParams,
                            target: EngineeredCoupling,
                            lc: LaplaceCoefficients | None = None):
     """Callable t -> (<q>, <a>) of transient_first_moments, for drift
-    assembly; the exponents are fixed once and <c> is not evaluated."""
-    lc = lc or laplace_coefficients(params, target)
-    s_mech = np.asarray(lc.s[:4])
-    k_mech = np.asarray(lc.k[:4])
+    assembly; the kernel is built once and <c> is not evaluated."""
+    kernel = _transient_kernel(params, target,
+                               lc or laplace_coefficients(params, target))
 
     def source(t):
-        q, _, a = _transient_qpa(params, target, s_mech, k_mech, t)
-        return q.real, complex(a)
+        q, _, a = kernel(t)
+        return q, a
 
     return source
 

@@ -124,6 +124,12 @@ class ExperimentConfig:
                               f"[0, {t_end:g}]")
         return report
 
+    def check(self) -> None:
+        """Raise ValueError naming every problem validate finds."""
+        report = self.validate()
+        if report:
+            raise ValueError("invalid configuration: " + "; ".join(report))
+
 
 def _parse_drive(d: dict) -> DriveSpec:
     comps = {int(c["n"]): complex(c.get("re", 0.0), c.get("im", 0.0))
@@ -256,19 +262,24 @@ def solve(cfg: ExperimentConfig, t_eval: np.ndarray):
 
     * The periodic solve at t0 = t_eval[0] gives stability.  It runs
       whenever the verdict is asked for, and a failure raises; otherwise
-      only when a CM output is asked for with co-integrated means
-      ("ode") and t0 > 0, and a failure falls back to t = 0.
+      only when a CM output is asked for with the "ode" source, whose
+      means fill the drift, and t0 > 0; a failure falls back to t = 0.
     * The CM window starts at t0 from the periodic state when that is
-      usable and the means are co-integrated, else at t = 0 from the
-      configured initial state.
+      usable and the source is "ode", else at t = 0 from the configured
+      initial state.
 
-    means (a MomentTrajectory) is asked for by first_moments; it is the
-    co-integrated means when the CM integration has them, and
-    integrate_first_moments from t = 0 otherwise.  vs, the (T, 6, 6)
-    CMs, is asked for by the measure outputs.  vs is None, with no
-    integration made, when the verdict rules out a stationary window: a
-    drift that is not Hurwitz, or an unstable cycle whose verdict was not
-    asked for.  Either is None when not asked for.
+    means (a MomentTrajectory) is asked for by first_moments.  A run
+    that integrates its CM carries the means in the same stepping loop,
+    whatever the source: from the window's start for "ode", and from
+    t = 0 next to the CM for "floquet" and "engineered", whose callable
+    fills the drift.  Only a run with no CM integration calls
+    integrate_first_moments, from t = 0.  A callable-source run that
+    does not ask for first_moments integrates vech V alone.
+
+    vs, the (T, 6, 6) CMs, is asked for by the measure outputs.  vs is
+    None, with no integration made, when the verdict rules out a
+    stationary window: a drift that is not Hurwitz, or an unstable cycle
+    whose verdict was not asked for.  Either is None when not asked for.
     """
     drive = cfg.resolved_drive()
     measured = any(o in cfg.outputs for o in MEASURE_OUTPUTS)
@@ -311,6 +322,8 @@ def solve(cfg: ExperimentConfig, t_eval: np.ndarray):
             y0 = FirstMoments.from_vector(periodic.y)
         else:
             t_start, v0, y0 = 0.0, cfg.init_cm, cfg.init_moments
+        if source != "ode" and "first_moments" not in cfg.outputs:
+            y0 = None       # the CM alone: the source fills the drift
         lt = integrate_lyapunov(cfg.params, drive, source, v0, t_end,
                                 t_eval=t_eval, cfg=cfg.numerics,
                                 moment_init=y0, t_start=t_start)
@@ -360,9 +373,7 @@ def _write_outputs(cfg: ExperimentConfig, out_dir: Path, written: dict,
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path,
                    jobs: int = 1) -> dict:
     """Execute the configured pipeline; returns {output name: path}."""
-    report = cfg.validate()
-    if report:
-        raise ValueError("invalid configuration: " + "; ".join(report))
+    cfg.check()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: dict = {}

@@ -117,7 +117,7 @@ def thermal_vacuum_cm(n_th: float) -> np.ndarray:
 class LyapunovTrajectory:
     t: np.ndarray
     v: np.ndarray                       # (T, 6, 6)
-    means: MomentTrajectory | None      # the co-integrated means, if any
+    means: MomentTrajectory | None      # the co-integrated means, if carried
 
 
 def _check_physical(t: np.ndarray, vs: np.ndarray):
@@ -132,20 +132,30 @@ def _check_physical(t: np.ndarray, vs: np.ndarray):
             f"t = {t[k]:g}; integration accuracy insufficient")
 
 
-def _moments_cm_rhs(params: SystemParams, drive: DriveSpec):
-    """RHS of the mean values co-integrated with the CM and, optionally, Phi.
+def _moments_cm_rhs(params: SystemParams, drive: DriveSpec, source=None,
+                    means: bool = True):
+    """RHS of the CM, and of the mean values co-integrated with it.
 
-    The state is (moments[6], vech V[21]) or (moments[6], vech V[21],
-    Phi[36]); the drift is filled in from the co-integrated means at every
-    call, and the fundamental matrix obeys dPhi/dt = A(t) Phi.
+    The state is (moments[6], vech V[21]), with Phi[36] appended when it
+    has 63 entries; without means it is vech V alone.  The drift is
+    filled in at every call from source(t) when a mean source is given,
+    else from the co-integrated means; the fundamental matrix obeys
+    dPhi/dt = A(t) Phi.
     """
-    moment_rhs = _rhs_vector(params, drive)
     drift = drift_kernel(params)
     d = build_diffusion(params)[VECH]
+    if not means:
+        def f(t, y):
+            av = drift(*source(t)) @ y[UNVECH]
+            return av.take(_UPPER) + av.take(_LOWER) + d
+
+        return f
+    moment_rhs = _rhs_vector(params, drive)
 
     def f(t, y):
         dy_m = moment_rhs(t, y[:6])
-        a_mat = drift(y[0], complex(y[2], y[3]))
+        a_mat = (drift(y[0], complex(y[2], y[3])) if source is None
+                 else drift(*source(t)))
         av = a_mat @ y[6:27][UNVECH]
         dv = av.take(_UPPER) + av.take(_LOWER) + d
         if y.size == 27:
@@ -160,7 +170,7 @@ def integrate_lyapunov(params: SystemParams, drive: DriveSpec,
                        first_moment_source, v0: np.ndarray | None,
                        t_end: float, t_eval: np.ndarray | None = None,
                        cfg: StepperConfig | None = None,
-                       moment_init: FirstMoments = ZERO_MOMENTS,
+                       moment_init: FirstMoments | None = None,
                        check_physical: bool = True,
                        t_start: float = 0.0) -> LyapunovTrajectory:
     """Propagate dV/dt = A(t) V + V A^T + D from t_start to t_end.
@@ -170,34 +180,33 @@ def integrate_lyapunov(params: SystemParams, drive: DriveSpec,
     at every step come from:
 
     * "ode"    - co-integrate the mean-value ODEs alongside V, starting
-                 from moment_init (the exact numerical route); the
-                 trajectory then carries them as means;
-    * callable - t -> (q_mean, a_mean), e.g. the Floquet series or an
-                 asymptotic closed form.
+                 from moment_init (zero when None; the exact numerical
+                 route);
+    * callable - t -> (q_mean, a_mean), e.g. the Floquet series or the
+                 engineered closed form.  When moment_init is given the
+                 mean-value ODEs are co-integrated alongside V all the
+                 same, in the same stepping loop, though they do not
+                 fill A(t); when it is None V is integrated alone.
+
+    The trajectory carries the co-integrated means as means, and None
+    when V was integrated alone.
     """
     if v0 is None:
         v0 = thermal_vacuum_cm(params.n_th)
     v0 = np.asarray(v0, dtype=float)[VECH]
     cfg = default_stepper(drive, cfg)
-    if first_moment_source == "ode":
-        f = _moments_cm_rhs(params, drive)
-        y0 = np.concatenate((moment_init.to_vector(), v0))
-    else:
-        source = first_moment_source
-        drift = drift_kernel(params)
-        d = build_diffusion(params)[VECH]
-
-        def f(t, y):
-            av = drift(*source(t)) @ y[UNVECH]
-            return av.take(_UPPER) + av.take(_LOWER) + d
-
-        y0 = v0
+    source = None if first_moment_source == "ode" else first_moment_source
+    if source is None and moment_init is None:
+        moment_init = ZERO_MOMENTS
+    f = _moments_cm_rhs(params, drive, source, moment_init is not None)
+    y0 = (v0 if moment_init is None
+          else np.concatenate((moment_init.to_vector(), v0)))
     sol = integrate_adaptive(f, (t_start, t_end), y0, cfg, t_eval=t_eval)
     vs = sol.y[-21:].T[:, UNVECH]
     if check_physical:
         _check_physical(sol.t, vs)
     means = (MomentTrajectory.from_states(sol.t, sol.y[:6])
-             if first_moment_source == "ode" else None)
+             if moment_init is not None else None)
     return LyapunovTrajectory(t=sol.t, v=vs, means=means)
 
 

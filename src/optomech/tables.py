@@ -59,8 +59,12 @@ def write_measures_csv(path: Path, t, en, v11, v22, neff, r_db) -> None:
 
 
 def write_wigner_csv(path: Path, grid) -> None:
-    """x-major rows (x, y, W(x, y)) over the grid's two axes."""
-    x_ax, y_ax = grid.axes
+    """x-major rows (x, y, W(x, y)) over the grid's two axes.
+
+    Each axis value is formatted once and its text repeated down the
+    x and y columns.
+    """
+    x_txt, y_txt = (list(_cells(ax)) for ax in grid.axes)
     write_rows(path, ["x", "y", "w"],
-               (np.repeat(x_ax, len(y_ax)), np.tile(y_ax, len(x_ax)),
+               ([x for x in x_txt for _ in y_txt], y_txt * len(x_txt),
                 grid.values.ravel()))

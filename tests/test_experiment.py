@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from optomech import experiment, fluctuations
 from optomech.cli import main as cli_main
@@ -291,6 +292,17 @@ def test_cli_recipe_overlay(tmp_path):
     assert len(meas) == 21
 
 
+@pytest.mark.parametrize("command", ["stability", "compare-sources"])
+def test_cli_checks_config_before_solving(tmp_path, command):
+    overlay = write_config(tmp_path, {"horizon_periods": -1})
+    with pytest.raises(ValueError) as simulate:
+        cli_main(["simulate", "--recipe", "fig2", "--config", str(overlay),
+                  "--out", str(tmp_path / "run")])
+    with pytest.raises(ValueError, match="horizon_periods") as got:
+        cli_main([command, "--recipe", "fig2", "--config", str(overlay)])
+    assert str(got.value) == str(simulate.value)
+
+
 def test_sweep_parallel_matches_serial(tmp_path):
     cfg = ExperimentConfig(
         params=SystemParams(delta_a=1.0, kappa=2.0, gamma_m=1e-3,
@@ -371,6 +383,67 @@ def test_fig4a_sweep_matches_independent_oracle(tmp_path):
     assert len(expected) == 625
     bad, problems = check.compare_sweep(expected, written["sweep"])
     assert bad == 0, problems
+
+
+# |EN - EN_oracle| <= FIG4B_EN_RTOL * EN_oracle on every stable fig4b cell.
+# Near the threshold (EN ~ 5.6e-5 at n_th ~ 38) EN cancels against CM
+# entries of order n_th and is good to about 2e-9 relative only.
+FIG4B_EN_RTOL = 1e-8
+
+
+def _fig4b_oracle_cell(p, e0, g0, n_th):
+    """(status, EN) of one fig4b cell, written from the linearized
+    Langevin equations: the working point at the prescribed detuning, the
+    Hurwitz test, scipy's Bartels-Stewart solve and the log negativity of
+    the partially transposed atom-mirror CM in closed form."""
+    kap, gm, ga, dc = p["kappa"], p["gamma_m"], p["gamma_a"], p["delta_c"]
+    det = p["delta_a_effective"]
+    a = e0 / (kap + 1j * det + g0 ** 2 / (ga + 1j * dc))
+    gx, gy = np.sqrt(2.0) * p["g"] * a.real, np.sqrt(2.0) * p["g"] * a.imag
+    drift = np.array([[0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+                      [-1.0, -gm, gx, gy, 0.0, 0.0],
+                      [-gy, 0.0, -kap, det, 0.0, g0],
+                      [gx, 0.0, -det, -kap, -g0, 0.0],
+                      [0.0, 0.0, 0.0, g0, -ga, dc],
+                      [0.0, 0.0, -g0, 0.0, -dc, -ga]])
+    if np.max(np.linalg.eigvals(drift).real) >= 0.0:
+        return "unstable", float("nan")
+    diffusion = np.diag([0.0, gm * (2.0 * n_th + 1.0), kap, kap, ga, ga])
+    v = scipy.linalg.solve_continuous_lyapunov(drift, -diffusion)
+    r = v[np.ix_([0, 1, 4, 5], [0, 1, 4, 5])]
+    det2 = np.linalg.det
+    # the partial transpose flips the sign of det C only
+    sigma = det2(r[:2, :2]) + det2(r[2:, 2:]) - 2.0 * det2(r[:2, 2:])
+    det4 = det2(r)
+    # smaller symplectic eigenvalue squared, as the product of the roots
+    # det4 over the larger one, which takes no cancellation
+    nu2 = 2.0 * det4 / (sigma + np.sqrt(sigma * sigma - 4.0 * det4))
+    return "stable", max(0.0, -0.5 * np.log(4.0 * nu2))
+
+
+def test_fig4b_sweep_matches_independent_oracle(tmp_path):
+    doc = load_recipe("fig4b")
+    (e0,) = [c["re"] for c in doc["drive"]["components"]]
+    g0_axis, nth_axis = config_from_dict(doc).sweep
+    assert (g0_axis.name, nth_axis.name) == ("G0", "n_th")
+    written = run_experiment(config_from_dict(doc), tmp_path)
+    rows = [line.split(",")
+            for line in written["sweep"].read_text().splitlines()[1:]]
+    cells = [(g0, n_th) for g0 in g0_axis.values().tolist()
+             for n_th in nth_axis.values().tolist()]
+    assert len(rows) == len(cells) == 525
+    worst = 0.0
+    for (g0, n_th, status, en), cell in zip(rows, cells):
+        assert (float(g0), float(n_th)) == cell
+        want_status, want_en = _fig4b_oracle_cell(doc["params"], e0, *cell)
+        assert status == want_status, cell
+        if status == "stable":
+            assert abs(float(en) - want_en) <= FIG4B_EN_RTOL * want_en, cell
+            if want_en > 0.0:
+                worst = max(worst, abs(float(en) / want_en - 1.0))
+        else:
+            assert en == "nan"
+    assert worst > 0.0      # the tolerance is exercised, not idle
 
 
 def test_sweep_flags_forced_bad_cells_only(tmp_path, monkeypatch):
@@ -660,6 +733,56 @@ def test_first_moments_come_from_the_cm_integration(tmp_path, monkeypatch,
     scale = np.max(np.abs(ref), axis=0)
     assert np.max(np.abs(fm - ref)[:, 1:] / scale[1:]) <= \
         10 * cfg.numerics.rel_tol
+
+
+@pytest.mark.parametrize("make_doc", [_fig7_engineered, _floquet_source])
+def test_callable_source_co_integrates_the_means(tmp_path, monkeypatch,
+                                                 make_doc):
+    # the source fills the drift; the means asked for ride in the CM's
+    # stepping loop from t = 0, so the run makes one integration
+    doc = dict(make_doc(), outputs=["first_moments", "cm", "EN"])
+    cfg = config_from_dict(doc)
+    lyapunov = counting(monkeypatch, experiment.integrate_lyapunov,
+                        experiment)
+    moments = counting(monkeypatch, experiment.integrate_first_moments,
+                       experiment)
+    run_experiment(cfg, tmp_path)
+    assert len(lyapunov) == 1 and moments == []
+    args, kwargs = lyapunov[0]
+    assert callable(args[2]) and kwargs["t_start"] == 0.0
+    fm = np.loadtxt(tmp_path / "first_moments.csv", delimiter=",",
+                    skiprows=1)
+    meas = np.loadtxt(tmp_path / "measures.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(fm[:, 0], meas[:, 0])
+
+    alone = dict(doc, outputs=["first_moments"])
+    run_experiment(config_from_dict(alone), tmp_path / "alone")
+    assert len(lyapunov) == 1 and len(moments) == 1
+    ref = np.loadtxt(tmp_path / "alone" / "first_moments.csv",
+                     delimiter=",", skiprows=1)
+    assert np.array_equal(ref[:, 0], fm[:, 0])
+    scale = np.max(np.abs(ref), axis=0)
+    assert np.max(np.abs(fm - ref)[:, 1:] / scale[1:]) <= \
+        10 * cfg.numerics.rel_tol
+
+
+def test_engineered_run_carries_means_only_when_asked(tmp_path,
+                                                      monkeypatch):
+    sizes = []
+    integrate = fluctuations.integrate_adaptive
+
+    def counted(f, t_span, y0, cfg, t_eval=None):
+        sizes.append(np.size(y0))
+        return integrate(f, t_span, y0, cfg, t_eval=t_eval)
+
+    monkeypatch.setattr(fluctuations, "integrate_adaptive", counted)
+    doc = _fig7_engineered()
+    assert doc["outputs"] == ["EN"]
+    run_experiment(config_from_dict(doc), tmp_path / "en")
+    assert sizes == [21]                    # vech V alone
+    doc = dict(doc, outputs=["first_moments", "EN"])
+    run_experiment(config_from_dict(doc), tmp_path / "means")
+    assert sizes == [21, 27]                # the means next to vech V
 
 
 @pytest.mark.parametrize("t_wigner", [1e6, -1.0])

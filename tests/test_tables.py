@@ -1,10 +1,11 @@
 import csv
 
 import numpy as np
+import pytest
 
 from optomech import tables
 from optomech.fluctuations import UNVECH, VECH
-from optomech.measures import wigner
+from optomech.measures import WignerGrid, wigner
 from optomech.tables import write_cm_csv, write_rows, write_wigner_csv
 
 SPECIALS = [float("nan"), float("inf"), float("-inf"), -0.0, 1e16, 1e-5,
@@ -67,6 +68,27 @@ def test_wigner_grid_is_x_major(tmp_path):
     reference_csv(tmp_path / "want.csv", ["x", "y", "w"], rows)
     assert (tmp_path / "got.csv").read_bytes() == \
         (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("chunk_rows", [4, tables.CHUNK_ROWS])
+def test_wigner_axes_formatted_once_match_each_cell(tmp_path, monkeypatch,
+                                                    chunk_rows):
+    monkeypatch.setattr(tables, "CHUNK_ROWS", chunk_rows)
+    x_ax = np.array([-0.0, -1.2345678901234567, 0.1, 2.0000000000000004,
+                     -3e-17])
+    y_ax = np.array([0.30000000000000004, -0.0, -7.0, 1e-300,
+                     123456789.12345679, -2.5, 0.0])
+    values = np.random.default_rng(5).normal(size=(5, 7)) \
+        * np.logspace(-300, 300, 7)
+    values[0, 0] = values[3, 6] = -0.0
+    grid = WignerGrid(axes=(x_ax, y_ax), values=values)
+    write_wigner_csv(tmp_path / "got.csv", grid)
+    columns = (np.repeat(x_ax, len(y_ax)), np.tile(y_ax, len(x_ax)),
+               values.ravel())
+    want = "x,y,w\n" + "".join(",".join(repr(float(c)) for c in row) + "\n"
+                               for row in zip(*columns))
+    assert (tmp_path / "got.csv").read_text() == want
+    assert "-0.0,0.30000000000000004," in want
 
 
 def test_cm_row_is_the_state_vech(tmp_path):
