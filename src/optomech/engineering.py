@@ -39,6 +39,10 @@ def _check_target(params: SystemParams, target: EngineeredCoupling):
         raise SingularDenominator(
             "Omega coincides with omega_m; the long-time denominators "
             "Omega^2 - omega_m^2 vanish")
+    for name, shift in (("delta_c", 0.0), ("delta_c - Omega", om)):
+        if abs(params.gamma_a + 1j * (params.delta_c - shift)) < 1e-12:
+            raise SingularDenominator(
+                f"atomic denominator gamma_a + i ({name}) vanishes")
 
 
 def laplace_coefficients(params: SystemParams, target: EngineeredCoupling

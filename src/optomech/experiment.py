@@ -116,6 +116,10 @@ class ExperimentConfig:
                 report.append(f"{name} must be positive")
         if self.samples_per_period < 1:
             report.append("samples_per_period must be at least 1")
+        if self.j_max < 0:
+            report.append("floquet j_max must be >= 0")
+        if self.n_max < 1:
+            report.append("floquet n_max must be >= 1")
         if self.wigner_times:
             t_end = self.horizon_periods * (2.0 * np.pi / drive.big_omega)
             bad = [t for t in self.wigner_times if not 0.0 <= t <= t_end]
@@ -410,13 +414,13 @@ def drive_to_dict(drive: DriveSpec) -> dict:
 # ---------------------------------------------------------------------------
 
 def compare_sources(cfg: ExperimentConfig) -> dict[str, float]:
-    """Max relative deviation ODE vs Floquet over the final two periods."""
+    """Max relative deviation ODE vs Floquet over the final two periods,
+    400 samples clamped at t = 0 as sample_times clamps a run's window."""
     drive = cfg.resolved_drive()
     if drive.big_omega <= 0:
         raise ValueError("source comparison needs a modulated drive")
-    tau = drive.period
-    t_end = cfg.horizon_periods * tau
-    t_eval = np.linspace(t_end - 2.0 * tau, t_end, 400)
+    t_eval = sample_times(replace(cfg, sample_periods=2.0,
+                                  samples_per_period=200, wigner_times=()))
     traj = solve(replace(cfg, outputs=("first_moments",)), t_eval)[1]
     sol = floquet_recurse(cfg.params, drive, cfg.j_max, cfg.n_max)
     series = sol.evaluate(cfg.params.g, t_eval)
@@ -493,17 +497,18 @@ def _constant_cells(cfg: ExperimentConfig, points) -> list[tuple[str, float]]:
 def evaluate_cell(cfg: ExperimentConfig) -> tuple[str, float]:
     """(status, EN) for one sweep cell; failures flagged, not raised.
 
-    A modulated cell is solved over its last period with co-integrated
-    means; one whose periodic solve finds a Floquet multiplier on or
-    outside the unit circle is unstable, and its window is not
-    integrated.
+    A modulated cell is solved over its last period (sample_times'
+    window, clamped at t = 0) with co-integrated means; one whose
+    periodic solve finds a Floquet multiplier on or outside the unit
+    circle is unstable, and its window is not integrated.
     """
-    drive = cfg.resolved_drive()
-    if drive.big_omega == 0.0:
-        return _constant_cells(cfg, [(cfg.params, drive.component(0))])[0]
-    t_end = cfg.horizon_periods * drive.period
-    t_eval = np.linspace(t_end - drive.period, t_end, cfg.samples_per_period)
     try:
+        drive = cfg.resolved_drive()
+        if drive.big_omega == 0.0:
+            return _constant_cells(cfg, [(cfg.params,
+                                          drive.component(0))])[0]
+        t_eval = sample_times(replace(cfg, sample_periods=1.0,
+                                      wigner_times=()))
         vs = solve(replace(cfg, first_moment_source="ode", outputs=("EN",)),
                    t_eval)[2]
     except SimulationError as exc:

@@ -7,6 +7,10 @@ Two independent routes to the asymptotic mean values:
   coupling and in drive harmonics,
 
 which cross-validate each other on every canonical configuration.
+
+floquet_recurse builds the coefficients O_{n,j} (harmonic n, power g^j)
+order by order, order 0 (j_max = 0) being the drive's linear response,
+with every product of harmonics truncated to |n| <= n_max.
 """
 
 from __future__ import annotations
@@ -132,100 +136,70 @@ class FloquetSolution:
         return out
 
 
-def _linear_denominator(params: SystemParams, big_omega: float,
-                        n: int) -> complex:
-    d = ((1j * (n * big_omega + params.delta_a) + params.kappa)
-         * (1j * (n * big_omega + params.delta_c) + params.gamma_a)
-         + params.g0_collective ** 2)
-    if abs(d) < 1e-12:
+def _denominators(params: SystemParams, big_omega: float, n_max: int,
+                  mechanical: bool):
+    """(cavity-atom, mechanical, n*Omega) arrays over n = -n_max..n_max.
+
+    Raises SingularDenominator at the first harmonic where a cavity-atom
+    denominator vanishes, then, when mechanical is true, at the first
+    where a mechanical one does.
+    """
+    ns = np.arange(-n_max, n_max + 1)
+    w = ns * big_omega
+    lin = ((1j * (w + params.delta_a) + params.kappa)
+           * (1j * (w + params.delta_c) + params.gamma_a)
+           + params.g0_collective ** 2)
+    mech = params.omega_m ** 2 - w ** 2 + 1j * params.gamma_m * w
+    small = np.abs(lin) < 1e-12
+    if small.any():
         raise SingularDenominator(
-            f"cavity-atom denominator vanishes at harmonic n = {n} "
-            "(parametric resonance of the linear system)")
-    return d
-
-
-def _mechanical_denominator(params: SystemParams, big_omega: float,
-                            n: int) -> complex:
-    d = (params.omega_m ** 2 - (n * big_omega) ** 2
-         + 1j * params.gamma_m * n * big_omega)
-    if abs(d) < 1e-12:
+            "cavity-atom denominator vanishes at harmonic n = "
+            f"{ns[small][0]} (parametric resonance of the linear system)")
+    small = np.abs(mech) < 1e-12
+    if mechanical and small.any():
         raise SingularDenominator(
-            f"mechanical denominator vanishes at harmonic n = {n} "
-            "(n*Omega resonant with omega_m at negligible damping)")
-    return d
-
-
-def floquet_zero_order(params: SystemParams, drive: DriveSpec,
-                       n_max: int = DEFAULT_N_MAX) -> FloquetSolution:
-    """Zeroth order in g: mechanics at rest, cavity and atoms driven."""
-    if drive.big_omega <= 0:
-        raise ValueError("Floquet expansion needs a modulated drive")
-    shape = (2 * n_max + 1, 1)
-    q = np.zeros(shape, dtype=complex)
-    p = np.zeros(shape, dtype=complex)
-    a = np.zeros(shape, dtype=complex)
-    c = np.zeros(shape, dtype=complex)
-    for n in range(-n_max, n_max + 1):
-        d = _linear_denominator(params, drive.big_omega, n)
-        e = drive.component(-n)
-        num_a = (1j * (n * drive.big_omega + params.delta_c)
-                 + params.gamma_a)
-        a[n + n_max, 0] = num_a * e / d
-        c[n + n_max, 0] = params.g0_collective * e / (1j * d)
-    return FloquetSolution(q=q, p=p, a=a, c=c, n_max=n_max, j_max=0,
-                           big_omega=drive.big_omega)
+            "mechanical denominator vanishes at harmonic n = "
+            f"{ns[small][0]} (n*Omega resonant with omega_m at negligible "
+            "damping)")
+    return lin, mech, w
 
 
 def floquet_recurse(params: SystemParams, drive: DriveSpec,
                     j_max: int = DEFAULT_J_MAX,
                     n_max: int = DEFAULT_N_MAX) -> FloquetSolution:
-    """Fill all orders j <= j_max of the double expansion by recursion.
+    """All orders j <= j_max of the double expansion; j_max = 0 is the
+    zeroth order, mechanics at rest with cavity and atoms driven.
 
-    Inner convolution sums are truncated so every harmonic index stays
-    within |.| <= n_max.
+    Order j >= 1 sums, over k < j, the convolution |<a>|^2 of orders
+    j-1-k and k, which drives q, and <a>_k <q>_{j-1-k}, which drives a
+    and c.  Each is truncated to harmonics |n| <= n_max: terms whose
+    harmonic indices leave that range are dropped.
     """
     if j_max < 0 or n_max < 1:
         raise ValueError("need j_max >= 0 and n_max >= 1")
-    base = floquet_zero_order(params, drive, n_max)
+    if drive.big_omega <= 0:
+        raise ValueError("Floquet expansion needs a modulated drive")
+    lin, mech, w = _denominators(params, drive.big_omega, n_max, j_max >= 1)
+    keep = slice(n_max, 3 * n_max + 1)   # |n| <= n_max of a full convolution
     shape = (2 * n_max + 1, j_max + 1)
     q = np.zeros(shape, dtype=complex)
-    p = np.zeros(shape, dtype=complex)
     a = np.zeros(shape, dtype=complex)
     c = np.zeros(shape, dtype=complex)
-    a[:, 0] = base.a[:, 0]
-    c[:, 0] = base.c[:, 0]
-
-    om = params.omega_m
-    big = drive.big_omega
-    ns = range(-n_max, n_max + 1)
-    for j in range(1, j_max + 1):
-        # q_{n,j} from the radiation-pressure convolution |<a>|^2
-        for n in ns:
-            dq = _mechanical_denominator(params, big, n)
-            acc = 0j
-            for k in range(j):
-                for m in ns:
-                    if abs(n + m) > n_max:
-                        continue
-                    acc += np.conj(a[m + n_max, k]) * a[n + m + n_max,
-                                                        j - 1 - k]
-            q[n + n_max, j] = om * acc / dq
-            p[n + n_max, j] = (1j * n * big / om) * q[n + n_max, j]
-        # a_{n,j}, c_{n,j} from the <a><q> convolution
-        for n in ns:
-            d = _linear_denominator(params, big, n)
-            acc = 0j
-            for k in range(j):
-                for m in ns:
-                    if abs(n - m) > n_max:
-                        continue
-                    acc += a[m + n_max, k] * q[n - m + n_max, j - 1 - k]
-            num_a = 1j * (params.gamma_a
-                          + 1j * (params.delta_c + n * big))
-            a[n + n_max, j] = num_a * acc / d
-            c[n + n_max, j] = params.g0_collective * acc / d
+    num_a = 1j * (w + params.delta_c) + params.gamma_a
+    # the source of a and c: the drive E_{-n} at order 0, then i<a><q>
+    src = np.array([drive.component(-n) for n in range(-n_max, n_max + 1)])
+    for j in range(j_max + 1):
+        if j:
+            q[:, j] = params.omega_m * sum(
+                np.correlate(a[:, j - 1 - k], a[:, k], "full")[keep]
+                for k in range(j)) / mech
+            src = 1j * sum(np.convolve(a[:, k], q[:, j - 1 - k], "full")[keep]
+                           for k in range(j))
+        a[:, j] = num_a * src / lin
+        c[:, j] = params.g0_collective * src / (1j * lin)
+    p = (1j * w / params.omega_m)[:, np.newaxis] * q
     return FloquetSolution(q=q, p=p, a=a, c=c, n_max=n_max, j_max=j_max,
-                           big_omega=big)
+                           big_omega=drive.big_omega)
 
 
 def evaluate_floquet(sol: FloquetSolution, g: float, t: float
@@ -260,14 +234,6 @@ def effective_detuning(params: SystemParams, q_mean: float) -> float:
     return params.delta_a - params.g * q_mean
 
 
-def _constant_cavity_amplitude(params: SystemParams, e0: complex,
-                               delta_a_eff: float) -> complex:
-    denom = (params.kappa + 1j * delta_a_eff
-             + params.g0_collective ** 2
-             / (params.gamma_a + 1j * params.delta_c))
-    return e0 / denom
-
-
 def steady_state_constant(params: SystemParams, e0: complex,
                           delta_a_eff: float | None = None
                           ) -> tuple[FirstMoments, SystemParams]:
@@ -278,34 +244,34 @@ def steady_state_constant(params: SystemParams, e0: complex,
     Otherwise n = |<a>|^2 solves the stationary cubic
     n [(Re K)^2 + (Im K + delta_a - g^2 n / omega_m)^2] = |E_0|^2, with
     K = kappa + G0^2 / (gamma_a + i delta_c), and the lowest real root,
-    the branch reached from q = 0, is the working point.
+    the branch reached from q = 0, is the working point.  Raises
+    SingularDenominator where gamma_a + i delta_c vanishes.
     """
+    atom = params.gamma_a + 1j * params.delta_c
+    if abs(atom) < 1e-12:
+        raise SingularDenominator(
+            "atomic denominator gamma_a + i delta_c vanishes "
+            "(undamped atoms on resonance)")
+    k = params.kappa + params.g0_collective ** 2 / atom
     if delta_a_eff is not None:
-        a = _constant_cavity_amplitude(params, e0, delta_a_eff)
+        a = e0 / (k + 1j * delta_a_eff)
         q = params.g * abs(a) ** 2 / params.omega_m
-        c = (-1j * params.g0_collective * a
-             / (params.gamma_a + 1j * params.delta_c))
-        eff = SystemParams(delta_a=delta_a_eff + params.g * q,
-                           kappa=params.kappa, gamma_m=params.gamma_m,
-                           g=params.g, delta_c=params.delta_c,
-                           gamma_a=params.gamma_a,
-                           g0_collective=params.g0_collective,
-                           n_th=params.n_th, omega_m=params.omega_m)
-        return FirstMoments(q=q, p=0.0, a=a, c=c), eff
-
-    k = params.kappa + params.g0_collective ** 2 / (params.gamma_a
-                                                    + 1j * params.delta_c)
-    u = params.g ** 2 / params.omega_m
-    b = k.imag + params.delta_a
-    roots = np.roots([u * u, -2.0 * b * u, k.real ** 2 + b * b,
-                      -abs(e0) ** 2])
-    # next to a fold the two merging roots come back as a pair split off
-    # the real axis by rounding, O(sqrt(eps)) of their size
-    n = float(np.min(roots.real[np.abs(roots.imag)
-                                <= 1e-6 * np.abs(roots)]))
-    q = params.g * n / params.omega_m
-    a = _constant_cavity_amplitude(params, e0,
-                                   params.delta_a - params.g * q)
-    c = (-1j * params.g0_collective * a
-         / (params.gamma_a + 1j * params.delta_c))
+        params = SystemParams(delta_a=delta_a_eff + params.g * q,
+                              kappa=params.kappa, gamma_m=params.gamma_m,
+                              g=params.g, delta_c=params.delta_c,
+                              gamma_a=params.gamma_a,
+                              g0_collective=params.g0_collective,
+                              n_th=params.n_th, omega_m=params.omega_m)
+    else:
+        u = params.g ** 2 / params.omega_m
+        b = k.imag + params.delta_a
+        roots = np.roots([u * u, -2.0 * b * u, k.real ** 2 + b * b,
+                          -abs(e0) ** 2])
+        # next to a fold the two merging roots come back as a pair split
+        # off the real axis by rounding, O(sqrt(eps)) of their size
+        n = float(np.min(roots.real[np.abs(roots.imag)
+                                    <= 1e-6 * np.abs(roots)]))
+        q = params.g * n / params.omega_m
+        a = e0 / (k + 1j * (params.delta_a - params.g * q))
+    c = -1j * params.g0_collective * a / atom
     return FirstMoments(q=q, p=0.0, a=a, c=c), params

@@ -180,3 +180,18 @@ def test_resonant_modulation_rejected():
         asymptotic_first_moments(FIG6,
                                  EngineeredCoupling(g1=1.0, g2=0.1,
                                                     big_omega=1.0), 0.0)
+
+
+@pytest.mark.parametrize("delta_c, name", [(0.0, "delta_c"),
+                                           (2.0, "delta_c - Omega")])
+def test_undamped_resonant_atoms_rejected(delta_c, name):
+    # gamma_a + i delta_c or gamma_a + i (delta_c - Omega) is zero: every
+    # closed form that divides by it refuses the target
+    params = SystemParams(delta_a=1.0, kappa=10.0, gamma_m=1e-3, g=1e-3,
+                          delta_c=delta_c, gamma_a=0.0, g0_collective=1.0)
+    message = f"gamma_a \\+ i \\({name}\\) vanishes"
+    for closed_form in (laplace_coefficients, modulation_components):
+        with pytest.raises(SingularDenominator, match=message):
+            closed_form(params, TARGET)
+    with pytest.raises(SingularDenominator, match=message):
+        asymptotic_first_moments(params, TARGET, 0.0)

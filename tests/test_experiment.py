@@ -12,7 +12,7 @@ from optomech.experiment import (ExperimentConfig, SweepAxis,
                                  compare_sources, config_from_dict,
                                  evaluate_cell, measures_from_cm_series,
                                  run_experiment)
-from optomech.errors import NoConvergence, NotStable
+from optomech.errors import NoConvergence, NotStable, SingularDenominator
 from optomech.fluctuations import integrate_lyapunov
 from optomech.measures import principal_axis_angle, squeezing_parameter
 from optomech.model import DriveSpec, SystemParams
@@ -838,3 +838,99 @@ def test_unstable_cycle_integrates_no_window(tmp_path, monkeypatch):
         run_experiment(cfg, tmp_path)
     assert calls == []
     assert not (tmp_path / "measures.csv").exists()
+
+
+# undamped atoms on resonance: gamma_a + i delta_c = 0 at delta_c = 0
+RESONANT_ATOMS_DOC = {
+    "params": dict(FIG4A_BOX_DOC["params"], gamma_a=0.0, delta_c=0.0),
+    "drive": {"Omega": 0.0, "components": [{"n": 0, "re": 1.2e5}]},
+}
+
+
+def test_resonant_atoms_fail_one_point_run_with_typed_error(tmp_path):
+    doc = dict(RESONANT_ATOMS_DOC, outputs=["EN"])
+    with pytest.raises(SingularDenominator, match=r"gamma_a \+ i delta_c"):
+        run_experiment(config_from_dict(doc), tmp_path)
+    assert not (tmp_path / "measures.csv").exists()
+
+
+def _resonant_engineered():
+    doc = load_recipe("fig7")
+    return dict(doc, params=dict(doc["params"], gamma_a=0.0),
+                horizon_periods=2.0, samples_per_period=10)
+
+
+@pytest.mark.parametrize("make_doc", [lambda: RESONANT_ATOMS_DOC,
+                                      _resonant_engineered],
+                         ids=["constant", "engineered"])
+def test_resonant_atoms_flag_their_sweep_cell_only(tmp_path, make_doc):
+    def sweep(points):
+        doc = dict(make_doc(), sweep={"axes": [
+            {"name": "delta_c", "min": -1.0, "max": 1.0, "points": points}]})
+        run_experiment(config_from_dict(doc), tmp_path / str(points))
+        return read_sweep(tmp_path / str(points) / "sweep.csv")
+
+    rows = sweep(3)
+    assert rows[1] == ["0.0", "error:SingularDenominator", "nan"]
+    # the neighbours read what a sweep without the resonance reads
+    assert [rows[0], rows[2]] == sweep(2)
+    assert not any(row[1].startswith("error") for row in sweep(2))
+
+
+@pytest.mark.parametrize("delta_c", [0.0, 2.0])
+def test_cli_engineer_drive_rejects_resonant_atoms(tmp_path, capsys,
+                                                   delta_c):
+    # delta_c = 0 and delta_c = Omega zero the atomic denominators
+    doc = {
+        "params": {"delta_a": 1.0, "kappa": 10.0, "gamma_m": 1e-3,
+                   "g": 1e-3, "delta_c": delta_c, "gamma_a": 0.0,
+                   "G0": 1.0},
+        "engineered": {"G1": 1.2, "G2": 0.1, "Omega": 2.0},
+    }
+    path = write_config(tmp_path, doc)
+    with pytest.raises(SingularDenominator, match="atomic denominator"):
+        cli_main(["engineer-drive", "--config", str(path)])
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("key, value", [("j_max", -1), ("n_max", 0)])
+def test_floquet_orders_are_checked(tmp_path, key, value):
+    doc = dict(load_recipe("fig5a"), floquet={key: value})
+    cfg = config_from_dict(doc)
+    report = cfg.validate()
+    assert len(report) == 1 and key in report[0]
+    with pytest.raises(ValueError, match=key):
+        run_experiment(cfg, tmp_path)
+    assert not (tmp_path / "manifest.json").exists()
+
+    # a constant drive builds no series
+    doc = dict(CYCLING_POINT_DOC, floquet={key: value})
+    assert config_from_dict(doc).validate() == []
+
+
+def test_sweep_cell_window_is_the_last_period(tmp_path, monkeypatch):
+    calls = counting(monkeypatch, experiment.solve, experiment)
+    tau = np.pi
+    for horizon in (10.0, 0.5):
+        doc = dict(FIG2_DOC, horizon_periods=horizon, sweep={"axes": [
+            {"name": "E0", "min": 1.5e5, "max": 1.5e5, "points": 1}]})
+        run_experiment(config_from_dict(doc), tmp_path / str(horizon))
+        rows = read_sweep(tmp_path / str(horizon) / "sweep.csv")
+        assert rows[0][1] == "stable" and float(rows[0][2]) > 0.0
+        t_end = horizon * tau
+        # clamped at t = 0 when the horizon is shorter than a period
+        want = np.linspace(t_end - tau if horizon >= 1.0 else 0.0, t_end, 40)
+        assert np.array_equal(calls[-1][0][1], want)
+
+
+def test_compare_sources_window_is_the_last_two_periods(monkeypatch):
+    calls = counting(monkeypatch, experiment.solve, experiment)
+    tau = np.pi
+    for horizon in (50.0, 1.5):
+        doc = dict(FIG2_DOC, horizon_periods=horizon)
+        report = compare_sources(config_from_dict(doc))
+        assert all(np.isfinite(v) for v in report.values())
+        t_end = horizon * tau
+        want = np.linspace(t_end - 2.0 * tau if horizon >= 2.0 else 0.0,
+                           t_end, 400)
+        assert np.array_equal(calls[-1][0][1], want)

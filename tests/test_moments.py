@@ -4,11 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from optomech.errors import SingularDenominator
+from optomech.experiment import config_from_dict
 from optomech.model import DriveSpec, FirstMoments, SystemParams, ZERO_MOMENTS
 from optomech.moments import (_rhs_vector, effective_coupling,
                               effective_detuning, evaluate_floquet,
-                              floquet_recurse, floquet_zero_order,
-                              integrate_first_moments, steady_state_constant)
+                              floquet_recurse, integrate_first_moments,
+                              steady_state_constant)
+from optomech.recipes import load_recipe
 
 FIG2 = SystemParams(delta_a=1.0, kappa=2.0, gamma_m=1e-3, g=1e-5,
                     delta_c=-1.0, gamma_a=0.1, g0_collective=1.0)
@@ -73,12 +76,12 @@ def test_fig2_limit_cycle_periodicity():
 
 def test_floquet_zero_order_undriven():
     drive = DriveSpec(big_omega=2.0, components={})
-    sol = floquet_zero_order(FIG2, drive)
+    sol = floquet_recurse(FIG2, drive, j_max=0)
     assert not sol.a.any() and not sol.c.any()
 
 
 def test_floquet_zero_order_fig2_closed_form():
-    sol = floquet_zero_order(FIG2, FIG2_DRIVE)
+    sol = floquet_recurse(FIG2, FIG2_DRIVE, j_max=0)
     want = (0.1 - 1.0j) * 15e4 / ((2.0 + 1.0j) * (0.1 - 1.0j) + 1.0)
     assert sol.a[0 + sol.n_max, 0] == pytest.approx(want)
     assert sol.a[2 + sol.n_max, 0] == 0  # no E_{-2} component
@@ -86,10 +89,14 @@ def test_floquet_zero_order_fig2_closed_form():
 
 
 def test_recursion_base_layer_matches_zero_order():
-    sol = floquet_recurse(FIG2, FIG2_DRIVE, j_max=3, n_max=5)
-    base = floquet_zero_order(FIG2, FIG2_DRIVE, n_max=5)
-    assert np.array_equal(sol.a[:, 0], base.a[:, 0])
-    assert np.array_equal(sol.c[:, 0], base.c[:, 0])
+    # the j = 0 layer is bitwise the same whatever j_max
+    base = floquet_recurse(FIG2, FIG2_DRIVE, j_max=0, n_max=5)
+    assert not base.q.any() and not base.p.any()
+    for j_max in (1, 2, 3, 6, 10):
+        sol = floquet_recurse(FIG2, FIG2_DRIVE, j_max=j_max, n_max=5)
+        for obs in ("q", "p", "a", "c"):
+            assert np.array_equal(getattr(sol, obs)[:, 0],
+                                  getattr(base, obs)[:, 0])
 
 
 def test_constant_component_seeds_no_harmonics():
@@ -99,6 +106,111 @@ def test_constant_component_seeds_no_harmonics():
         off = obs.copy()
         off[sol.n_max, :] = 0.0
         assert not off.any()
+
+
+def loop_recurse(params, drive, j_max, n_max):
+    """Reference recursion: one coefficient at a time, the truncated
+    convolutions as index loops that skip every |harmonic| > n_max."""
+    big = drive.big_omega
+    ns = range(-n_max, n_max + 1)
+
+    def lin(n):
+        return ((1j * (n * big + params.delta_a) + params.kappa)
+                * (1j * (n * big + params.delta_c) + params.gamma_a)
+                + params.g0_collective ** 2)
+
+    shape = (2 * n_max + 1, j_max + 1)
+    q, p, a, c = (np.zeros(shape, dtype=complex) for _ in range(4))
+    for n in ns:
+        e = drive.component(-n)
+        a[n + n_max, 0] = ((1j * (n * big + params.delta_c)
+                            + params.gamma_a) * e / lin(n))
+        c[n + n_max, 0] = params.g0_collective * e / (1j * lin(n))
+    om = params.omega_m
+    for j in range(1, j_max + 1):
+        for n in ns:
+            dq = om ** 2 - (n * big) ** 2 + 1j * params.gamma_m * n * big
+            acc = 0j
+            for k in range(j):
+                for m in ns:
+                    if abs(n + m) <= n_max:
+                        acc += (np.conj(a[m + n_max, k])
+                                * a[n + m + n_max, j - 1 - k])
+            q[n + n_max, j] = om * acc / dq
+            p[n + n_max, j] = (1j * n * big / om) * q[n + n_max, j]
+        for n in ns:
+            acc = 0j
+            for k in range(j):
+                for m in ns:
+                    if abs(n - m) <= n_max:
+                        acc += a[m + n_max, k] * q[n - m + n_max, j - 1 - k]
+            num_a = 1j * (params.gamma_a + 1j * (params.delta_c + n * big))
+            a[n + n_max, j] = num_a * acc / lin(n)
+            c[n + n_max, j] = params.g0_collective * acc / lin(n)
+    return {"q": q, "p": p, "a": a, "c": c}
+
+
+def recipe_drive(name):
+    cfg = config_from_dict(load_recipe(name))
+    return cfg.params, cfg.resolved_drive()
+
+
+ORACLE_CASES = [
+    (FIG2, FIG2_DRIVE),
+    (FIG2, DriveSpec(big_omega=2.0, components={0: 1e4})),
+    (FIG2, DriveSpec(big_omega=1.3, components={0: 1 + 2j, 2: -3j,
+                                                -1: 0.5})),
+    # E_9 lies beyond every n_max of the grid, E_-4 beyond n_max <= 3:
+    # the series drops them there
+    (FIG2, DriveSpec(big_omega=2.0, components={0: 1.0, 9: 2.0, -4: 1j})),
+    recipe_drive("fig2"), recipe_drive("fig8a"), recipe_drive("fig7"),
+]
+
+
+@pytest.mark.parametrize("params, drive", ORACLE_CASES)
+def test_recursion_matches_loop_reference(params, drive):
+    # convolutions sum in another order than the loops: agreement to a
+    # few ulps of each order's largest coefficient
+    for n_max in (1, 2, 3, 5, 8):
+        for j_max in (0, 1, 2, 6, 10):
+            sol = floquet_recurse(params, drive, j_max=j_max, n_max=n_max)
+            ref = loop_recurse(params, drive, j_max, n_max)
+            for obs, want in ref.items():
+                got = getattr(sol, obs)
+                assert got.shape == want.shape
+                scale = np.max(np.abs(want), axis=0)
+                err = np.max(np.abs(got - want), axis=0)
+                assert np.all(err <= 1e-13 * scale), (obs, n_max, j_max)
+
+
+def test_mechanical_denominator_names_its_harmonic():
+    # Omega = omega_m at negligible damping: |omega_m^2 - Omega^2
+    # + i gamma_m Omega| = 1e-13 at n = -1 and n = 1
+    params = replace(FIG2, gamma_m=1e-13)
+    drive = DriveSpec(big_omega=1.0, components={0: 1e4})
+    with pytest.raises(SingularDenominator,
+                       match=r"^mechanical denominator vanishes at "
+                             r"harmonic n = -1 "):
+        floquet_recurse(params, drive, j_max=1)
+    # order 0 leaves the mirror at rest and never divides by it
+    assert floquet_recurse(params, drive, j_max=0).a.any()
+
+
+def test_cavity_atom_denominator_names_its_harmonic():
+    # no atom coupling, gamma_a = 1e-13 at delta_c = -Omega: the atomic
+    # factor gamma_a + i (n Omega + delta_c) is 1e-13 at n = 1, and the
+    # denominator 3.6e-13, below the 1e-12 threshold
+    params = replace(FIG2, g0_collective=0.0, gamma_a=1e-13, delta_c=-2.0)
+    drive = DriveSpec(big_omega=2.0, components={0: 1e4})
+    for j_max in (0, 3):
+        with pytest.raises(SingularDenominator,
+                           match=r"^cavity-atom denominator vanishes at "
+                                 r"harmonic n = 1 "):
+            floquet_recurse(params, drive, j_max=j_max)
+    # checked before the mechanical ones, which vanish at n = -1 here
+    params = replace(params, gamma_m=1e-13, delta_c=-1.0)
+    with pytest.raises(SingularDenominator, match="cavity-atom .* n = 1 "):
+        floquet_recurse(params, replace(drive, big_omega=1.0), j_max=2)
 
 
 def test_floquet_matches_ode_on_final_periods():
@@ -119,7 +231,7 @@ def test_floquet_matches_ode_on_final_periods():
 
 def test_evaluate_single_constant_coefficient():
     drive = DriveSpec(big_omega=2.0, components={})
-    sol = floquet_zero_order(FIG2, drive)
+    sol = floquet_recurse(FIG2, drive, j_max=0)
     sol.a[sol.n_max, 0] = 0.3 - 0.7j
     for t in (0.0, 1.3, 9.2):
         fm = evaluate_floquet(sol, FIG2.g, t)
@@ -161,7 +273,7 @@ def test_gauge_limit_small_g():
     t_eval = np.linspace(48 * TAU, 50 * TAU, 50)
     traj = integrate_first_moments(params, FIG2_DRIVE, ZERO_MOMENTS,
                                    50 * TAU, t_eval=t_eval)
-    base = floquet_zero_order(params, FIG2_DRIVE)
+    base = floquet_recurse(params, FIG2_DRIVE, j_max=0)
     series = base.evaluate(g_small, t_eval)
     # the leading neglected correction is the optical spring shift of size
     # ~ g <q> ~ g^2 |a|^2, a few 1e-5 here (versus percent-level at g=1e-5)
@@ -265,3 +377,10 @@ def test_steady_state_next_to_fold():
     assert fm.q < 0.5 * upper     # the lower branch, not the upper one
     assert fm.q == pytest.approx(348365.85, rel=1e-6)
     assert steady_residual(params, e0, fm) <= 1e-12
+
+
+@pytest.mark.parametrize("delta_a_eff", [None, 1.0])
+def test_steady_state_undamped_resonant_atoms_raise(delta_a_eff):
+    params = replace(FIG2, gamma_a=0.0, delta_c=0.0)
+    with pytest.raises(SingularDenominator, match=r"gamma_a \+ i delta_c"):
+        steady_state_constant(params, 1.2e5, delta_a_eff)
