@@ -18,6 +18,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .engineering import modulation_components
+from .errors import SimulationError
 from .experiment import compare_sources, config_from_dict, \
     drive_to_dict, load_config, run_experiment, sample_times, solve
 from .recipes import load_recipe, recipe_names
@@ -66,7 +67,14 @@ def main(argv=None) -> int:
     sub.add_argument("--times", help="comma-separated evaluation times")
 
     args = parser.parse_args(argv)
+    try:
+        return _run(args)
+    except SimulationError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
+
+def _run(args) -> int:
     if args.command == "engineer-drive":
         cfg = load_config(args.config)
         if cfg.engineered is None:

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .engineering import engineered_mean_source, modulation_components
 from .errors import Diverged, NonPhysical, NotStable, SimulationError
-from .fluctuations import build_diffusion, build_drift, \
+from .fluctuations import _check_physical, build_diffusion, build_drift, \
     integrate_lyapunov, lyapunov_stack, periodic_state, stability_check, \
     steady_state_lyapunov
 from .measures import log_negativity_stack, principal_axis_angle, \
@@ -256,7 +256,8 @@ def _working_point(cfg: ExperimentConfig, params: SystemParams,
     return fm, build_drift(eff, fm.q, fm.a), build_diffusion(eff)
 
 
-def solve(cfg: ExperimentConfig, t_eval: np.ndarray):
+def solve(cfg: ExperimentConfig, t_eval: np.ndarray,
+          require_verdict: bool = False):
     """(t, means, vs, stability): the run's means, CMs and verdict at t_eval.
 
     Every run, sweep cell and stability report decides here how its
@@ -265,20 +266,20 @@ def solve(cfg: ExperimentConfig, t_eval: np.ndarray):
     A modulated drive is sampled at t_eval, which ends at t_end:
 
     * The periodic solve at t0 = t_eval[0] gives stability.  It runs
-      whenever the verdict is asked for, and a failure raises; otherwise
-      only when a CM output is asked for with the "ode" source, whose
-      means fill the drift, and t0 > 0; a failure falls back to t = 0.
-    * The CM window starts at t0 from the periodic state when that is
-      usable and the source is "ode", else at t = 0 from the configured
-      initial state.
+      whenever the verdict is asked for or required (require_verdict, as
+      for a sweep cell), and a failure raises; otherwise only when a CM
+      output is asked for with the "ode" source and t0 > 0, and a
+      failure falls back to t = 0.
+    * When the periodic state is usable and the source is "ode", its
+      harmonics give the means and the CMs at t_eval, and nothing is
+      integrated; otherwise the CM is integrated from t = 0.
 
     means (a MomentTrajectory) is asked for by first_moments.  A run
     that integrates its CM carries the means in the same stepping loop,
-    whatever the source: from the window's start for "ode", and from
-    t = 0 next to the CM for "floquet" and "engineered", whose callable
-    fills the drift.  Only a run with no CM integration calls
-    integrate_first_moments, from t = 0.  A callable-source run that
-    does not ask for first_moments integrates vech V alone.
+    whatever the source (next to the CM for "floquet" and "engineered",
+    whose callable fills the drift).  Only a run with no CM output calls
+    integrate_first_moments.  A callable-source run that does not ask
+    for first_moments integrates vech V alone.
 
     vs, the (T, 6, 6) CMs, is asked for by the measure outputs.  vs is
     None, with no integration made, when the verdict rules out a
@@ -301,7 +302,7 @@ def solve(cfg: ExperimentConfig, t_eval: np.ndarray):
     def recurse():
         return floquet_recurse(cfg.params, drive, cfg.j_max, cfg.n_max)
 
-    asked = "stability" in cfg.outputs
+    asked = "stability" in cfg.outputs or require_verdict
     source = cfg.first_moment_source
     t0, t_end = float(t_eval[0]), float(t_eval[-1])
     series = recurse() if measured and source == "floquet" else None
@@ -316,21 +317,23 @@ def solve(cfg: ExperimentConfig, t_eval: np.ndarray):
                 raise
         else:
             stability = stability_check(periodic)
-    if measured and (asked or periodic is None or stability["stable"]):
+    if measured and source == "ode" and periodic is not None \
+            and periodic.usable:
+        y, vs = periodic.sample(t_eval)
+        _check_physical(t_eval, vs)
+        means = MomentTrajectory.from_states(t_eval, y.T)
+    elif measured and ("stability" in cfg.outputs or periodic is None
+                       or stability["stable"]):
         if source == "floquet":
             source = floquet_mean_source(series, cfg.params.g)
         elif source == "engineered":
             source = engineered_mean_source(cfg.params, cfg.engineered)
-        if source == "ode" and periodic is not None and periodic.usable:
-            t_start, v0 = t0, periodic.v
-            y0 = FirstMoments.from_vector(periodic.y)
-        else:
-            t_start, v0, y0 = 0.0, cfg.init_cm, cfg.init_moments
+        y0 = cfg.init_moments
         if source != "ode" and "first_moments" not in cfg.outputs:
             y0 = None       # the CM alone: the source fills the drift
-        lt = integrate_lyapunov(cfg.params, drive, source, v0, t_end,
-                                t_eval=t_eval, cfg=cfg.numerics,
-                                moment_init=y0, t_start=t_start)
+        lt = integrate_lyapunov(cfg.params, drive, source, cfg.init_cm,
+                                t_end, t_eval=t_eval, cfg=cfg.numerics,
+                                moment_init=y0, t_start=0.0)
         means, vs = lt.means, lt.v
     if means is None and "first_moments" in cfg.outputs:
         means = integrate_first_moments(cfg.params, drive, cfg.init_moments,
@@ -498,9 +501,9 @@ def evaluate_cell(cfg: ExperimentConfig) -> tuple[str, float]:
     """(status, EN) for one sweep cell; failures flagged, not raised.
 
     A modulated cell is solved over its last period (sample_times'
-    window, clamped at t = 0) with co-integrated means; one whose
-    periodic solve finds a Floquet multiplier on or outside the unit
-    circle is unstable, and its window is not integrated.
+    window, clamped at t = 0) and needs a Floquet verdict: a failed
+    periodic solve flags the cell, and a multiplier on or outside the
+    unit circle makes it unstable; neither integrates the window.
     """
     try:
         drive = cfg.resolved_drive()
@@ -510,7 +513,7 @@ def evaluate_cell(cfg: ExperimentConfig) -> tuple[str, float]:
         t_eval = sample_times(replace(cfg, sample_periods=1.0,
                                       wigner_times=()))
         vs = solve(replace(cfg, first_moment_source="ode", outputs=("EN",)),
-                   t_eval)[2]
+                   t_eval, require_verdict=True)[2]
     except SimulationError as exc:
         return _cell_status(exc), float("nan")
     if vs is None:

@@ -3,16 +3,16 @@
 Assembles the time-dependent drift matrix and the diffusion matrix of the
 linearized quadrature dynamics, propagates the 6x6 covariance matrix
 through the Lyapunov equation of motion, solves for the periodic
-asymptote of a modulated drive from one period's monodromy, and solves
-the algebraic steady state of a constant drive for a whole stack of
-sweep cells at once (lyapunov_stack).  The hot loop fills one drift
+asymptote of a modulated drive as harmonics (periodic_state), and
+solves the algebraic steady state of a constant drive for a whole stack
+of sweep cells at once (lyapunov_stack).  The hot loop fills one drift
 template per integration (drift_kernel); build_drift assembles a fresh
 matrix for everything else.  stability_check gives the one stability
 verdict per drive kind: the Hurwitz test of the constant drift, or the
 largest Floquet multiplier of the periodic asymptote.
 
 Quadrature ordering is (dq, dp, dX, dY, dx, dy); vacuum variance 1/2.
-Every integration and both algebraic solves carry the symmetric CM as
+Every integration and the algebraic solves carry the symmetric CM as
 vech V, its 21 entries V[VECH] on and above the diagonal in row-major
 order, the column order of cm.csv; V = vech[UNVECH] rebuilds the matrix,
 and _vech_kron gives the solves their Kronecker operators on vech V.
@@ -21,7 +21,7 @@ and _vech_kron gives the solves their Kronecker operators on vech V.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .measures import symplectic_eigenvalues
 from .model import DriveSpec, FirstMoments, SystemParams, ZERO_MOMENTS
 from .moments import FloquetSolution, MomentTrajectory, _rhs_vector, \
     default_stepper, effective_coupling, effective_detuning, \
-    evaluate_floquet, floquet_recurse
+    floquet_recurse, periodic_means
 from .numerics import StepperConfig, integrate_adaptive
 
 PHYSICALITY_SLACK = 1e-6
@@ -136,11 +136,9 @@ def _moments_cm_rhs(params: SystemParams, drive: DriveSpec, source=None,
                     means: bool = True):
     """RHS of the CM, and of the mean values co-integrated with it.
 
-    The state is (moments[6], vech V[21]), with Phi[36] appended when it
-    has 63 entries; without means it is vech V alone.  The drift is
-    filled in at every call from source(t) when a mean source is given,
-    else from the co-integrated means; the fundamental matrix obeys
-    dPhi/dt = A(t) Phi.
+    The state is (moments[6], vech V[21]); without means it is vech V
+    alone.  The drift is filled in at every call from source(t) when a
+    mean source is given, else from the co-integrated means.
     """
     drift = drift_kernel(params)
     d = build_diffusion(params)[VECH]
@@ -156,12 +154,8 @@ def _moments_cm_rhs(params: SystemParams, drive: DriveSpec, source=None,
         dy_m = moment_rhs(t, y[:6])
         a_mat = (drift(y[0], complex(y[2], y[3])) if source is None
                  else drift(*source(t)))
-        av = a_mat @ y[6:27][UNVECH]
-        dv = av.take(_UPPER) + av.take(_LOWER) + d
-        if y.size == 27:
-            return np.concatenate((dy_m, dv))
-        dphi = a_mat @ y[27:].reshape(6, 6)
-        return np.concatenate((dy_m, dv, dphi.ravel()))
+        av = a_mat @ y[6:][UNVECH]
+        return np.concatenate((dy_m, av.take(_UPPER) + av.take(_LOWER) + d))
 
     return f
 
@@ -210,91 +204,129 @@ def integrate_lyapunov(params: SystemParams, drive: DriveSpec,
     return LyapunovTrajectory(t=sol.t, v=vs, means=means)
 
 
-# Quadrature scaling between the mean-value vector (q, p, Re a, Im a,
-# Re c, Im c) and the fluctuation quadratures: u = S dy.
-_QUADRATURE_SCALE = np.array([1.0, 1.0] + [np.sqrt(2.0)] * 4)
-# Shooting converges quadratically; from the Floquet series it takes three
-# periods at the fig5a working point.  Slower convergence means the series
-# start is poor, and the periodic solve gives up.
-SHOOTING_MAX_PERIODS = 5
+HB_ORDERS = (4, 8, 16, 32)      # truncations periodic_state tries
 
 
 @dataclass(frozen=True)
 class PeriodicState:
-    """Periodic asymptote of a modulated drive at the time t0.
-
-    y and v are the limit-cycle means and the periodic CM at t0 (v is None
-    unless usable).  max_multiplier is the largest Floquet multiplier
-    modulus, from the one-period fundamental matrix; transient_residue =
-    max_multiplier**floor(t0/tau) bounds the share of the initial
-    transient that a run from t = 0 still carries at t0.  usable is the
-    gate: the cycle attracts (max_multiplier < 1) and the residue is
-    within the stepper's rel_tol.
-    """
+    """Periodic asymptote of a modulated drive: the harmonics, n = -N..N,
+    of its means (q, p, Re a, Im a, Re c, Im c) and vech V, and both at t0
+    (y, and v when usable, else None).  transient_residue =
+    max_multiplier**floor(t0/tau) bounds the transient a run from t = 0
+    still carries at t0; usable: the cycle attracts and the residue is
+    within rel_tol.  truncation: max(|A_N| / max |A_n|, |V_N| / |V_0|)."""
 
     y: np.ndarray
     v: np.ndarray | None
     max_multiplier: float
     transient_residue: float
     usable: bool
+    truncation: float
+    means: np.ndarray
+    cm: np.ndarray
+    big_omega: float
+
+    def sample(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """((T, 6) means, (T, 6, 6) CMs) of the cycle at the times t."""
+        n = len(self.means) // 2
+        phases = np.exp(1j * self.big_omega * np.multiply.outer(
+            np.atleast_1d(t), np.arange(-n, n + 1)))
+        return (phases @ self.means).real, (phases @ self.cm).real[:, UNVECH]
 
 
-def _one_period(f, y, t0, tau, cfg):
-    """(y, Phi, vech W) after one period from (y, W = 0, Phi = I) at t0."""
-    state = np.concatenate((y, np.zeros(21), np.eye(6).ravel()))
-    end = integrate_adaptive(f, (t0, t0 + tau), state, cfg).y[:, -1]
-    return end[:6], end[27:].reshape(6, 6), end[6:27]
+def _periodic_cm(m: np.ndarray, big_omega: float,
+                 d: np.ndarray) -> np.ndarray:
+    """Harmonics vech V_k, k = -N..N, of the periodic CM: the solution
+    of sum_j B_{k-j} vech V_j - i k Omega vech V_k = -vech D delta_k0,
+    B_n = L(M_n (x) I + I (x) M_n)D, as the real and imaginary parts of
+    rows k = 0..N in the real and imaginary parts of V_k = conj V_-k.
+    The real matrix is filled a row of blocks at a time, which keeps the
+    complex blocks in memory to one row's worth."""
+    n, eye = len(m) // 2, np.eye(6)
+    b = np.pad(_vech_kron(m, eye) + _vech_kron(eye, m),
+               ((n, n), (0, 0), (0, 0)))       # B_n over n = -2N..2N
+    js, a = np.arange(n + 1), np.zeros((21 * (2 * n + 1),) * 2)
+    for k in js:        # B_{k-j} and B_{k+j} on V_j and V_-j = conj V_j
+        minus = b[k - js + 2 * n]
+        plus = b[k + js + 2 * n] * (js > 0)[:, None, None]
+        minus[k] -= 1j * big_omega * k * np.eye(21)
+        row = np.concatenate((minus + plus, 1j * (minus - plus)[1:]))
+        row = row.transpose(1, 0, 2).reshape(21, -1)
+        a[21 * k:21 * k + 21] = row.real
+        if k:           # the imaginary part of row 0 vanishes identically
+            a[21 * (n + k):21 * (n + k) + 21] = row.imag
+    rhs = np.zeros(len(a))
+    rhs[:21] = -d[VECH]
+    try:
+        x = np.linalg.solve(a, rhs)
+    except np.linalg.LinAlgError:
+        raise Singular("periodic CM system singular") from None
+    v = (x[21:21 * (n + 1)] + 1j * x[21 * (n + 1):]).reshape(n, 21)
+    return np.concatenate((v[::-1].conj(), x[None, :21], v))
+
+
+def _hill_multiplier(m: np.ndarray, big_omega: float) -> float:
+    """Largest Floquet multiplier modulus exp(tau max Re lambda), over
+    the 6 eigenvalues lambda of the Hill matrix (blocks M_{n-k} - i n
+    Omega delta_nk I) whose eigenvectors weigh most on the centre
+    harmonic.  In the basis (p_0, (p_k + p_-k)/sqrt2, i (p_k - p_-k)/sqrt2)
+    the matrix is real, and the centre block is as it was."""
+    n, k, r = len(m) // 2, np.arange(1, len(m) // 2 + 1), np.sqrt(0.5)
+    u = np.eye(2 * n + 1, dtype=complex)
+    u[n + k, n - k], u[n - k, n + k], u[n - k, n - k] = 1.0, 1j, -1j
+    u = np.kron(np.where(np.arange(2 * n + 1) == n, 1.0, r)[:, None] * u,
+                np.eye(6))
+    ns = np.arange(-n, n + 1)
+    hill = np.pad(m, ((n, n), (0, 0), (0, 0)))[ns[:, None] - ns + 2 * n]
+    hill = hill.transpose(0, 2, 1, 3).reshape(len(u), -1) \
+        - 1j * big_omega * np.diag(np.repeat(ns, 6))
+    lam, vec = np.linalg.eig((u @ hill @ u.conj().T).real)
+    top = np.argsort(np.sum(np.abs(vec[6 * n:6 * n + 6]) ** 2, axis=0))[-6:]
+    return float(np.exp(2.0 * np.pi / big_omega * np.max(lam[top].real)))
 
 
 def periodic_state(params: SystemParams, drive: DriveSpec, t0: float,
                    cfg: StepperConfig | None = None,
                    series: FloquetSolution | None = None) -> PeriodicState:
-    """Limit cycle and periodic CM at t0 by one-period monodromy.
-
-    Newton shooting on y(t0 + tau) - y(t0), started from the Floquet
-    series at t0 (series, or floquet_recurse's default orders); its
-    Jacobian S^-1 Phi S - I comes from the fundamental matrix Phi
-    integrated alongside, so it costs no extra integration.
-    It has converged once the residual is within rel_tol of max |y|.
-    The forced CM W (W(t0) = 0) of the converged period then gives the
-    periodic CM as the solution of V = Phi V Phi^T + W.  Raises a
-    SimulationError saying why when the cycle cannot be found: a singular
-    series denominator, a diverging or failing step, a singular Jacobian
-    (Singular) or no convergence within SHOOTING_MAX_PERIODS
-    (NoConvergence).
-    """
+    """Limit cycle, periodic CM and Floquet verdict at t0, as harmonics:
+    the means by harmonic balance (moments.periodic_means from series, or
+    floquet_recurse's default orders), the CM by one linear system, the
+    verdict by Hill's method; nothing is integrated.  N is the first of
+    HB_ORDERS at which |A_N| / max |A_n| and |V_N| / |V_0| are within
+    rel_tol.  Raises a SimulationError when the cycle cannot be found: a
+    singular denominator or CM system, or NoConvergence (Newton, or N)."""
     cfg = default_stepper(drive, cfg)
-    f = _moments_cm_rhs(params, drive)
-    tau = drive.period
-    if series is None:
-        series = floquet_recurse(params, drive)
-    y = evaluate_floquet(series, params.g, t0).to_vector()
-    for _ in range(SHOOTING_MAX_PERIODS):
-        y_end, phi, w = _one_period(f, y, t0, tau, cfg)
-        resid = y_end - y
-        if np.max(np.abs(resid)) <= cfg.rel_tol * np.max(np.abs(y)):
-            break
-        jac = (phi * _QUADRATURE_SCALE) / _QUADRATURE_SCALE[:, None] \
-            - np.eye(6)
-        try:
-            y = y - np.linalg.solve(jac, resid)
-        except np.linalg.LinAlgError:
-            raise Singular(f"shooting Jacobian singular at t0 = {t0:g}") \
-                from None
+    series = series or floquet_recurse(params, drive)
+    g, gr = params.g, np.sqrt(2.0) * params.g
+    for n in HB_ORDERS:
+        y = periodic_means(params, drive, n, series)
+        a = np.abs(y[:, 2] + 1j * y[:, 3])
+        truncation = max(a[0], a[-1]) / (np.max(a) or 1.0)
+        if truncation <= cfg.rel_tol:
+            # the drift's harmonics: it is affine in (q, Re a, Im a)
+            m = np.zeros((2 * n + 1, 6, 6), dtype=complex)
+            m[n] = build_drift(params, 0.0, 0j)
+            m[:, [2, 3, 1, 3, 1, 2], [3, 2, 2, 0, 3, 0]] += \
+                np.array([-g, g, gr, gr, gr, -gr]) * y[:, [0, 0, 2, 2, 3, 3]]
+            cm = _periodic_cm(m, drive.big_omega, build_diffusion(params))
+            truncation = max(truncation, np.max(np.abs(cm[-1]))
+                             / np.max(np.abs(cm[n])))
+            if truncation <= cfg.rel_tol:
+                break
     else:
         raise NoConvergence(
-            f"shooting for the limit cycle at t0 = {t0:g} did not converge "
-            f"in {SHOOTING_MAX_PERIODS} periods")
-    mu = float(np.max(np.abs(np.linalg.eigvals(phi))))
+            f"harmonic balance truncation {truncation:.3g} above rel_tol "
+            f"{cfg.rel_tol:g} at N = {HB_ORDERS[-1]}")
+    mu = _hill_multiplier(m, drive.big_omega)
     with np.errstate(over="ignore"):
-        residue = float(np.power(mu, np.floor(t0 / tau)))
+        residue = float(np.power(mu, np.floor(t0 / drive.period)))
     usable = mu < 1.0 and residue <= cfg.rel_tol
-    v = None
-    if usable:
-        # V = Phi V Phi^T + W as (I - L (Phi (x) Phi) D) vech V = vech W
-        v = np.linalg.solve(np.eye(21) - _vech_kron(phi, phi), w)[UNVECH]
-    return PeriodicState(y=y, v=v, max_multiplier=mu,
-                         transient_residue=residue, usable=usable)
+    ps = PeriodicState(y=None, v=None, max_multiplier=mu,
+                       transient_residue=residue, usable=usable,
+                       truncation=float(truncation), means=y, cm=cm,
+                       big_omega=drive.big_omega)
+    y0, v0 = ps.sample(t0)
+    return replace(ps, y=y0[0], v=v0[0] if usable else None)
 
 
 def stability_check(subject: np.ndarray | PeriodicState) -> dict:
@@ -310,7 +342,8 @@ def stability_check(subject: np.ndarray | PeriodicState) -> dict:
     if isinstance(subject, PeriodicState):
         return {"stable": subject.max_multiplier < 1.0,
                 "max_multiplier": subject.max_multiplier,
-                "transient_residue": subject.transient_residue}
+                "transient_residue": subject.transient_residue,
+                "truncation": subject.truncation}
     margin = float(np.max(np.linalg.eigvals(subject).real))
     return {"stable": margin < 0.0, "margin": margin}
 

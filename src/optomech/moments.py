@@ -1,12 +1,14 @@
 """Classical first-moment dynamics.
 
-Two independent routes to the asymptotic mean values:
+Three routes to the asymptotic mean values:
 
-* direct adaptive integration of the nonlinear mean-value ODEs, and
+* direct adaptive integration of the nonlinear mean-value ODEs,
 * the Floquet double expansion in powers of the radiation-pressure
-  coupling and in drive harmonics,
+  coupling and in drive harmonics, and
+* harmonic balance (periodic_means), the limit cycle's harmonics solved
+  for directly, of which the expansion is the series in powers of g;
 
-which cross-validate each other on every canonical configuration.
+the first two cross-validate each other on every canonical configuration.
 
 floquet_recurse builds the coefficients O_{n,j} (harmonic n, power g^j)
 order by order, order 0 (j_max = 0) being the drive's linear response,
@@ -19,13 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularDenominator
+from .errors import NoConvergence, SingularDenominator
 from .model import (DriveSpec, FirstMoments, SystemParams, ZERO_MOMENTS,
                     drive_kernel)
 from .numerics import StepperConfig, integrate_adaptive
 
 DEFAULT_J_MAX = 6
 DEFAULT_N_MAX = 5
+HB_NEWTON_MAX = 40      # Newton steps of periodic_means from one start
 
 
 def _rhs_vector(params: SystemParams, drive: DriveSpec):
@@ -202,12 +205,63 @@ def floquet_recurse(params: SystemParams, drive: DriveSpec,
                            big_omega=drive.big_omega)
 
 
-def evaluate_floquet(sol: FloquetSolution, g: float, t: float
-                     ) -> FirstMoments:
-    """Evaluate the double expansion at a single time instant."""
-    vals = sol.evaluate(g, t)
-    return FirstMoments(q=float(vals["q"][0]), p=float(vals["p"][0]),
-                        a=complex(vals["a"][0]), c=complex(vals["c"][0]))
+def periodic_means(params: SystemParams, drive: DriveSpec, n_max: int,
+                   series: FloquetSolution) -> np.ndarray:
+    """Harmonics Y_n, n = -n_max..n_max, of the limit cycle's means
+    y(t) = sum_n Y_n exp(i n Omega t) = (q, p, Re a, Im a, Re c, Im c).
+
+    Harmonic balance: Newton's method, with the exact real Jacobian and
+    step halving, on L_n A_n - i g (Q * A)_n = E_{-n} for the harmonics
+    A_n of <a>, Q_n = omega_m g (A ⋆ A)_n / mech_n, in floquet_recurse's
+    denominators and truncated products.  It starts from the series,
+    then from the linear response E_{-n} / L_n; NoConvergence when
+    neither converges within HB_NEWTON_MAX steps.
+    """
+    lin, mech, w = _denominators(params, drive.big_omega, n_max, True)
+    num_a = 1j * (w + params.delta_c) + params.gamma_a
+    big_l, ig = lin / num_a, 1j * params.g
+    cq = params.omega_m * params.g / mech
+    e = np.array([drive.component(-n) for n in range(-n_max, n_max + 1)])
+    ns = np.arange(2 * n_max + 1)
+    toeplitz, hankel = ns[:, None] - ns + 2 * n_max, ns[:, None] + ns
+
+    def parts(a):       # T(A)_{nk} = A_{n-k}, A_{n+k}, T(Q), the residual
+        toe_q = np.pad(cq * (np.pad(a, n_max)[hankel] @ a.conj()),
+                       n_max)[toeplitz]
+        return (np.pad(a, n_max)[toeplitz], np.pad(a, n_max)[hankel], toe_q,
+                big_l * a - ig * toe_q @ a - e)
+
+    real_parts = lambda x: ((x + x[::-1].conj()) / 2,
+                            (x - x[::-1].conj()) / 2j)
+    series_start = np.pad(series.a @ params.g ** np.arange(series.j_max + 1),
+                          n_max)[series.n_max:series.n_max + 2 * n_max + 1]
+    for a in (series_start, e / big_l):
+        for _ in range(HB_NEWTON_MAX):
+            toe_a, hank, toe_q, r = parts(a)
+            j1 = np.diag(big_l) - ig * (toe_q + toe_a @ (cq[:, None]
+                                                         * toe_a.conj().T))
+            j2 = -ig * toe_a @ (cq[:, None] * hank)
+            try:
+                step = np.linalg.solve(
+                    np.block([[(j1 + j2).real, (j2 - j1).imag],
+                              [(j1 + j2).imag, (j1 - j2).real]]),
+                    -np.concatenate((r.real, r.imag)))
+            except np.linalg.LinAlgError:
+                break
+            step = step[:len(a)] + 1j * step[len(a):]
+            if np.max(np.abs(step)) <= 1e-12 * np.max(np.abs(a)):
+                a = a + step
+                q = parts(a)[2][:, n_max]
+                return np.column_stack((
+                    q, 1j * w * q / params.omega_m, *real_parts(a),
+                    *real_parts(-1j * params.g0_collective * a / num_a)))
+            for _ in range(30):         # halve until the residual drops
+                if np.linalg.norm(parts(a + step)[3]) < np.linalg.norm(r):
+                    break
+                step = step / 2
+            a = a + step
+    raise NoConvergence(f"harmonic balance at N = {n_max} did not converge "
+                        f"in {HB_NEWTON_MAX} Newton steps from either start")
 
 
 def floquet_mean_source(sol: FloquetSolution, g: float):

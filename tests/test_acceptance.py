@@ -233,17 +233,11 @@ def test_criterion_9_squeezing_axis_rotation(fig8_run):
 
 
 def test_criterion_10_oracle_equivalences():
-    # algebraic vs integrated steady state
-    fm, eff = steady_state_constant(FIG2, 1.2e5, delta_a_eff=1.0)
-    a_mat = build_drift(eff, fm.q, fm.a)
-    d_mat = build_diffusion(eff)
-    v_alg = steady_state_lyapunov(a_mat, d_mat)
-    horizon = 50.0 / eff.kappa + 20.0 / eff.gamma_m
-    lt = integrate_lyapunov(eff, DriveSpec(big_omega=0.0,
-                                           components={0: 1.2e5}),
-                            lambda t: (fm.q, fm.a), None, horizon,
-                            t_eval=[horizon])
-    lyap_ok = np.max(np.abs(lt.v[-1] - v_alg)) <= 1e-6
+    # algebraic vs integrated steady state, the integration shared with
+    # test_fluctuations' copy of this oracle
+    from test_fluctuations import fig4_point_steady_states
+    v_alg, v_int = fig4_point_steady_states()
+    lyap_ok = np.max(np.abs(v_int - v_alg)) <= 1e-6
 
     # two-mode squeezed-vacuum closed form
     from test_measures import two_mode_squeezed_cm

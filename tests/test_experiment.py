@@ -593,17 +593,18 @@ def test_floquet_series_computed_once_per_floquet_run(tmp_path,
 
 def test_failed_shooting_takes_brute_force(tmp_path, monkeypatch):
     # 70 periods at rel_tol 1e-6: residue 0.7885**69 ~ 8e-8 passes the
-    # gate, so only the shooting decides which path runs.
+    # gate, so only the periodic solve decides which path runs; one
+    # Newton step cannot converge from either start.
     doc = dict(FIG2_DOC, horizon_periods=70.0, outputs=["cm", "EN"],
                numerics={"rel_tol": 1e-6, "abs_tol": 1e-9})
     cfg = config_from_dict(doc)
     run_experiment(cfg, tmp_path / "periodic")
-    monkeypatch.setattr(fluctuations, "SHOOTING_MAX_PERIODS", 1)
+    monkeypatch.setattr("optomech.moments.HB_NEWTON_MAX", 1)
     run_experiment(cfg, tmp_path / "run")
     assert_brute_force_csvs(cfg, tmp_path / "run", tmp_path / "ref")
 
-    # with shooting allowed to converge, the window is solved directly
-    # and agrees with the brute force to the stepper's accuracy
+    # with the periodic solve allowed to converge, the window is its
+    # harmonics and agrees with the brute force to the stepper's accuracy
     shortcut = np.loadtxt(tmp_path / "periodic" / "cm.csv", delimiter=",",
                           skiprows=1)
     brute = np.loadtxt(tmp_path / "ref" / "cm.csv", delimiter=",",
@@ -654,7 +655,8 @@ def test_stability_is_floquet_for_every_source(tmp_path, make_doc):
     doc = dict(make_doc(), outputs=["EN", "stability"])
     run_experiment(config_from_dict(doc), tmp_path)
     stab = json.loads((tmp_path / "stability.json").read_text())
-    assert set(stab) == {"stable", "max_multiplier", "transient_residue"}
+    assert set(stab) == {"stable", "max_multiplier", "transient_residue",
+                         "truncation"}
     assert stab["stable"] is True
     assert 0.0 < stab["max_multiplier"] < 1.0
     # the window starts two periods in
@@ -671,14 +673,19 @@ def test_stability_at_window_from_t0_is_floquet(tmp_path):
     assert stab["transient_residue"] == 1.0
 
 
-def test_stability_raises_when_cycle_not_found(tmp_path, monkeypatch):
-    monkeypatch.setattr(fluctuations, "SHOOTING_MAX_PERIODS", 1)
+def test_stability_raises_when_cycle_not_found(tmp_path, monkeypatch,
+                                               capsys):
+    monkeypatch.setattr("optomech.moments.HB_NEWTON_MAX", 1)
     doc = dict(FIG2_DOC, horizon_periods=3.0, outputs=["EN", "stability"])
     with pytest.raises(NoConvergence):
         run_experiment(config_from_dict(doc), tmp_path)
     path = write_config(tmp_path, doc)
-    with pytest.raises(NoConvergence):
-        cli_main(["stability", "--config", str(path)])
+    capsys.readouterr()
+    assert cli_main(["stability", "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: NoConvergence: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_principal_axis_output_follows_cm(tmp_path):
@@ -705,7 +712,8 @@ def test_principal_axis_output_follows_cm(tmp_path):
 def test_first_moments_come_from_the_cm_integration(tmp_path, monkeypatch,
                                                     horizon):
     # 10 periods: the window is inside the transient, integrated from
-    # t = 0; 70 periods at rel_tol 1e-6: it starts at the periodic state
+    # t = 0; 70 periods at rel_tol 1e-6: it is the periodic state's
+    # harmonics, and nothing is integrated
     doc = dict(FIG2_DOC, horizon_periods=horizon,
                numerics={"rel_tol": 1e-6, "abs_tol": 1e-9})
     cfg = config_from_dict(doc)
@@ -714,9 +722,11 @@ def test_first_moments_come_from_the_cm_integration(tmp_path, monkeypatch,
     moments = counting(monkeypatch, experiment.integrate_first_moments,
                        experiment)
     run_experiment(cfg, tmp_path)
-    assert len(lyapunov) == 1 and moments == []
-    t_start = lyapunov[0][1]["t_start"]
-    assert (t_start > 0.0) == (horizon == 70.0)
+    assert moments == []
+    if horizon == 70.0:
+        assert lyapunov == []
+    else:
+        assert len(lyapunov) == 1 and lyapunov[0][1]["t_start"] == 0.0
     fm = np.loadtxt(tmp_path / "first_moments.csv", delimiter=",",
                     skiprows=1)
     meas = np.loadtxt(tmp_path / "measures.csv", delimiter=",", skiprows=1)
@@ -840,6 +850,18 @@ def test_unstable_cycle_integrates_no_window(tmp_path, monkeypatch):
     assert not (tmp_path / "measures.csv").exists()
 
 
+def test_cell_without_floquet_verdict_is_not_stable(monkeypatch):
+    # fig5a at kappa = 1: the cycle is unstable or is not found; either
+    # way the cell integrates no window and never reads stable
+    doc = load_recipe("fig5a")
+    cfg = config_from_dict(dict(doc, params=dict(doc["params"], kappa=1.0)))
+    calls = counting(monkeypatch, experiment.integrate_lyapunov, experiment)
+    status, en = evaluate_cell(cfg)
+    assert status in ("unstable", "error:NoConvergence")
+    assert np.isnan(en)
+    assert calls == []
+
+
 # undamped atoms on resonance: gamma_a + i delta_c = 0 at delta_c = 0
 RESONANT_ATOMS_DOC = {
     "params": dict(FIG4A_BOX_DOC["params"], gamma_a=0.0, delta_c=0.0),
@@ -888,9 +910,11 @@ def test_cli_engineer_drive_rejects_resonant_atoms(tmp_path, capsys,
         "engineered": {"G1": 1.2, "G2": 0.1, "Omega": 2.0},
     }
     path = write_config(tmp_path, doc)
-    with pytest.raises(SingularDenominator, match="atomic denominator"):
-        cli_main(["engineer-drive", "--config", str(path)])
-    assert capsys.readouterr().out == ""
+    assert cli_main(["engineer-drive", "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: SingularDenominator: atomic denominator")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("key, value", [("j_max", -1), ("n_max", 0)])

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -9,8 +10,7 @@ from scipy.linalg import expm, solve_continuous_lyapunov, \
 from optomech.errors import NonPhysical, NotStable, Singular
 from optomech.experiment import config_from_dict, run_experiment
 from optomech.fluctuations import (UNVECH, _check_physical,
-                                   _moments_cm_rhs, _one_period,
-                                   build_diffusion,
+                                   _moments_cm_rhs, build_diffusion,
                                    build_drift, drift_kernel,
                                    integrate_lyapunov, lyapunov_stack,
                                    periodic_state, stability_check,
@@ -19,6 +19,7 @@ from optomech.measures import symplectic_eigenvalues
 from optomech.model import DriveSpec, FirstMoments, SystemParams
 from optomech.moments import _rhs_vector, default_stepper, \
     steady_state_constant
+from optomech.numerics import StepperConfig, integrate_adaptive
 
 FIG2 = SystemParams(delta_a=1.0, kappa=2.0, gamma_m=1e-3, g=1e-5,
                     delta_c=-1.0, gamma_a=0.1, g0_collective=1.0)
@@ -209,16 +210,25 @@ def test_steady_state_thermal_oscillator():
     assert v[1, 1] == pytest.approx(10.5, rel=1e-8)
 
 
-def test_steady_state_matches_long_time_integration_fig4_point():
+@lru_cache(maxsize=None)
+def fig4_point_steady_states():
+    """(algebraic, integrated) steady-state CMs of FIG2 at E0 = 1.2e5 and
+    the working-point detuning 1: the Lyapunov solve, and the CM equation
+    integrated to 50/kappa + 20/gamma_m.  The integration is slow, so
+    every test that compares the two shares this one result."""
     fm, eff = steady_state_constant(FIG2, 1.2e5, delta_a_eff=1.0)
-    a = build_drift(eff, fm.q, fm.a)
-    d = build_diffusion(eff)
-    v_alg = steady_state_lyapunov(a, d)
+    v_alg = steady_state_lyapunov(build_drift(eff, fm.q, fm.a),
+                                  build_diffusion(eff))
     drive = DriveSpec(big_omega=0.0, components={0: 1.2e5})
     horizon = 50.0 / eff.kappa + 20.0 / eff.gamma_m
     lt = integrate_lyapunov(eff, drive, lambda t: (fm.q, fm.a),
                             None, horizon, t_eval=[horizon])
-    assert np.max(np.abs(lt.v[-1] - v_alg)) <= 1e-6
+    return v_alg, lt.v[-1]
+
+
+def test_steady_state_matches_long_time_integration_fig4_point():
+    v_alg, v_int = fig4_point_steady_states()
+    assert np.max(np.abs(v_int - v_alg)) <= 1e-6
 
 
 def test_steady_state_rejects_non_hurwitz():
@@ -395,6 +405,27 @@ def test_physicality_check_raises_at_the_bogus_cm():
 
 # fig5a: 200 periods, the last two sampled; the window starts at 198 tau.
 FIG5A_T0 = 198 * np.pi
+# the drive whose limit cycle has |mu| = 1.047 (a negative real multiplier)
+UNSTABLE_CYCLE_DRIVE = DriveSpec(big_omega=2.0,
+                                 components={0: 5e4, 1: 8e4, -1: 8e4})
+
+
+def _one_period(params, drive, y, t0, cfg):
+    """(y, Phi, vech W) one period after (y, W = 0, Phi = I) at t0: the
+    means, the fundamental matrix (dPhi/dt = A(t) Phi) and the forced CM
+    integrated together."""
+    f = _moments_cm_rhs(params, drive)
+    drift = drift_kernel(params)
+
+    def rhs(t, state):
+        phi = drift(state[0], complex(state[2], state[3])) \
+            @ state[27:].reshape(6, 6)
+        return np.concatenate((f(t, state[:27]), phi.ravel()))
+
+    state = np.concatenate((y, np.zeros(21), np.eye(6).ravel()))
+    end = integrate_adaptive(rhs, (t0, t0 + drive.period), state,
+                             cfg).y[:, -1]
+    return end[:6], end[27:].reshape(6, 6), end[6:27]
 
 
 @pytest.fixture(scope="module")
@@ -436,8 +467,7 @@ def test_periodic_cm_is_physical(fig5a_periodic):
 
 def test_periodic_cm_solves_the_discrete_lyapunov_equation(fig5a_periodic):
     ps = fig5a_periodic
-    f = _moments_cm_rhs(FIG2, FIG2_DRIVE)
-    _, phi, w = _one_period(f, ps.y, FIG5A_T0, np.pi,
+    _, phi, w = _one_period(FIG2, FIG2_DRIVE, ps.y, FIG5A_T0,
                             default_stepper(FIG2_DRIVE))
     assert w.shape == (21,)
     w = w[UNVECH]
@@ -469,3 +499,20 @@ def test_periodic_run_matches_brute_force_fig5a(tmp_path):
     assert np.array_equal(rows[:, 0], t_eval)
     scale = np.max(np.abs(want), axis=0)
     assert np.max(np.abs(rows[:, 1:] - want) / scale) <= 1e-7
+
+
+@pytest.mark.parametrize("drive, stable", [(FIG2_DRIVE, True),
+                                           (UNSTABLE_CYCLE_DRIVE, False)],
+                         ids=["fig5a", "unstable_cycle"])
+def test_hill_multiplier_matches_integrated_monodromy(drive, stable):
+    # Hill's max |mu| against the eigenvalues of Phi integrated over one
+    # period along the harmonic-balance cycle
+    ps = periodic_state(FIG2, drive, FIG5A_T0)
+    y_end, phi, _ = _one_period(FIG2, drive, ps.y, FIG5A_T0,
+                                default_stepper(drive, StepperConfig(
+                                    rel_tol=1e-13, abs_tol=1e-13)))
+    assert np.max(np.abs(y_end - ps.y)) <= 1e-10 * np.max(np.abs(ps.y))
+    mu = np.max(np.abs(np.linalg.eigvals(phi)))
+    assert abs(ps.max_multiplier - mu) <= 1e-9
+    assert (ps.max_multiplier < 1.0) is stable
+    assert ps.truncation <= default_stepper(drive).rel_tol

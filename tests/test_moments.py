@@ -7,8 +7,8 @@ import pytest
 from optomech.errors import SingularDenominator
 from optomech.experiment import config_from_dict
 from optomech.model import DriveSpec, FirstMoments, SystemParams, ZERO_MOMENTS
-from optomech.moments import (_rhs_vector, effective_coupling,
-                              effective_detuning, evaluate_floquet,
+from optomech.moments import (FloquetSolution, _rhs_vector,
+                              effective_coupling, effective_detuning,
                               floquet_recurse, integrate_first_moments,
                               steady_state_constant)
 from optomech.recipes import load_recipe
@@ -18,6 +18,14 @@ FIG2 = SystemParams(delta_a=1.0, kappa=2.0, gamma_m=1e-3, g=1e-5,
 FIG2_DRIVE = DriveSpec(big_omega=2.0,
                        components={0: 15e4, 1: 3e4, -1: 3e4})
 TAU = np.pi
+
+
+def evaluate_floquet(sol: FloquetSolution, g: float, t: float
+                     ) -> FirstMoments:
+    """Evaluate the double expansion at a single time instant."""
+    vals = sol.evaluate(g, t)
+    return FirstMoments(q=float(vals["q"][0]), p=float(vals["p"][0]),
+                        a=complex(vals["a"][0]), c=complex(vals["c"][0]))
 
 
 def rhs_moments(params, drive, t, state):
