@@ -1,10 +1,9 @@
 """Drive engineering for a target effective coupling G(t) = G1 + G2 e^{-i Omega t}.
 
 Given the target, the cavity mean follows directly; momentum and atomic
-means come from a Laplace-transform solution as sums of exponentials, and
-the exact drive E(t) is synthesized by substituting back into the
-mean-value ODEs.  Long-time asymptotes and the four-component truncated
-drive are provided alongside the exact transient forms.
+means come from a Laplace-transform solution as sums of exponentials.
+Long-time asymptotes and the four-component truncated drive are provided
+alongside the exact transient forms.
 """
 
 from __future__ import annotations
@@ -214,21 +213,3 @@ def modulation_components(params: SystemParams,
     return DriveSpec(big_omega=big,
                      components={2: e2, 1: e1, 0: e0, -1: em1})
 
-
-def exact_drive(params: SystemParams, target: EngineeredCoupling, t,
-                lc: LaplaceCoefficients | None = None):
-    """Pre-asymptotic drive E(t) synthesized from the exact mean values."""
-    lc = lc or laplace_coefficients(params, target)
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.empty(t_arr.shape, dtype=complex)
-    big = target.big_omega
-    for i, ti in enumerate(t_arr):
-        fm = transient_first_moments(params, target, ti, lc)
-        adot = (-1j * big * target.g2 * np.exp(-1j * big * ti)
-                / (SQRT2 * params.g))
-        out[i] = (adot + (params.kappa + 1j * params.delta_a) * fm.a
-                  - 1j * params.g * fm.a * fm.q
-                  + 1j * params.g0_collective * fm.c)
-    if np.ndim(t) == 0:
-        return complex(out[0])
-    return out

@@ -2,9 +2,11 @@
 
 solve decides, in one place, how a run, a sweep cell or a stability
 report reaches its samples: the working point, the periodic state or an
-integration from t = 0.  A run writes one file per requested output from
-what solve returns, plus a JSON manifest echoing the resolved
-configuration.
+integration from t = 0.  The working point and the periodic state both
+take their CM and their verdict from fluctuations.lyapunov_harmonics, a
+constant drive as its N = 0 case.  A run writes one file per requested
+output from what solve returns, plus a JSON manifest echoing the
+resolved configuration.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from . import __version__
 from .engineering import engineered_mean_source, modulation_components
 from .errors import Diverged, NonPhysical, NotStable, SimulationError
 from .fluctuations import _check_physical, build_diffusion, build_drift, \
-    integrate_lyapunov, lyapunov_stack, periodic_state, stability_check, \
-    steady_state_lyapunov
+    integrate_lyapunov, lyapunov_stack, periodic_state, stability_check
 from .measures import log_negativity_stack, principal_axis_angle, \
     reduce_atom_mirror_stack, squeezing_parameter, wigner
 from .model import DriveSpec, EngineeredCoupling, FirstMoments, SystemParams, \
@@ -249,20 +250,14 @@ def sample_times(cfg: ExperimentConfig) -> np.ndarray:
     return t_eval
 
 
-def _working_point(cfg: ExperimentConfig, params: SystemParams,
-                   e0: complex):
-    """(means, drift, diffusion) at a constant drive's working point."""
-    fm, eff = steady_state_constant(params, e0, cfg.delta_a_effective)
-    return fm, build_drift(eff, fm.q, fm.a), build_diffusion(eff)
-
-
 def solve(cfg: ExperimentConfig, t_eval: np.ndarray,
           require_verdict: bool = False):
     """(t, means, vs, stability): the run's means, CMs and verdict at t_eval.
 
     Every run, sweep cell and stability report decides here how its
     samples are reached.  A constant drive is sampled at its working
-    point (t_eval = [0]); stability is the Hurwitz verdict of its drift.
+    point (t_eval = [0]), one cell of _constant_cells: the N = 0 case of
+    lyapunov_harmonics, whose exponent gives the Hurwitz verdict.
     A modulated drive is sampled at t_eval, which ends at t_end:
 
     * The periodic solve at t0 = t_eval[0] gives stability.  It runs
@@ -289,11 +284,12 @@ def solve(cfg: ExperimentConfig, t_eval: np.ndarray,
     drive = cfg.resolved_drive()
     measured = any(o in cfg.outputs for o in MEASURE_OUTPUTS)
     if drive.big_omega == 0.0:
-        fm, drift, diffusion = _working_point(cfg, cfg.params,
-                                              drive.component(0))
-        stability = stability_check(drift)
-        vs = (steady_state_lyapunov(drift, diffusion)[np.newaxis]
-              if measured and stability["stable"] else None)
+        (fm,), v, (margin,), (error,) = _constant_cells(
+            cfg, [(cfg.params, drive.component(0))])
+        if fm is None or (measured and margin < 0.0 and error is not None):
+            raise error         # no working point, or a singular CM solve
+        stability = stability_check(margin)
+        vs = v if measured and stability["stable"] else None
         means = MomentTrajectory(t=t_eval, q=np.array([fm.q]),
                                  p=np.array([fm.p]), a=np.array([fm.a]),
                                  c=np.array([fm.c]))
@@ -333,7 +329,7 @@ def solve(cfg: ExperimentConfig, t_eval: np.ndarray,
             y0 = None       # the CM alone: the source fills the drift
         lt = integrate_lyapunov(cfg.params, drive, source, cfg.init_cm,
                                 t_end, t_eval=t_eval, cfg=cfg.numerics,
-                                moment_init=y0, t_start=0.0)
+                                moment_init=y0)
         means, vs = lt.means, lt.v
     if means is None and "first_moments" in cfg.outputs:
         means = integrate_first_moments(cfg.params, drive, cfg.init_moments,
@@ -418,13 +414,16 @@ def drive_to_dict(drive: DriveSpec) -> dict:
 
 def compare_sources(cfg: ExperimentConfig) -> dict[str, float]:
     """Max relative deviation ODE vs Floquet over the final two periods,
-    400 samples clamped at t = 0 as sample_times clamps a run's window."""
+    400 samples clamped at t = 0 as sample_times clamps a run's window,
+    and the transient_residue that the ODE means, integrated from t = 0,
+    still carry at the window's start (1.0 when it starts at t = 0)."""
     drive = cfg.resolved_drive()
     if drive.big_omega <= 0:
         raise ValueError("source comparison needs a modulated drive")
     t_eval = sample_times(replace(cfg, sample_periods=2.0,
                                   samples_per_period=200, wigner_times=()))
-    traj = solve(replace(cfg, outputs=("first_moments",)), t_eval)[1]
+    _, traj, _, stability = solve(
+        replace(cfg, outputs=("first_moments", "stability")), t_eval)
     sol = floquet_recurse(cfg.params, drive, cfg.j_max, cfg.n_max)
     series = sol.evaluate(cfg.params.g, t_eval)
     out = {}
@@ -432,6 +431,7 @@ def compare_sources(cfg: ExperimentConfig) -> dict[str, float]:
         ref = getattr(traj, obs)
         dev = np.abs(series[obs] - ref) / np.maximum(1.0, np.abs(ref))
         out[obs] = float(np.max(dev))
+    out["transient_residue"] = stability["transient_residue"]
     return out
 
 
@@ -473,43 +473,43 @@ def _cell_status(error: SimulationError | None, physical: bool = True):
     return "stable" if physical else "error:NonPhysical"
 
 
-def _constant_cells(cfg: ExperimentConfig, points) -> list[tuple[str, float]]:
-    """(status, EN) of constant-drive cells, one (params, E0) point each.
-
-    Each cell's working point is found on its own; the drift and
-    diffusion matrices there are then solved as one stack, in which a
-    failing cell flags only itself (its EN is NaN).
+def _constant_cells(cfg: ExperimentConfig, points):
+    """(means, v, margin, errors) of constant-drive cells, one (params,
+    E0) point each: each working point found on its own, then one
+    lyapunov_stack, in which a failing cell flags only itself (NaN v).
+    means[i] is None, and margin[i] NaN, where the working point failed.
     """
-    failed, drifts, diffusions = [], [], []
+    means, failed, drifts, diffusions = [], [], [], []
     for params, e0 in points:
         try:
-            _, drift, diffusion = _working_point(cfg, params, e0)
+            fm, eff = steady_state_constant(params, e0, cfg.delta_a_effective)
+            drift, diffusion = build_drift(eff, fm.q, fm.a), \
+                build_diffusion(eff)
             failed.append(None)
         except SimulationError as exc:
             # a NaN drift, which the stack flags; exc keeps the status
-            drift, diffusion = np.full((6, 6), np.nan), np.zeros((6, 6))
+            fm, drift, diffusion = None, np.full((6, 6), np.nan), \
+                np.zeros((6, 6))
             failed.append(exc)
+        means.append(fm)
         drifts.append(drift)
         diffusions.append(diffusion)
-    v, errors = lyapunov_stack(np.array(drifts), np.array(diffusions))
-    en, physical = log_negativity_stack(reduce_atom_mirror_stack(v))
-    return [(_cell_status(exc or error, ok), value) for exc, error, ok, value
-            in zip(failed, errors, physical, en.tolist())]
+    v, margin, errors = lyapunov_stack(np.array(drifts),
+                                       np.array(diffusions))
+    return means, v, margin, [exc or error for exc, error
+                              in zip(failed, errors)]
 
 
 def evaluate_cell(cfg: ExperimentConfig) -> tuple[str, float]:
     """(status, EN) for one sweep cell; failures flagged, not raised.
 
-    A modulated cell is solved over its last period (sample_times'
-    window, clamped at t = 0) and needs a Floquet verdict: a failed
-    periodic solve flags the cell, and a multiplier on or outside the
-    unit circle makes it unstable; neither integrates the window.
+    A constant cell is its working point.  A modulated cell is solved
+    over its last period (sample_times' window, clamped at t = 0) and
+    needs a Floquet verdict: a failed periodic solve flags the cell, and
+    a multiplier on or outside the unit circle makes it unstable; neither
+    integrates the window.
     """
     try:
-        drive = cfg.resolved_drive()
-        if drive.big_omega == 0.0:
-            return _constant_cells(cfg, [(cfg.params,
-                                          drive.component(0))])[0]
         t_eval = sample_times(replace(cfg, sample_periods=1.0,
                                       wigner_times=()))
         vs = solve(replace(cfg, first_moment_source="ode", outputs=("EN",)),
@@ -566,9 +566,12 @@ def run_sweep(cfg: ExperimentConfig, out_path: Path, jobs: int = 1) -> Path:
     drive = cfg.resolved_drive()
     if drive.big_omega == 0.0:
         points = _constant_points(cfg.params, drive.component(0), cells)
-        results = [cell for lo in range(0, len(points), SWEEP_BLOCK)
-                   for cell in _constant_cells(cfg,
-                                               points[lo:lo + SWEEP_BLOCK])]
+        results = []
+        for lo in range(0, len(points), SWEEP_BLOCK):
+            _, v, _, errors = _constant_cells(cfg,
+                                              points[lo:lo + SWEEP_BLOCK])
+            en, physical = log_negativity_stack(reduce_atom_mirror_stack(v))
+            results += zip(map(_cell_status, errors, physical), en.tolist())
     elif jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_cell_worker, [(cfg, v) for v in cells],

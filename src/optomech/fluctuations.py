@@ -2,26 +2,26 @@
 
 Assembles the time-dependent drift matrix and the diffusion matrix of the
 linearized quadrature dynamics, propagates the 6x6 covariance matrix
-through the Lyapunov equation of motion, solves for the periodic
-asymptote of a modulated drive as harmonics (periodic_state), and
-solves the algebraic steady state of a constant drive for a whole stack
-of sweep cells at once (lyapunov_stack).  The hot loop fills one drift
-template per integration (drift_kernel); build_drift assembles a fresh
-matrix for everything else.  stability_check gives the one stability
-verdict per drive kind: the Hurwitz test of the constant drift, or the
-largest Floquet multiplier of the periodic asymptote.
+through the Lyapunov equation of motion, and solves for the periodic
+CM algebraically.  The hot loop fills one drift template per integration
+(drift_kernel); build_drift assembles a fresh matrix for everything else.
+lyapunov_harmonics is the one algebraic solve of both drive kinds: the
+periodic CM's harmonics and the Floquet exponent from the drift's, for a
+modulated drive from periodic_state's harmonic balance, and for a
+constant drive at N = 0, where it is A V + V A^T + D = 0 and the Hurwitz
+test (lyapunov_stack).  stability_check turns the exponent into the
+verdict.
 
 Quadrature ordering is (dq, dp, dX, dY, dx, dy); vacuum variance 1/2.
 Every integration and the algebraic solves carry the symmetric CM as
 vech V, its 21 entries V[VECH] on and above the diagonal in row-major
-order, the column order of cm.csv; V = vech[UNVECH] rebuilds the matrix,
-and _vech_kron gives the solves their Kronecker operators on vech V.
+order, the column order of cm.csv; V = vech[UNVECH] rebuilds the matrix.
 """
 
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,23 +36,19 @@ from .numerics import StepperConfig, integrate_adaptive
 
 PHYSICALITY_SLACK = 1e-6
 # vech V = V[VECH]; UNVECH[i, j] is the vech index of entry (i, j) and of
-# (j, i), so vech[UNVECH] is V again.  vech(M + M^T) = M.take(_UPPER) +
-# M.take(_LOWER), and _DUPLICATION maps vech V to the row-major vec V
-# (Magnus & Neudecker's duplication matrix D).
+# (j, i), so vech[UNVECH] is V again, and vech(M + M^T) = M.take(_UPPER) +
+# M.take(_LOWER).  vec M @ _LYAPUNOV is B = L(M (x) I + I (x) M)D, which
+# maps vech V to vech(M V + V M^T): row (a, b) holds B for M = e_a e_b^T,
+# vech(M V + V M^T)_(i,j) = [i = a] V_bj + [j = a] V_ib.
 VECH = np.triu_indices(6)
 UNVECH = np.zeros((6, 6), dtype=int)
 UNVECH[VECH] = UNVECH.T[VECH] = np.arange(21)
 _UPPER = np.ravel_multi_index(VECH, (6, 6))
 _LOWER = np.ravel_multi_index(VECH[::-1], (6, 6))
-_DUPLICATION = np.eye(21)[UNVECH.ravel()]
-
-
-def _vech_kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """L (x (x) y) D, which maps vech V to vech(x V y^T), for 6x6 x and y
-    or stacks of them; L keeps the vech rows of the row-major vec V and
-    D = _DUPLICATION.  Only the 21 kept rows of x (x) y are built."""
-    rows = x[..., VECH[0], :, None] * y[..., VECH[1], None, :]
-    return rows.reshape(*rows.shape[:-2], 36) @ _DUPLICATION
+_E = np.eye(6, dtype=np.int8)[:, None, :, None]
+_V = np.eye(21, dtype=np.int8)[UNVECH]             # V[x, y, q]
+_LYAPUNOV = (_E[..., VECH[0], :] * _V[:, VECH[1]] + _E[..., VECH[1], :]
+             * _V[VECH[0]].swapaxes(0, 1)).reshape(36, 441).astype(float)
 
 
 def build_drift(params: SystemParams, q_mean: float,
@@ -165,12 +161,11 @@ def integrate_lyapunov(params: SystemParams, drive: DriveSpec,
                        t_end: float, t_eval: np.ndarray | None = None,
                        cfg: StepperConfig | None = None,
                        moment_init: FirstMoments | None = None,
-                       check_physical: bool = True,
-                       t_start: float = 0.0) -> LyapunovTrajectory:
-    """Propagate dV/dt = A(t) V + V A^T + D from t_start to t_end.
+                       check_physical: bool = True) -> LyapunovTrajectory:
+    """Propagate dV/dt = A(t) V + V A^T + D from t = 0 to t_end.
 
     v0 (read on and above its diagonal) and moment_init are the state at
-    t_start.  first_moment_source selects where the means that fill A(t)
+    t = 0.  first_moment_source selects where the means that fill A(t)
     at every step come from:
 
     * "ode"    - co-integrate the mean-value ODEs alongside V, starting
@@ -195,7 +190,7 @@ def integrate_lyapunov(params: SystemParams, drive: DriveSpec,
     f = _moments_cm_rhs(params, drive, source, moment_init is not None)
     y0 = (v0 if moment_init is None
           else np.concatenate((moment_init.to_vector(), v0)))
-    sol = integrate_adaptive(f, (t_start, t_end), y0, cfg, t_eval=t_eval)
+    sol = integrate_adaptive(f, (0.0, t_end), y0, cfg, t_eval=t_eval)
     vs = sol.y[-21:].T[:, UNVECH]
     if check_physical:
         _check_physical(sol.t, vs)
@@ -210,14 +205,12 @@ HB_ORDERS = (4, 8, 16, 32)      # truncations periodic_state tries
 @dataclass(frozen=True)
 class PeriodicState:
     """Periodic asymptote of a modulated drive: the harmonics, n = -N..N,
-    of its means (q, p, Re a, Im a, Re c, Im c) and vech V, and both at t0
-    (y, and v when usable, else None).  transient_residue =
-    max_multiplier**floor(t0/tau) bounds the transient a run from t = 0
-    still carries at t0; usable: the cycle attracts and the residue is
-    within rel_tol.  truncation: max(|A_N| / max |A_n|, |V_N| / |V_0|)."""
+    of its means (q, p, Re a, Im a, Re c, Im c) and vech V.
+    transient_residue = max_multiplier**floor(t0/tau) bounds the transient
+    a run from t = 0 still carries at t0; usable: the cycle attracts and
+    the residue is within rel_tol.  truncation: max(|A_N| / max |A_n|,
+    |V_N| / |V_0|)."""
 
-    y: np.ndarray
-    v: np.ndarray | None
     max_multiplier: float
     transient_residue: float
     usable: bool
@@ -234,55 +227,104 @@ class PeriodicState:
         return (phases @ self.means).real, (phases @ self.cm).real[:, UNVECH]
 
 
-def _periodic_cm(m: np.ndarray, big_omega: float,
-                 d: np.ndarray) -> np.ndarray:
-    """Harmonics vech V_k, k = -N..N, of the periodic CM: the solution
-    of sum_j B_{k-j} vech V_j - i k Omega vech V_k = -vech D delta_k0,
-    B_n = L(M_n (x) I + I (x) M_n)D, as the real and imaginary parts of
-    rows k = 0..N in the real and imaginary parts of V_k = conj V_-k.
-    The real matrix is filled a row of blocks at a time, which keeps the
-    complex blocks in memory to one row's worth."""
-    n, eye = len(m) // 2, np.eye(6)
-    b = np.pad(_vech_kron(m, eye) + _vech_kron(eye, m),
-               ((n, n), (0, 0), (0, 0)))       # B_n over n = -2N..2N
-    js, a = np.arange(n + 1), np.zeros((21 * (2 * n + 1),) * 2)
-    for k in js:        # B_{k-j} and B_{k+j} on V_j and V_-j = conj V_j
-        minus = b[k - js + 2 * n]
-        plus = b[k + js + 2 * n] * (js > 0)[:, None, None]
-        minus[k] -= 1j * big_omega * k * np.eye(21)
-        row = np.concatenate((minus + plus, 1j * (minus - plus)[1:]))
-        row = row.transpose(1, 0, 2).reshape(21, -1)
-        a[21 * k:21 * k + 21] = row.real
-        if k:           # the imaginary part of row 0 vanishes identically
-            a[21 * (n + k):21 * (n + k) + 21] = row.imag
-    rhs = np.zeros(len(a))
-    rhs[:21] = -d[VECH]
+def lyapunov_harmonics(m: np.ndarray, d: np.ndarray, big_omega: float
+                       ) -> tuple[np.ndarray, np.ndarray,
+                                  list[SimulationError | None]]:
+    """(v, exponent, errors) of stacked cells: the periodic CM and the
+    Floquet verdict of both drive kinds.
+
+    m (cells, 2N+1, 6, 6) holds the harmonics M_n, n = -N..N, of each
+    drift, d (cells, 6, 6) the diffusions; a constant drive is N = 0.  v
+    (cells, 2N+1, 21) holds the harmonics vech V_k, V_-k = conj V_k, of
+    sum_j B_{k-j} vech V_j - i k Omega vech V_k = -vech D delta_k0: one
+    real system per cell in Re V_0..V_N, Im V_1..V_N, filled a row of
+    blocks at a time (real at N = 0), solved in one LAPACK call.  exponent
+    is max Re lambda over the 6 Hill eigenvalues that weigh most on the
+    centre harmonic, all the drift's at N = 0; max |mu| = exp(tau
+    exponent).  errors[i] is None, or Singular with v[i] NaN: m is not
+    finite, or the solve or the equation keeps a residual above its
+    bound.  A failing cell leaves its neighbours' results as they would
+    be alone.
+    """
+    cells, n = len(m), m.shape[1] // 2
+    finite = np.isfinite(m).all(axis=(1, 2, 3))
+    # M_n over n = -2N..2N; a cell that is not finite is solved as -I
+    m = np.pad(np.where(finite[:, None, None, None], m, -np.eye(6)),
+               ((0, 0), (n, n), (0, 0), (0, 0)))
+    ks = np.arange(-n, n + 1)
+    toeplitz = m[:, ks[:, None] - ks + 2 * n]             # M_{k-j}
+    js = np.arange(n + 1)
+    b = (m.reshape(-1, 36) @ _LYAPUNOV).reshape(cells, -1, 21, 21)  # B_n
+    a = np.empty((cells, 21 * (2 * n + 1), 21 * (2 * n + 1)))
+    blocks = a.reshape(cells, 2 * n + 1, 21, 2 * n + 1, 21)
+    norm = np.zeros(cells)          # max row sum of |a|, block by block
+    for k in js:        # B_{k-j} on V_j, B_{k+j} on V_-j = conj V_j
+        c = b[:, n + k:2 * n + k + 1][:, ::-1]
+        p = b[:, 2 * n + k + 1:3 * n + k + 1]
+        x, y = c[:, 1:] + p, c[:, 1:] - p     # on Re V_j, on i Im V_j
+        if k:
+            ck = c[:, k] - 1j * big_omega * k * np.eye(21)
+            x[:, k - 1], y[:, k - 1] = ck + p[:, k - 1], ck - p[:, k - 1]
+        # Re of row k, and Im of row k > 0 (that of row 0 vanishes)
+        for row, part in ((k, np.real), (n + k, np.imag))[:1 + (k > 0)]:
+            blocks[:, row, :, 0] = part(c[:, 0])
+            blocks[:, row, :, 1:n + 1] = part(x).swapaxes(1, 2)
+            blocks[:, row, :, n + 1:] = part(1j * y).swapaxes(1, 2)
+            norm = np.maximum(norm, np.max(np.sum(np.abs(blocks[:, row]),
+                                                  axis=(2, 3)), axis=1))
+    rhs = np.zeros(a.shape[:2] + (1,))
+    rhs[:, :21, 0] = -d[:, VECH[0], VECH[1]]
     try:
         x = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError:
-        raise Singular("periodic CM system singular") from None
-    v = (x[21:21 * (n + 1)] + 1j * x[21 * (n + 1):]).reshape(n, 21)
-    return np.concatenate((v[::-1].conj(), x[None, :21], v))
-
-
-def _hill_multiplier(m: np.ndarray, big_omega: float) -> float:
-    """Largest Floquet multiplier modulus exp(tau max Re lambda), over
-    the 6 eigenvalues lambda of the Hill matrix (blocks M_{n-k} - i n
-    Omega delta_nk I) whose eigenvectors weigh most on the centre
-    harmonic.  In the basis (p_0, (p_k + p_-k)/sqrt2, i (p_k - p_-k)/sqrt2)
-    the matrix is real, and the centre block is as it was."""
-    n, k, r = len(m) // 2, np.arange(1, len(m) // 2 + 1), np.sqrt(0.5)
-    u = np.eye(2 * n + 1, dtype=complex)
-    u[n + k, n - k], u[n - k, n + k], u[n - k, n - k] = 1.0, 1j, -1j
-    u = np.kron(np.where(np.arange(2 * n + 1) == n, 1.0, r)[:, None] * u,
-                np.eye(6))
-    ns = np.arange(-n, n + 1)
-    hill = np.pad(m, ((n, n), (0, 0), (0, 0)))[ns[:, None] - ns + 2 * n]
-    hill = hill.transpose(0, 2, 1, 3).reshape(len(u), -1) \
-        - 1j * big_omega * np.diag(np.repeat(ns, 6))
-    lam, vec = np.linalg.eig((u @ hill @ u.conj().T).real)
-    top = np.argsort(np.sum(np.abs(vec[6 * n:6 * n + 6]) ** 2, axis=0))[-6:]
-    return float(np.exp(2.0 * np.pi / big_omega * np.max(lam[top].real)))
+        # one exactly singular system fails the whole call: solve each
+        # alone, leaving NaN (flagged below) where LAPACK refuses
+        x = np.full(rhs.shape, np.nan)
+        for j in range(cells):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                x[j] = np.linalg.solve(a[j], rhs[j])
+    pos = (x[:, 21:21 * (n + 1), 0] + 1j * x[:, 21 * (n + 1):, 0]) \
+        .reshape(cells, n, 21)
+    vh = np.concatenate((pos[:, ::-1].conj(), x[:, None, :21, 0], pos), 1)
+    vs = vh[..., UNVECH]
+    cell_max = lambda z: np.max(np.abs(z), axis=tuple(range(1, z.ndim)))
+    with np.errstate(invalid="ignore", over="ignore"):
+        # residuals over their bounds: partial-pivoting solve, equation
+        conv = np.sum(toeplitz @ vs[:, None], axis=2)      # (M * V)_k
+        solve = cell_max(a @ x - rhs) / np.maximum(
+            1e-300, 1e-10 * (norm * cell_max(x) + cell_max(rhs)))
+        resid = conv + conv.swapaxes(2, 3) \
+            - 1j * big_omega * ks[:, None, None] * vs
+        resid[:, n] += d
+        equation = cell_max(resid) / (1e-10 * np.maximum(
+            np.maximum(1.0, cell_max(d)), cell_max(m) * cell_max(vs)))
+    good = finite & np.isfinite(x).all(axis=(1, 2)) & (solve <= 1.0) \
+        & (equation <= 1.0)
+    del a, blocks       # the Hill eig below reuses the system's memory
+    if n:
+        # Hill matrix, blocks M_{k-j} - i k Omega delta_kj, in the basis
+        # (p_0, (p_k + p_-k)/sqrt2, i (p_k - p_-k)/sqrt2): real, with the
+        # centre block as it was
+        r, k = np.sqrt(0.5), np.arange(1, n + 1)
+        u = np.eye(2 * n + 1, dtype=complex)
+        u[n + k, n - k], u[n - k, n + k], u[n - k, n - k] = 1.0, 1j, -1j
+        u = np.kron(np.where(ks == 0, 1.0, r)[:, None] * u, np.eye(6))
+        hill = toeplitz.transpose(0, 1, 3, 2, 4).reshape(cells, len(u), -1) \
+            - 1j * big_omega * np.diag(np.repeat(ks, 6))
+        lam, vec = np.linalg.eig((u @ hill @ u.conj().T).real)
+        top = np.argsort(np.sum(np.abs(vec[:, 6 * n:6 * n + 6]) ** 2,
+                                axis=1))[:, -6:]
+        lam = np.take_along_axis(lam, top, axis=1)
+    else:
+        lam = np.linalg.eigvals(m[:, 0])
+    exponent = np.where(finite, lam.real.max(axis=1), np.nan)
+    errors: list[SimulationError | None] = [None] * cells
+    for j in np.flatnonzero(~good):
+        errors[j] = Singular(
+            f"residuals {solve[j]:.3g} (solve) and {equation[j]:.3g} "
+            "(equation) times their bounds; system numerically singular"
+            if finite[j] else "drift matrix is not finite")
+    return np.where(good[:, None, None], vh, np.nan), exponent, errors
 
 
 def periodic_state(params: SystemParams, drive: DriveSpec, t0: float,
@@ -290,8 +332,8 @@ def periodic_state(params: SystemParams, drive: DriveSpec, t0: float,
                    series: FloquetSolution | None = None) -> PeriodicState:
     """Limit cycle, periodic CM and Floquet verdict at t0, as harmonics:
     the means by harmonic balance (moments.periodic_means from series, or
-    floquet_recurse's default orders), the CM by one linear system, the
-    verdict by Hill's method; nothing is integrated.  N is the first of
+    floquet_recurse's default orders), the CM and the verdict by
+    lyapunov_harmonics; nothing is integrated.  N is the first of
     HB_ORDERS at which |A_N| / max |A_n| and |V_N| / |V_0| are within
     rel_tol.  Raises a SimulationError when the cycle cannot be found: a
     singular denominator or CM system, or NoConvergence (Newton, or N)."""
@@ -308,7 +350,10 @@ def periodic_state(params: SystemParams, drive: DriveSpec, t0: float,
             m[n] = build_drift(params, 0.0, 0j)
             m[:, [2, 3, 1, 3, 1, 2], [3, 2, 2, 0, 3, 0]] += \
                 np.array([-g, g, gr, gr, gr, -gr]) * y[:, [0, 0, 2, 2, 3, 3]]
-            cm = _periodic_cm(m, drive.big_omega, build_diffusion(params))
+            (cm,), (exponent,), (error,) = lyapunov_harmonics(
+                m[None], build_diffusion(params)[None], drive.big_omega)
+            if error is not None:
+                raise error
             truncation = max(truncation, np.max(np.abs(cm[-1]))
                              / np.max(np.abs(cm[n])))
             if truncation <= cfg.rel_tol:
@@ -317,97 +362,57 @@ def periodic_state(params: SystemParams, drive: DriveSpec, t0: float,
         raise NoConvergence(
             f"harmonic balance truncation {truncation:.3g} above rel_tol "
             f"{cfg.rel_tol:g} at N = {HB_ORDERS[-1]}")
-    mu = _hill_multiplier(m, drive.big_omega)
+    mu = float(np.exp(drive.period * exponent))
     with np.errstate(over="ignore"):
         residue = float(np.power(mu, np.floor(t0 / drive.period)))
-    usable = mu < 1.0 and residue <= cfg.rel_tol
-    ps = PeriodicState(y=None, v=None, max_multiplier=mu,
-                       transient_residue=residue, usable=usable,
-                       truncation=float(truncation), means=y, cm=cm,
-                       big_omega=drive.big_omega)
-    y0, v0 = ps.sample(t0)
-    return replace(ps, y=y0[0], v=v0[0] if usable else None)
+    return PeriodicState(max_multiplier=mu, transient_residue=residue,
+                         usable=mu < 1.0 and residue <= cfg.rel_tol,
+                         truncation=float(truncation), means=y, cm=cm,
+                         big_omega=drive.big_omega)
 
 
-def stability_check(subject: np.ndarray | PeriodicState) -> dict:
+def stability_check(subject: float | PeriodicState) -> dict:
     """The stability verdict, as stability.json holds it.
 
-    subject is the drift matrix at a constant drive's working point, or
-    the periodic state of a modulated drive.  A constant drive is stable
-    when the drift is Hurwitz, the test lyapunov_stack applies:
-    {stable, margin} with margin = max Re eig(A) < 0.  A modulated drive
-    is stable when every Floquet multiplier lies inside the unit circle:
-    {stable, max_multiplier, transient_residue}.
+    subject is the periodic state of a modulated drive, stable when every
+    Floquet multiplier lies inside the unit circle, or the margin of a
+    constant drive: lyapunov_stack's max Re eig of its drift, stable when
+    the drift is Hurwitz.
     """
     if isinstance(subject, PeriodicState):
         return {"stable": subject.max_multiplier < 1.0,
                 "max_multiplier": subject.max_multiplier,
                 "transient_residue": subject.transient_residue,
                 "truncation": subject.truncation}
-    margin = float(np.max(np.linalg.eigvals(subject).real))
+    margin = float(subject)
     return {"stable": margin < 0.0, "margin": margin}
 
 
 def lyapunov_stack(a: np.ndarray, d: np.ndarray
-                   ) -> tuple[np.ndarray, list[SimulationError | None]]:
-    """Algebraic steady states A V + V A^T + D = 0 of stacked 6x6 cells.
+                   ) -> tuple[np.ndarray, np.ndarray,
+                              list[SimulationError | None]]:
+    """Algebraic steady states A V + V A^T + D = 0 of stacked 6x6 cells:
+    lyapunov_harmonics at N = 0.
 
-    a and d are (cells, 6, 6).  Each cell solves L (A (x) I + I (x) A) D
-    vech V = -vech D, 21x21, in one batched LAPACK call for all.  Returns
-    (v, errors): errors[i] is None, or cell i's failure with v[i] NaN.
-    NotStable: A is not Hurwitz.  Singular: A is not finite, or the solve
-    or the equation keeps a residual above its bound.  A failing cell
-    leaves its neighbours' results as they would be alone.
+    a and d are (cells, 6, 6).  Returns (v, margin, errors): margin is
+    max Re eig(A), and errors[i] is None or cell i's failure with v[i]
+    NaN.  NotStable: A is not Hurwitz.  Singular: as lyapunov_harmonics.
     """
-    a = np.asarray(a, dtype=float)
-    d = np.asarray(d, dtype=float)
-    v = np.full(a.shape, np.nan)
-    errors: list[SimulationError | None] = [None] * len(a)
-    finite = np.isfinite(a).all(axis=(1, 2))
-    top = np.full(len(a), np.nan)
-    top[finite] = np.linalg.eigvals(a[finite]).real.max(axis=1)
-    for i in np.flatnonzero(~(top < 0.0)):
-        errors[i] = (NotStable(f"drift matrix not Hurwitz (max Re eig = "
-                               f"{top[i]:g})") if finite[i]
-                     else Singular("drift matrix is not finite"))
-    idx = np.flatnonzero(top < 0.0)
-    a, d, eye = a[idx], d[idx], np.eye(6)
-    m = _vech_kron(a, eye) + _vech_kron(eye, a)
-    b = -d[:, VECH[0], VECH[1], None]
-    try:
-        x = np.linalg.solve(m, b)
-    except np.linalg.LinAlgError:
-        # one exactly singular system fails the whole call: solve each
-        # alone, leaving NaN (flagged below) where LAPACK refuses
-        x = np.full(b.shape, np.nan)
-        for j in range(len(idx)):
-            with contextlib.suppress(np.linalg.LinAlgError):
-                x[j] = np.linalg.solve(m[j], b[j])
-    vs = x[:, UNVECH, 0]
-    cell_max = lambda z: np.max(np.abs(z), axis=(1, 2))
-    with np.errstate(invalid="ignore", over="ignore"):
-        # residuals over their bounds: partial-pivoting solve, equation
-        solve = cell_max(m @ x - b) / np.maximum(1e-300, 1e-10 * (
-            np.max(np.sum(np.abs(m), axis=2), axis=1) * cell_max(x)
-            + cell_max(b)))
-        equation = cell_max(a @ vs + vs @ a.swapaxes(1, 2) + d) / (
-            1e-10 * np.maximum(np.maximum(1.0, cell_max(d)),
-                               cell_max(a) * cell_max(vs)))
-    good = np.isfinite(x).all(axis=(1, 2)) & (solve <= 1.0) \
-        & (equation <= 1.0)
-    v[idx[good]] = vs[good]
-    for j in np.flatnonzero(~good):
-        errors[idx[j]] = Singular(
-            f"residuals {solve[j]:.3g} (solve) and {equation[j]:.3g} "
-            "(equation) times their bounds; system numerically singular")
-    return v, errors
+    vh, margin, errors = lyapunov_harmonics(
+        np.asarray(a, dtype=float)[:, None], np.asarray(d, dtype=float), 0.0)
+    v = vh[:, 0].real[:, UNVECH]
+    for i in np.flatnonzero(margin >= 0.0):
+        errors[i] = NotStable(f"drift matrix not Hurwitz (max Re eig = "
+                              f"{margin[i]:g})")
+        v[i] = np.nan
+    return v, margin, errors
 
 
 def steady_state_lyapunov(a_const: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Algebraic steady state A V + V A^T + D = 0: one cell of
     lyapunov_stack, whose error it raises."""
-    v, (error,) = lyapunov_stack(np.asarray(a_const, dtype=float)[None],
-                                 np.asarray(d, dtype=float)[None])
+    v, _, (error,) = lyapunov_stack(np.asarray(a_const)[None],
+                                    np.asarray(d)[None])
     if error is not None:
         raise error
     return v[0]

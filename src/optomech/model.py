@@ -65,11 +65,6 @@ class FirstMoments:
         return np.array([self.q, self.p, self.a.real, self.a.imag,
                          self.c.real, self.c.imag])
 
-    @staticmethod
-    def from_vector(y: np.ndarray) -> "FirstMoments":
-        return FirstMoments(q=float(y[0]), p=float(y[1]),
-                            a=complex(y[2], y[3]), c=complex(y[4], y[5]))
-
 
 ZERO_MOMENTS = FirstMoments(q=0.0, p=0.0, a=0j, c=0j)
 

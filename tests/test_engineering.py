@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from optomech.engineering import (asymptotic_first_moments,
-                                  engineered_mean_source, exact_drive,
+                                  engineered_mean_source,
                                   laplace_coefficients,
                                   modulation_components,
                                   transient_first_moments)
@@ -13,6 +13,23 @@ FIG6 = SystemParams(delta_a=1.0, kappa=10.0, gamma_m=1e-3, g=1e-3,
                     delta_c=-1.0, gamma_a=1e-3, g0_collective=1.0)
 TARGET = EngineeredCoupling(g1=1.2, g2=0.1, big_omega=2.0)
 SQRT2 = np.sqrt(2.0)
+
+
+def exact_drive(params, target, t):
+    """Pre-asymptotic drive E(t) synthesized from the exact mean values,
+    substituted back into the cavity's mean-value ODE."""
+    lc = laplace_coefficients(params, target)
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    out = np.empty(t_arr.shape, dtype=complex)
+    big = target.big_omega
+    for i, ti in enumerate(t_arr):
+        fm = transient_first_moments(params, target, ti, lc)
+        adot = (-1j * big * target.g2 * np.exp(-1j * big * ti)
+                / (SQRT2 * params.g))
+        out[i] = (adot + (params.kappa + 1j * params.delta_a) * fm.a
+                  - 1j * params.g * fm.a * fm.q
+                  + 1j * params.g0_collective * fm.c)
+    return out
 
 
 def test_undamped_mechanical_roots():

@@ -721,12 +721,14 @@ def test_first_moments_come_from_the_cm_integration(tmp_path, monkeypatch,
                         experiment)
     moments = counting(monkeypatch, experiment.integrate_first_moments,
                        experiment)
+    steps = counting(monkeypatch, fluctuations.integrate_adaptive,
+                     fluctuations)
     run_experiment(cfg, tmp_path)
     assert moments == []
     if horizon == 70.0:
         assert lyapunov == []
     else:
-        assert len(lyapunov) == 1 and lyapunov[0][1]["t_start"] == 0.0
+        assert len(lyapunov) == 1 and steps[0][0][1][0] == 0.0
     fm = np.loadtxt(tmp_path / "first_moments.csv", delimiter=",",
                     skiprows=1)
     meas = np.loadtxt(tmp_path / "measures.csv", delimiter=",", skiprows=1)
@@ -756,10 +758,12 @@ def test_callable_source_co_integrates_the_means(tmp_path, monkeypatch,
                         experiment)
     moments = counting(monkeypatch, experiment.integrate_first_moments,
                        experiment)
+    steps = counting(monkeypatch, fluctuations.integrate_adaptive,
+                     fluctuations)
     run_experiment(cfg, tmp_path)
     assert len(lyapunov) == 1 and moments == []
     args, kwargs = lyapunov[0]
-    assert callable(args[2]) and kwargs["t_start"] == 0.0
+    assert callable(args[2]) and steps[0][0][1][0] == 0.0
     fm = np.loadtxt(tmp_path / "first_moments.csv", delimiter=",",
                     skiprows=1)
     meas = np.loadtxt(tmp_path / "measures.csv", delimiter=",", skiprows=1)
@@ -950,7 +954,13 @@ def test_sweep_cell_window_is_the_last_period(tmp_path, monkeypatch):
 def test_compare_sources_window_is_the_last_two_periods(monkeypatch):
     calls = counting(monkeypatch, experiment.solve, experiment)
     tau = np.pi
-    for horizon in (50.0, 1.5):
+    cfg = config_from_dict(FIG2_DOC)
+    mu = fluctuations.periodic_state(cfg.params, cfg.drive, 0.0) \
+        .max_multiplier
+    assert mu ** 48 < 2e-5
+    # the transient left at the window's start: mu^48 at 50 periods, and
+    # all of it when the window starts at t = 0
+    for horizon, residue in ((50.0, mu ** 48), (1.5, 1.0)):
         doc = dict(FIG2_DOC, horizon_periods=horizon)
         report = compare_sources(config_from_dict(doc))
         assert all(np.isfinite(v) for v in report.values())
@@ -958,3 +968,5 @@ def test_compare_sources_window_is_the_last_two_periods(monkeypatch):
         want = np.linspace(t_end - 2.0 * tau if horizon >= 2.0 else 0.0,
                            t_end, 400)
         assert np.array_equal(calls[-1][0][1], want)
+        assert report["transient_residue"] == pytest.approx(residue,
+                                                            rel=1e-12)

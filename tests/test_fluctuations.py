@@ -9,14 +9,14 @@ from scipy.linalg import expm, solve_continuous_lyapunov, \
 
 from optomech.errors import NonPhysical, NotStable, Singular
 from optomech.experiment import config_from_dict, run_experiment
-from optomech.fluctuations import (UNVECH, _check_physical,
+from optomech.fluctuations import (UNVECH, VECH, _check_physical,
                                    _moments_cm_rhs, build_diffusion,
                                    build_drift, drift_kernel,
                                    integrate_lyapunov, lyapunov_stack,
                                    periodic_state, stability_check,
                                    steady_state_lyapunov, thermal_vacuum_cm)
 from optomech.measures import symplectic_eigenvalues
-from optomech.model import DriveSpec, FirstMoments, SystemParams
+from optomech.model import DriveSpec, SystemParams
 from optomech.moments import _rhs_vector, default_stepper, \
     steady_state_constant
 from optomech.numerics import StepperConfig, integrate_adaptive
@@ -249,7 +249,7 @@ def fig4_stack(points):
 
 def test_lyapunov_stack_matches_scipy_lyapunov():
     a, d = fig4_stack([(1.2e5, 1.0), (2e5, 2.5), (5e4, 0.5)])
-    v, errors = lyapunov_stack(a, d)
+    v, _, errors = lyapunov_stack(a, d)
     assert errors == [None, None, None]
     assert np.array_equal(v, v.swapaxes(1, 2))
     for ai, di, vi in zip(a, d, v):
@@ -265,7 +265,7 @@ def test_lyapunov_stack_flags_near_singular_cell():
     a = np.stack((a[0], np.diag([-1e-320, -1.0, -1.0, -1.0, -1.0, -1.0]),
                   a[1]))
     d = np.stack((d[0], np.eye(6), d[1]))
-    v, errors = lyapunov_stack(a, d)
+    v, _, errors = lyapunov_stack(a, d)
     assert isinstance(errors[1], Singular)
     assert np.isnan(v[1]).all()
     eye = np.eye(6)
@@ -284,7 +284,7 @@ def test_lyapunov_stack_flags_near_singular_cell():
 def test_lyapunov_stack_flags_non_hurwitz_cell_only():
     a, d = fig4_stack([(1.2e5, 1.0), (2e5, 2.5)])
     alone = [steady_state_lyapunov(ai, di) for ai, di in zip(a, d)]
-    v, errors = lyapunov_stack(np.stack((a[0], np.eye(6), a[1])),
+    v, _, errors = lyapunov_stack(np.stack((a[0], np.eye(6), a[1])),
                                np.stack((d[0], np.eye(6), d[1])))
     assert isinstance(errors[1], NotStable)
     assert np.isnan(v[1]).all()
@@ -307,7 +307,7 @@ def test_lyapunov_stack_isolates_failed_solve(monkeypatch):
         return solve(m, b)
 
     monkeypatch.setattr(np.linalg, "solve", solve_failing_on_mark)
-    v, errors = lyapunov_stack(np.stack((a[0], -7.0 * np.eye(6), a[1])),
+    v, _, errors = lyapunov_stack(np.stack((a[0], -7.0 * np.eye(6), a[1])),
                                np.stack((d[0], np.eye(6), d[1])))
     assert isinstance(errors[1], Singular)
     assert np.isnan(v[1]).all()
@@ -318,7 +318,9 @@ def test_lyapunov_stack_isolates_failed_solve(monkeypatch):
 def test_stability_decoupled_margin():
     params = SystemParams(delta_a=1.0, kappa=2.0, gamma_m=1e-3, g=0.0,
                           delta_c=-1.0, gamma_a=0.1, g0_collective=0.0)
-    report = stability_check(build_drift(params, 0.0, 0j))
+    _, (margin,), _ = lyapunov_stack(build_drift(params, 0.0, 0j)[None],
+                                     build_diffusion(params)[None])
+    report = stability_check(margin)
     assert report["stable"] is True
     assert report["margin"] == pytest.approx(-params.gamma_m / 2, rel=1e-6)
 
@@ -334,12 +336,12 @@ def test_stability_fig2_configuration():
 def test_stability_fig4_unstable_point():
     params = replace(FIG2, kappa=0.2, g0_collective=0.5)
     fm, eff = steady_state_constant(params, 3e5, delta_a_eff=1.0)
-    report = stability_check(build_drift(eff, fm.q, fm.a))
+    _, (margin,), (error,) = lyapunov_stack(
+        build_drift(eff, fm.q, fm.a)[None], build_diffusion(eff)[None])
+    report = stability_check(margin)
     assert report["stable"] is False
     assert report["margin"] > 0.0
     # the stacked Lyapunov solve applies the same Hurwitz test
-    _, (error,) = lyapunov_stack(build_drift(eff, fm.q, fm.a)[None],
-                                 build_diffusion(eff)[None])
     assert isinstance(error, NotStable)
 
 
@@ -441,40 +443,72 @@ def test_periodic_state_passes_gate_fig5a(fig5a_periodic):
 
 
 def test_periodic_state_returns_after_one_period(fig5a_periodic):
-    ps = fig5a_periodic
+    (y0,), (v0,) = fig5a_periodic.sample(FIG5A_T0)
     t1 = FIG5A_T0 + np.pi
 
     # means: an independent route through SciPy's RK45 pair, not the
     # library's DOP853 stepping loop
-    sol = solve_ivp(_rhs_vector(FIG2, FIG2_DRIVE), (FIG5A_T0, t1), ps.y,
+    sol = solve_ivp(_rhs_vector(FIG2, FIG2_DRIVE), (FIG5A_T0, t1), y0,
                     method="RK45", rtol=1e-12, atol=1e-9)
     y1 = sol.y[:, -1]
-    assert np.max(np.abs(y1 - ps.y)) <= 1e-8 * np.max(np.abs(ps.y))
+    assert np.max(np.abs(y1 - y0)) <= 1e-8 * np.max(np.abs(y0))
 
-    lt = integrate_lyapunov(FIG2, FIG2_DRIVE, "ode", ps.v, t1,
-                            t_eval=[FIG5A_T0, t1],
-                            moment_init=FirstMoments.from_vector(ps.y),
-                            t_start=FIG5A_T0)
-    assert np.array_equal(lt.v[0], ps.v)
-    assert np.max(np.abs(lt.v[-1] - ps.v)) <= 1e-8 * np.max(np.abs(ps.v))
+    # the CM with the means, integrated over (t0, t1) as _one_period does
+    lt = integrate_adaptive(_moments_cm_rhs(FIG2, FIG2_DRIVE), (FIG5A_T0, t1),
+                            np.concatenate((y0, v0[VECH])),
+                            default_stepper(FIG2_DRIVE), t_eval=[FIG5A_T0, t1])
+    vs = lt.y[6:].T[:, UNVECH]
+    assert np.array_equal(vs[0], v0)
+    assert np.max(np.abs(vs[-1] - v0)) <= 1e-8 * np.max(np.abs(v0))
 
 
 def test_periodic_cm_is_physical(fig5a_periodic):
-    v = fig5a_periodic.v
+    (v,) = fig5a_periodic.sample(FIG5A_T0)[1]
     assert np.array_equal(v, v.T)
     assert np.min(symplectic_eigenvalues(v)) >= 0.5 - 1e-6
 
 
 def test_periodic_cm_solves_the_discrete_lyapunov_equation(fig5a_periodic):
-    ps = fig5a_periodic
-    _, phi, w = _one_period(FIG2, FIG2_DRIVE, ps.y, FIG5A_T0,
+    (y0,), (v0,) = fig5a_periodic.sample(FIG5A_T0)
+    _, phi, w = _one_period(FIG2, FIG2_DRIVE, y0, FIG5A_T0,
                             default_stepper(FIG2_DRIVE))
     assert w.shape == (21,)
     w = w[UNVECH]
-    scale = np.max(np.abs(ps.v))
+    scale = np.max(np.abs(v0))
     oracle = solve_discrete_lyapunov(phi, w)
-    assert np.max(np.abs(ps.v - oracle)) <= 1e-12 * scale
-    assert np.max(np.abs(ps.v - phi @ ps.v @ phi.T - w)) <= 1e-12 * scale
+    assert np.max(np.abs(v0 - oracle)) <= 1e-12 * scale
+    assert np.max(np.abs(v0 - phi @ v0 @ phi.T - w)) <= 1e-12 * scale
+
+
+def test_periodic_cm_residuals_are_checked(monkeypatch):
+    # a solve result 1e-6 off in the 21(2N+1) = 189 and 357 unknowns of
+    # the fig5a CM system fails its residual bounds
+    solve = np.linalg.solve
+
+    def perturbed(a, b):
+        x = solve(a, b)
+        return x * (1.0 + 1e-6) if a.shape[-1] in (189, 357) else x
+
+    monkeypatch.setattr(np.linalg, "solve", perturbed)
+    with pytest.raises(Singular, match="times their bounds"):
+        periodic_state(FIG2, FIG2_DRIVE, FIG5A_T0)
+
+
+@pytest.mark.parametrize("e0", [1.5e5, 5e4])
+def test_constant_drive_is_the_zero_harmonic_case(e0):
+    # E_0 alone at Omega = 2 makes a static cycle: the working point and
+    # its steady-state CM, with |mu| = exp(tau margin), tau = pi
+    ps = periodic_state(FIG2, DriveSpec(big_omega=2.0, components={0: e0}),
+                        FIG5A_T0)
+    (y,), (v,) = ps.sample(FIG5A_T0)
+    fm, eff = steady_state_constant(FIG2, e0)
+    (want_v,), (margin,), (error,) = lyapunov_stack(
+        build_drift(eff, fm.q, fm.a)[None], build_diffusion(eff)[None])
+    assert error is None and margin < 0.0
+    want_y = fm.to_vector()
+    assert np.max(np.abs(y - want_y)) <= 1e-13 * np.max(np.abs(want_y))
+    assert np.max(np.abs(v - want_v)) <= 1e-13 * np.max(np.abs(want_v))
+    assert abs(ps.max_multiplier - np.exp(np.pi * margin)) <= 1e-14
 
 
 def test_periodic_run_matches_brute_force_fig5a(tmp_path):
@@ -508,10 +542,11 @@ def test_hill_multiplier_matches_integrated_monodromy(drive, stable):
     # Hill's max |mu| against the eigenvalues of Phi integrated over one
     # period along the harmonic-balance cycle
     ps = periodic_state(FIG2, drive, FIG5A_T0)
-    y_end, phi, _ = _one_period(FIG2, drive, ps.y, FIG5A_T0,
+    (y0,), _ = ps.sample(FIG5A_T0)
+    y_end, phi, _ = _one_period(FIG2, drive, y0, FIG5A_T0,
                                 default_stepper(drive, StepperConfig(
                                     rel_tol=1e-13, abs_tol=1e-13)))
-    assert np.max(np.abs(y_end - ps.y)) <= 1e-10 * np.max(np.abs(ps.y))
+    assert np.max(np.abs(y_end - y0)) <= 1e-10 * np.max(np.abs(y0))
     mu = np.max(np.abs(np.linalg.eigvals(phi)))
     assert abs(ps.max_multiplier - mu) <= 1e-9
     assert (ps.max_multiplier < 1.0) is stable

@@ -31,7 +31,8 @@ def evaluate_floquet(sol: FloquetSolution, g: float, t: float
 def rhs_moments(params, drive, t, state):
     """Time derivative of the means at state, from the vector RHS."""
     d = _rhs_vector(params, drive)(t, state.to_vector())
-    return FirstMoments.from_vector(np.array(d))
+    return FirstMoments(q=float(d[0]), p=float(d[1]), a=complex(d[2], d[3]),
+                        c=complex(d[4], d[5]))
 
 
 def test_rhs_zero_state_only_drive_survives():
