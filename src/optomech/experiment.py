@@ -15,7 +15,6 @@ import dataclasses
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -284,15 +283,13 @@ def solve(cfg: ExperimentConfig, t_eval: np.ndarray,
     drive = cfg.resolved_drive()
     measured = any(o in cfg.outputs for o in MEASURE_OUTPUTS)
     if drive.big_omega == 0.0:
-        (fm,), v, (margin,), (error,) = _constant_cells(
-            cfg, [(cfg.params, drive.component(0))])
-        if fm is None or (measured and margin < 0.0 and error is not None):
-            raise error         # no working point, or a singular CM solve
+        fm, v, (margin,), (error,) = _constant_cells(cfg, cfg.params,
+                                                     drive.component(0))
+        if measured and margin < 0.0 and error is not None:
+            raise error         # a singular CM solve
         stability = stability_check(margin)
         vs = v if measured and stability["stable"] else None
-        means = MomentTrajectory(t=t_eval, q=np.array([fm.q]),
-                                 p=np.array([fm.p]), a=np.array([fm.a]),
-                                 c=np.array([fm.c]))
+        means = MomentTrajectory.from_states(t_eval, fm.to_vector()[:, None])
         return t_eval, means, vs, stability
 
     def recurse():
@@ -439,8 +436,8 @@ def compare_sources(cfg: ExperimentConfig) -> dict[str, float]:
 # Sweeps
 # ---------------------------------------------------------------------------
 
-# Constant-drive sweep cells are solved this many at a time as stacked
-# arrays; one block's lyapunov_stack call peaks at 3.6 MB (tracemalloc).
+# Constant-drive sweep cells are solved this many at a time as arrays;
+# one block's _constant_cells call peaks at 3.1 MB (tracemalloc).
 SWEEP_BLOCK = 256
 
 
@@ -473,31 +470,17 @@ def _cell_status(error: SimulationError | None, physical: bool = True):
     return "stable" if physical else "error:NonPhysical"
 
 
-def _constant_cells(cfg: ExperimentConfig, points):
-    """(means, v, margin, errors) of constant-drive cells, one (params,
-    E0) point each: each working point found on its own, then one
-    lyapunov_stack, in which a failing cell flags only itself (NaN v).
-    means[i] is None, and margin[i] NaN, where the working point failed.
-    """
-    means, failed, drifts, diffusions = [], [], [], []
-    for params, e0 in points:
-        try:
-            fm, eff = steady_state_constant(params, e0, cfg.delta_a_effective)
-            drift, diffusion = build_drift(eff, fm.q, fm.a), \
-                build_diffusion(eff)
-            failed.append(None)
-        except SimulationError as exc:
-            # a NaN drift, which the stack flags; exc keeps the status
-            fm, drift, diffusion = None, np.full((6, 6), np.nan), \
-                np.zeros((6, 6))
-            failed.append(exc)
-        means.append(fm)
-        drifts.append(drift)
-        diffusions.append(diffusion)
-    v, margin, errors = lyapunov_stack(np.array(drifts),
-                                       np.array(diffusions))
-    return means, v, margin, [exc or error for exc, error
-                              in zip(failed, errors)]
+def _constant_cells(cfg: ExperimentConfig, params: SystemParams, e0):
+    """(means, v, margin, errors) of the constant-drive cells over which
+    params' fields or e0 hold one value per cell: the working points,
+    drifts and diffusions as arrays, then one lyapunov_stack, in which a
+    failing cell flags only itself (NaN v).  A working point that cannot
+    be found raises, for the whole block."""
+    fm, eff = steady_state_constant(params, e0, cfg.delta_a_effective)
+    drift, diffusion = np.broadcast_arrays(build_drift(eff, fm.q, fm.a),
+                                           build_diffusion(eff))
+    return fm, *lyapunov_stack(drift.reshape(-1, 6, 6),
+                               diffusion.reshape(-1, 6, 6))
 
 
 def evaluate_cell(cfg: ExperimentConfig) -> tuple[str, float]:
@@ -529,57 +512,47 @@ def _cell_worker(args):
     return evaluate_cell(cfg)
 
 
-def _constant_points(params: SystemParams, e0: complex, cells):
-    """(params, E0) of each constant-drive cell.
-
-    Each distinct combination of parameter-axis values builds its
-    SystemParams once, and the cells that share it share the object.
-    """
-    built, points = {}, []
-    for values in cells:
-        e = e0
-        key = []
-        for ax, val in values:
-            if ax.name in ("E", "E0"):
-                e = complex(val)
-            else:
-                key.append((ax.name, val))
-        key = tuple(key)
-        if key not in built:
-            cell_params = params
-            for name, val in key:
-                cell_params = _apply_param(cell_params, name, val)
-            built[key] = cell_params
-        points.append((built[key], e))
-    return points
-
-
 def run_sweep(cfg: ExperimentConfig, out_path: Path, jobs: int = 1) -> Path:
-    """Grid sweep over 1 or 2 axes; one CSV row per cell, ordered.
+    """Grid sweep over 1 or 2 axes; one CSV row per cell, the last axis
+    fastest.
 
-    Constant-drive cells are solved in this process, SWEEP_BLOCK at a
-    time as stacked arrays.  Modulated cells, one ODE run each, go to a
-    pool of jobs processes when jobs > 1.
+    A constant drive's cells are solved in this process, SWEEP_BLOCK at a
+    time: one SystemParams (and E0) whose swept fields hold the block's
+    axis values, for _constant_cells.  Only a block with a working point
+    that cannot be found is solved a cell at a time.  Modulated cells, one
+    periodic solve each, go to a pool of jobs processes when jobs > 1.
     """
-    cells = list(product(*([(ax, float(v)) for v in ax.values()]
-                           for ax in cfg.sweep)))
+    columns = [x.ravel() for x in np.meshgrid(
+        *(ax.values() for ax in cfg.sweep), indexing="ij")]
+
+    def cells(lo=0, hi=None):       # _cell_worker's arguments
+        return [(cfg, tuple(zip(cfg.sweep, values)))
+                for values in zip(*(col[lo:hi].tolist() for col in columns))]
+
     drive = cfg.resolved_drive()
     if drive.big_omega == 0.0:
-        points = _constant_points(cfg.params, drive.component(0), cells)
         results = []
-        for lo in range(0, len(points), SWEEP_BLOCK):
-            _, v, _, errors = _constant_cells(cfg,
-                                              points[lo:lo + SWEEP_BLOCK])
+        for lo in range(0, len(columns[0]), SWEEP_BLOCK):
+            params, e0 = cfg.params, drive.component(0)
+            for ax, col in zip(cfg.sweep, columns):
+                block = col[lo:lo + SWEEP_BLOCK]
+                if ax.name in ("E", "E0"):
+                    e0 = block.astype(complex)
+                else:
+                    params = _apply_param(params, ax.name, block)
+            try:
+                _, v, _, errors = _constant_cells(cfg, params, e0)
+            except SimulationError:
+                # a failing working point fails its block: one cell at a time
+                results += map(_cell_worker, cells(lo, lo + SWEEP_BLOCK))
+                continue
             en, physical = log_negativity_stack(reduce_atom_mirror_stack(v))
             results += zip(map(_cell_status, errors, physical), en.tolist())
     elif jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_cell_worker, [(cfg, v) for v in cells],
-                                    chunksize=4))
+            results = list(pool.map(_cell_worker, cells(), chunksize=4))
     else:
-        results = [_cell_worker((cfg, values)) for values in cells]
-    rows = [[v for _, v in values] + list(result)
-            for values, result in zip(cells, results)]
-    header = [ax.name for ax in cfg.sweep] + ["status", "EN"]
-    write_rows(out_path, header, list(zip(*rows)))
+        results = list(map(_cell_worker, cells()))
+    write_rows(out_path, [ax.name for ax in cfg.sweep] + ["status", "EN"],
+               (*columns, *zip(*results)))
     return out_path

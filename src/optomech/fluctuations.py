@@ -28,7 +28,8 @@ import numpy as np
 from .errors import NoConvergence, NonPhysical, NotStable, \
     SimulationError, Singular
 from .measures import symplectic_eigenvalues
-from .model import DriveSpec, FirstMoments, SystemParams, ZERO_MOMENTS
+from .model import DriveSpec, FirstMoments, SystemParams, ZERO_MOMENTS, \
+    cell_matrices
 from .moments import FloquetSolution, MomentTrajectory, _rhs_vector, \
     default_stepper, effective_coupling, effective_detuning, \
     floquet_recurse, periodic_means
@@ -53,20 +54,21 @@ _LYAPUNOV = (_E[..., VECH[0], :] * _V[:, VECH[1]] + _E[..., VECH[1], :]
 
 def build_drift(params: SystemParams, q_mean: float,
                 a_mean: complex) -> np.ndarray:
-    """Drift matrix A(t) of the linearized quadrature dynamics."""
+    """Drift matrix A(t) of the linearized quadrature dynamics, one per
+    cell where params' fields, q_mean or a_mean hold one value per cell."""
     om = params.omega_m
     g0 = params.g0_collective
     det = effective_detuning(params, q_mean)
     gc = effective_coupling(params.g, a_mean)
     gx, gy = gc.real, gc.imag
-    return np.array([
-        [0.0,    om,            0.0,          0.0,          0.0,            0.0],
-        [-om,   -params.gamma_m, gx,           gy,           0.0,            0.0],
-        [-gy,    0.0,           -params.kappa, det,          0.0,            g0],
-        [gx,     0.0,           -det,         -params.kappa, -g0,            0.0],
-        [0.0,    0.0,           0.0,          g0,           -params.gamma_a, params.delta_c],
-        [0.0,    0.0,           -g0,          0.0,          -params.delta_c, -params.gamma_a],
-    ])
+    return cell_matrices([
+        0.0,    om,            0.0,          0.0,          0.0,            0.0,
+        -om,   -params.gamma_m, gx,           gy,           0.0,            0.0,
+        -gy,    0.0,           -params.kappa, det,          0.0,            g0,
+        gx,     0.0,           -det,         -params.kappa, -g0,            0.0,
+        0.0,    0.0,           0.0,          g0,           -params.gamma_a, params.delta_c,
+        0.0,    0.0,           -g0,          0.0,          -params.delta_c, -params.gamma_a,
+    ], 6)
 
 
 def drift_kernel(params: SystemParams):
@@ -97,11 +99,12 @@ def drift_kernel(params: SystemParams):
 
 
 def build_diffusion(params: SystemParams) -> np.ndarray:
-    """Diagonal diffusion matrix of the input noises."""
-    return np.diag([0.0,
-                    params.gamma_m * (2.0 * params.n_th + 1.0),
-                    params.kappa, params.kappa,
-                    params.gamma_a, params.gamma_a])
+    """Diagonal diffusion matrix of the input noises, one per cell where
+    params' fields hold one value per cell."""
+    diag = (0.0, params.gamma_m * (2.0 * params.n_th + 1.0),
+            params.kappa, params.kappa, params.gamma_a, params.gamma_a)
+    return cell_matrices([x if i == j else 0.0
+                          for i, x in enumerate(diag) for j in range(6)], 6)
 
 
 def thermal_vacuum_cm(n_th: float) -> np.ndarray:
@@ -160,8 +163,8 @@ def integrate_lyapunov(params: SystemParams, drive: DriveSpec,
                        first_moment_source, v0: np.ndarray | None,
                        t_end: float, t_eval: np.ndarray | None = None,
                        cfg: StepperConfig | None = None,
-                       moment_init: FirstMoments | None = None,
-                       check_physical: bool = True) -> LyapunovTrajectory:
+                       moment_init: FirstMoments | None = None
+                       ) -> LyapunovTrajectory:
     """Propagate dV/dt = A(t) V + V A^T + D from t = 0 to t_end.
 
     v0 (read on and above its diagonal) and moment_init are the state at
@@ -192,8 +195,7 @@ def integrate_lyapunov(params: SystemParams, drive: DriveSpec,
           else np.concatenate((moment_init.to_vector(), v0)))
     sol = integrate_adaptive(f, (0.0, t_end), y0, cfg, t_eval=t_eval)
     vs = sol.y[-21:].T[:, UNVECH]
-    if check_physical:
-        _check_physical(sol.t, vs)
+    _check_physical(sol.t, vs)
     means = (MomentTrajectory.from_states(sol.t, sol.y[:6])
              if moment_init is not None else None)
     return LyapunovTrajectory(t=sol.t, v=vs, means=means)

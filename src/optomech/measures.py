@@ -30,34 +30,12 @@ def symplectic_eigenvalues(v: np.ndarray) -> np.ndarray:
     return nu[..., ::2]     # eigenvalues come in +/- i nu pairs
 
 
-@dataclass(frozen=True)
-class ReducedCM:
-    """4x4 atom-mirror covariance matrix in 2x2 block form."""
-
-    a: np.ndarray   # mechanical block
-    b: np.ndarray   # atomic block
-    c: np.ndarray   # cross correlations
-
-    @property
-    def full(self) -> np.ndarray:
-        top = np.hstack((self.a, self.c))
-        bot = np.hstack((self.c.T, self.b))
-        return np.vstack((top, bot))
-
-
 # mechanical (q, p) and atomic (x, y) rows of the 6x6 CM
 _ATOM_MIRROR = np.array([0, 1, 4, 5])
 
 
-def reduce_atom_mirror(v: np.ndarray) -> ReducedCM:
-    """Extract the mechanical/atomic 4x4 CM (rows 1,2 and 5,6)."""
-    sub = np.asarray(v, dtype=float)[np.ix_(_ATOM_MIRROR, _ATOM_MIRROR)]
-    return ReducedCM(a=sub[:2, :2].copy(), b=sub[2:, 2:].copy(),
-                     c=sub[:2, 2:].copy())
-
-
 def reduce_atom_mirror_stack(vs: np.ndarray) -> np.ndarray:
-    """The 4x4 atom-mirror CMs (ReducedCM.full) of a (n, 6, 6) stack."""
+    """The 4x4 atom-mirror CMs, over (q, p, x, y), of a (n, 6, 6) stack."""
     return np.asarray(vs, dtype=float)[:, _ATOM_MIRROR[:, None],
                                        _ATOM_MIRROR]
 
@@ -83,10 +61,11 @@ def log_negativity_stack(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(physical, np.where(en > 0.0, en, 0.0), np.nan), physical
 
 
-def log_negativity(rcm: ReducedCM) -> float:
-    """Logarithmic negativity of the two-mode Gaussian state: one CM of
+def log_negativity(r: np.ndarray) -> float:
+    """Logarithmic negativity of one two-mode Gaussian state, whose 4x4
+    CM r is one row of reduce_atom_mirror_stack: one CM of
     log_negativity_stack; raises NonPhysical where that flags it."""
-    en, physical = log_negativity_stack(rcm.full[np.newaxis])
+    en, physical = log_negativity_stack(np.asarray(r)[np.newaxis])
     if not physical[0]:
         raise NonPhysical("reduced CM is not a valid two-mode covariance "
                           "matrix")
@@ -127,12 +106,6 @@ def principal_axis_angle(mech_cm: np.ndarray) -> float:
 class WignerGrid:
     axes: tuple[np.ndarray, ...]
     values: np.ndarray
-
-    def integral(self) -> float:
-        out = self.values
-        for ax in reversed(self.axes):
-            out = np.trapezoid(out, ax, axis=-1)
-        return float(out)
 
 
 def wigner(cm: np.ndarray, span_sigmas: float = 6.0,

@@ -16,7 +16,8 @@ N_MAX_DEFAULT = 8
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Physical rates and detunings of the hybrid system (units of omega_m)."""
+    """Physical rates and detunings of the hybrid system (units of omega_m);
+    a field may hold an array, one value per cell of a sweep block."""
 
     delta_a: float          # cavity-laser detuning
     kappa: float            # cavity decay rate
@@ -27,6 +28,13 @@ class SystemParams:
     g0_collective: float    # collective atom-cavity coupling sqrt(N)*g0
     n_th: float = 0.0       # mean thermal phonon occupation
     omega_m: float = 1.0    # mechanical frequency (the unit)
+
+
+def cell_matrices(entries, n: int) -> np.ndarray:
+    """n x n matrices from n * n row-major entries that broadcast: one per
+    cell where an entry holds one value per cell."""
+    entries = np.broadcast_arrays(*entries)
+    return np.stack(entries, axis=-1).reshape(entries[0].shape + (n, n))
 
 
 @dataclass(frozen=True)

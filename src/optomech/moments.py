@@ -17,13 +17,13 @@ with every product of harmonics truncated to |n| <= n_max.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import NoConvergence, SingularDenominator
 from .model import (DriveSpec, FirstMoments, SystemParams, ZERO_MOMENTS,
-                    drive_kernel)
+                    cell_matrices, drive_kernel)
 from .numerics import StepperConfig, integrate_adaptive
 
 DEFAULT_J_MAX = 6
@@ -291,41 +291,42 @@ def effective_detuning(params: SystemParams, q_mean: float) -> float:
 def steady_state_constant(params: SystemParams, e0: complex,
                           delta_a_eff: float | None = None
                           ) -> tuple[FirstMoments, SystemParams]:
-    """Fixed point of the mean-value ODEs for a constant drive E_0.
+    """Fixed point of the mean-value ODEs for a constant drive E_0, one
+    per cell where params' fields or e0 hold one value per cell.
 
     When delta_a_eff is given, the working-point detuning is prescribed
     and delta_a is back-computed; the returned params carry that delta_a.
-    Otherwise n = |<a>|^2 solves the stationary cubic
-    n [(Re K)^2 + (Im K + delta_a - g^2 n / omega_m)^2] = |E_0|^2, with
-    K = kappa + G0^2 / (gamma_a + i delta_c), and the lowest real root,
-    the branch reached from q = 0, is the working point.  Raises
-    SingularDenominator where gamma_a + i delta_c vanishes.
+    Otherwise x = g <q> solves the stationary cubic, monic in x, so its
+    companion matrix needs no division, not even at g = 0:
+    x [(Re K)^2 + (b - x)^2] = g^2 |E_0|^2 / omega_m, b = Im K + delta_a,
+    K = kappa + G0^2 / (gamma_a + i delta_c).  The lowest real root, the
+    branch reached from q = 0, is the working point.  Raises
+    SingularDenominator where gamma_a + i delta_c vanishes in any cell.
     """
-    atom = params.gamma_a + 1j * params.delta_c
-    if abs(atom) < 1e-12:
+    # NumPy's arithmetic in one cell too, for the bits of that cell in a
+    # block: CPython's complex division and ** round differently
+    atom = np.asarray(params.gamma_a + 1j * params.delta_c)
+    if np.any(np.abs(atom) < 1e-12):
         raise SingularDenominator(
             "atomic denominator gamma_a + i delta_c vanishes "
             "(undamped atoms on resonance)")
-    k = params.kappa + params.g0_collective ** 2 / atom
-    if delta_a_eff is not None:
-        a = e0 / (k + 1j * delta_a_eff)
-        q = params.g * abs(a) ** 2 / params.omega_m
-        params = SystemParams(delta_a=delta_a_eff + params.g * q,
-                              kappa=params.kappa, gamma_m=params.gamma_m,
-                              g=params.g, delta_c=params.delta_c,
-                              gamma_a=params.gamma_a,
-                              g0_collective=params.g0_collective,
-                              n_th=params.n_th, omega_m=params.omega_m)
-    else:
-        u = params.g ** 2 / params.omega_m
+    k = params.kappa + np.square(params.g0_collective) / atom
+    if delta_a_eff is None:
         b = k.imag + params.delta_a
-        roots = np.roots([u * u, -2.0 * b * u, k.real ** 2 + b * b,
-                          -abs(e0) ** 2])
+        roots = np.linalg.eigvals(cell_matrices([
+            2.0 * b, -np.square(k.real) - b * b,
+            np.square(params.g * np.abs(e0)) / params.omega_m,
+            1.0, 0.0, 0.0,
+            0.0, 1.0, 0.0], 3))
         # next to a fold the two merging roots come back as a pair split
         # off the real axis by rounding, O(sqrt(eps)) of their size
-        n = float(np.min(roots.real[np.abs(roots.imag)
-                                    <= 1e-6 * np.abs(roots)]))
-        q = params.g * n / params.omega_m
-        a = e0 / (k + 1j * (params.delta_a - params.g * q))
+        x = np.min(np.where(np.abs(roots.imag) <= 1e-6 * np.abs(roots),
+                            roots.real, np.inf), axis=-1)
+        a = e0 / (k + 1j * (params.delta_a - x))
+    else:
+        a = e0 / (k + 1j * delta_a_eff)
+    q = params.g * np.square(np.abs(a)) / params.omega_m
+    if delta_a_eff is not None:
+        params = replace(params, delta_a=delta_a_eff + params.g * q)
     c = -1j * params.g0_collective * a / atom
     return FirstMoments(q=q, p=0.0, a=a, c=c), params

@@ -17,7 +17,7 @@ from optomech.fluctuations import (build_diffusion, build_drift,
                                    integrate_lyapunov,
                                    steady_state_lyapunov)
 from optomech.measures import (log_negativity, principal_axis_angle,
-                               reduce_atom_mirror, squeezing_parameter,
+                               reduce_atom_mirror_stack, squeezing_parameter,
                                symplectic_eigenvalues, wigner)
 from optomech.model import (DriveSpec, EngineeredCoupling, SystemParams,
                             ZERO_MOMENTS)
@@ -130,14 +130,16 @@ def test_criterion_4_entanglement_periodicity_and_robustness():
     lt = integrate_lyapunov(FIG2, FIG2_DRIVE, "ode", None, 200 * TAU,
                             t_eval=t_eval,
                             cfg=StepperConfig(rel_tol=1e-7, abs_tol=1e-10))
-    en = np.array([log_negativity(reduce_atom_mirror(v)) for v in lt.v])
+    en = np.array([log_negativity(r)
+                   for r in reduce_atom_mirror_stack(lt.v)])
     mismatch = np.max(np.abs(en[:200] - en[200:400])) / np.max(en)
     hot = replace(FIG2, n_th=50.0)
     lt_hot = integrate_lyapunov(hot, FIG2_DRIVE, "ode", None, 200 * TAU,
                                 t_eval=t_eval,
                                 cfg=StepperConfig(rel_tol=1e-7,
                                                   abs_tol=1e-10))
-    en_hot = max(log_negativity(reduce_atom_mirror(v)) for v in lt_hot.v)
+    en_hot = max(log_negativity(r)
+                 for r in reduce_atom_mirror_stack(lt_hot.v))
     report("entanglement positive, periodic, and thermally robust",
            np.all(en > 0.0) and mismatch <= 1e-3 and en_hot > 0.0)
 
@@ -149,7 +151,7 @@ def test_criterion_5_unmodulated_baseline():
         fm, eff = steady_state_constant(p, 1.2e5, delta_a_eff=1.0)
         v = steady_state_lyapunov(build_drift(eff, fm.q, fm.a),
                                   build_diffusion(eff))
-        en.append(log_negativity(reduce_atom_mirror(v)))
+        en.append(log_negativity(reduce_atom_mirror_stack(v[None])[0]))
     en = np.array(en)
     monotone = np.all(np.diff(en) <= 1e-12)
     report("static-drive entanglement exists and degrades with temperature",
@@ -240,11 +242,11 @@ def test_criterion_10_oracle_equivalences():
     lyap_ok = np.max(np.abs(v_int - v_alg)) <= 1e-6
 
     # two-mode squeezed-vacuum closed form
-    from test_measures import two_mode_squeezed_cm
-    tmsv_ok = all(abs(log_negativity(two_mode_squeezed_cm(r)) - 2 * r)
+    from test_measures import two_mode_squeezed_cm, wigner_integral
+    tmsv_ok = all(abs(log_negativity(two_mode_squeezed_cm(r).full) - 2 * r)
                   <= 1e-9 for r in (0.3, 0.8, 1.5))
 
-    wig_ok = abs(wigner(0.5 * np.eye(2)).integral() - 1.0) <= 1e-3
+    wig_ok = abs(wigner_integral(wigner(0.5 * np.eye(2))) - 1.0) <= 1e-3
 
     from test_fluctuations import random_params, transcription_oracle
     rng = np.random.default_rng(123)

@@ -370,6 +370,43 @@ def test_stacked_sweep_matches_one_cell_evaluation(tmp_path):
             assert en == "nan" and np.isnan(want_en)
 
 
+# fig2 at delta_a = 0, G0 = 3 and no delta_a_effective: every working
+# point is the stationary cubic's lowest real root
+CUBIC_DOC = {
+    "params": dict(FIG2_DOC["params"], delta_a=0.0, G0=3.0),
+    "drive": {"Omega": 0.0, "components": [{"n": 0, "re": 1e6}]},
+}
+
+
+@pytest.mark.parametrize("e0_axis", [(8e5, 1.3e6, 101), (0.0, 0.0, 1)],
+                         ids=["three_roots_and_fold", "no_drive"])
+def test_cubic_sweep_matches_one_cell_evaluation(tmp_path, e0_axis):
+    from test_moments import stationary_cubic_roots
+    lo, hi, points = e0_axis
+    doc = dict(CUBIC_DOC, sweep={"axes": [
+        {"name": "g", "min": 0.0, "max": 1e-5, "points": 2},
+        {"name": "E0", "min": lo, "max": hi, "points": points}]})
+    cfg = config_from_dict(doc)
+    assert cfg.delta_a_effective is None
+    run_experiment(cfg, tmp_path)
+    rows = read_sweep(tmp_path / "sweep.csv")
+    assert len(rows) == 2 * points
+    three_roots = 0
+    for g, e0, status, en in rows:
+        cell = experiment._apply_axis(
+            experiment._apply_axis(cfg, "g", float(g)), "E0", float(e0))
+        want_status, want_en = evaluate_cell(cell)
+        assert status == want_status
+        if status == "stable":
+            assert float(en) == pytest.approx(want_en, rel=1e-13, abs=0.0)
+        else:
+            assert en == "nan" and np.isnan(want_en)
+        roots = stationary_cubic_roots(cell.params, float(e0))
+        three_roots += np.sum(roots.imag == 0.0) == 3
+    assert "stable" in {row[2] for row in rows}
+    assert 0 < three_roots < len(rows) or points == 1
+
+
 def test_fig4a_sweep_matches_independent_oracle(tmp_path):
     # bench/check.py's oracle solves each cell by Bartels-Stewart from its
     # own drift transcription; the stacked sweep must agree on every cell
@@ -453,17 +490,19 @@ def test_sweep_flags_forced_bad_cells_only(tmp_path, monkeypatch):
     unstable_cell, nonphysical_cell = 270, 5
     assert clean[unstable_cell][2] == clean[nonphysical_cell][2] == "stable"
 
-    # every cell of this box has a working point, so the k-th drift built
-    # is cell k's, and the first block holds cells 0-255 in order
+    # build_drift returns one (cells, 6, 6) stack per block of SWEEP_BLOCK
+    # cells in order, so cell 270 is row 14 of the second block's stack
     build_drift = experiment.build_drift
     reduce_stack = experiment.reduce_atom_mirror_stack
+    block, row = divmod(unstable_cell, experiment.SWEEP_BLOCK)
     drifts, blocks = [], []
 
     def forced_drift(params, q_mean, a_mean):
+        a = build_drift(params, q_mean, a_mean)
+        if len(drifts) == block:
+            a[row] = np.eye(6)
         drifts.append(None)
-        if len(drifts) - 1 == unstable_cell:
-            return np.eye(6)
-        return build_drift(params, q_mean, a_mean)
+        return a
 
     def forced_reduction(vs):
         r = reduce_stack(vs)

@@ -164,11 +164,9 @@ def test_unforced_stable_lyapunov_decays():
     base = thermal_vacuum_cm(0.0)
     # D = 0 flow: propagate the perturbation only (linearity of the eq.)
     lt = integrate_lyapunov(params, drive, lambda t: (0.0, 0j),
-                            v0, 40.0, t_eval=[40.0],
-                            check_physical=False)
+                            v0, 40.0, t_eval=[40.0])
     lt0 = integrate_lyapunov(params, drive, lambda t: (0.0, 0j),
-                             base, 40.0, t_eval=[40.0],
-                             check_physical=False)
+                             base, 40.0, t_eval=[40.0])
     assert np.max(np.abs(lt.v[-1] - lt0.v[-1])) <= 1e-8
 
 

@@ -388,6 +388,37 @@ def test_steady_state_next_to_fold():
     assert steady_residual(params, e0, fm) <= 1e-12
 
 
+def test_steady_state_block_takes_each_cells_lowest_root():
+    # fig2 at delta_a = 0, G0 = 3: E0 over the three-root region and the
+    # fold, and cells where np.roots strips a zero coefficient, the
+    # leading ones at g = 0 and the trailing one at E0 = 0
+    params = replace(FIG2, delta_a=0.0, g0_collective=3.0)
+    fold = 1147730.1473779457
+    e0 = np.concatenate((np.linspace(8e5, 1.3e6, 201), [fold, 0.0, 0.0,
+                                                        9e5]))
+    g = np.full(e0.shape, params.g)
+    g[-2:] = 0.0
+    fm, eff = steady_state_constant(replace(params, g=g), e0 + 0j)
+    assert fm.q.shape == fm.a.shape == e0.shape
+    assert np.array_equal(eff.g, g)
+    three_roots = 0
+    for e, g_cell, q in zip(e0[:201], g, fm.q):
+        roots = stationary_cubic_roots(params, e)
+        real = roots.real[roots.imag == 0.0]
+        three_roots += len(real) == 3
+        assert q == pytest.approx(g_cell * np.min(real), rel=1e-12, abs=0.0)
+    assert 0 < three_roots < 201
+    upper = params.g * np.max(stationary_cubic_roots(params, fold).real)
+    assert fm.q[201] < 0.5 * upper
+    assert fm.q[202] == fm.a[202] == 0.0      # E0 = 0
+    assert fm.q[203] == fm.q[204] == 0.0      # g = 0
+    assert fm.a[204] != 0.0
+    # every cell has the bits of a one-cell call
+    for i, (e, g_cell) in enumerate(zip(e0, g)):
+        one, _ = steady_state_constant(replace(params, g=g_cell), e + 0j)
+        assert (one.q, one.a, one.c) == (fm.q[i], fm.a[i], fm.c[i])
+
+
 @pytest.mark.parametrize("delta_a_eff", [None, 1.0])
 def test_steady_state_undamped_resonant_atoms_raise(delta_a_eff):
     params = replace(FIG2, gamma_a=0.0, delta_c=0.0)
