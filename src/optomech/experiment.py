@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -549,6 +548,8 @@ def run_sweep(cfg: ExperimentConfig, out_path: Path, jobs: int = 1) -> Path:
             en, physical = log_negativity_stack(reduce_atom_mirror_stack(v))
             results += zip(map(_cell_status, errors, physical), en.tolist())
     elif jobs > 1:
+        # imported here, so that only a pooled sweep loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_cell_worker, cells(), chunksize=4))
     else:

@@ -2,7 +2,9 @@
 
 It is SciPy's Dormand-Prince 8(5,3) pair (DOP853), stepped in one loop
 that checks each accepted step against an overflow guard; it is
-deterministic.
+deterministic.  DOP853 is imported at the first integration, not with
+this module: importing scipy.integrate takes most of a fresh process's
+start-up, and runs that reach their samples by algebra never step.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import DOP853
 
 from .errors import Diverged, StepFailure
 
@@ -47,6 +48,8 @@ def integrate_adaptive(f, t_span, y0, cfg: StepperConfig, t_eval=None):
     cfg.overflow_guard and StepFailure when the stepper cannot meet its
     tolerances.
     """
+    from scipy.integrate import DOP853
+
     t0, t_end = map(float, t_span)
     solver = DOP853(f, t0, np.asarray(y0, dtype=float), t_end,
                     rtol=cfg.rel_tol, atol=cfg.abs_tol,
