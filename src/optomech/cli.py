@@ -4,7 +4,7 @@ Subcommands:
   simulate        run a configured experiment (optionally a shipped recipe)
   engineer-drive  emit the drive Fourier components for a coupling target
   stability       the stability report a run writes to stability.json
-  sweep           run the configured parameter sweep
+  sweep           run the configured parameter sweep, all in this process
   wigner          Wigner phase-space grids of the mechanical mode
 """
 
@@ -47,9 +47,6 @@ def _add_common(sub):
     sub.add_argument("--recipe", choices=recipe_names(),
                      help="shipped canonical configuration")
     sub.add_argument("--out", help="output directory")
-    sub.add_argument("--jobs", type=int, default=1,
-                     help="worker pool size for sweeps of a modulated "
-                     "drive; constant-drive sweeps run in process")
 
 
 def main(argv=None) -> int:
@@ -75,8 +72,9 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> int:
+    cfg = _load(args)
+    cfg.check()
     if args.command == "engineer-drive":
-        cfg = load_config(args.config)
         if cfg.engineered is None:
             raise SystemExit("config must carry an 'engineered' target")
         drive = modulation_components(cfg.params, cfg.engineered)
@@ -84,10 +82,7 @@ def _run(args) -> int:
         print()
         return 0
 
-    cfg = _load(args)
-
     if args.command in ("compare-sources", "stability"):
-        cfg.check()
         report = (compare_sources(cfg) if args.command == "compare-sources"
                   else solve(replace(cfg, outputs=("stability",)),
                              sample_times(cfg))[3])
@@ -99,7 +94,7 @@ def _run(args) -> int:
         if args.times:
             cfg.wigner_times = tuple(float(t) for t in args.times.split(","))
         cfg.outputs = tuple(set(cfg.outputs) | {"wigner"})
-    written = run_experiment(cfg, _out_dir(args), jobs=args.jobs)
+    written = run_experiment(cfg, _out_dir(args))
     for name, path in written.items():
         print(f"{name}: {path}")
     return 0

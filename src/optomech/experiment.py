@@ -25,7 +25,7 @@ from .fluctuations import _check_physical, build_diffusion, build_drift, \
     integrate_lyapunov, lyapunov_stack, periodic_state, stability_check
 from .measures import log_negativity_stack, principal_axis_angle, \
     reduce_atom_mirror_stack, squeezing_parameter, wigner
-from .model import DriveSpec, EngineeredCoupling, FirstMoments, SystemParams, \
+from .model import DriveSpec, EngineeredCoupling, SystemParams, \
     ZERO_MOMENTS, validate_params
 from .moments import DEFAULT_J_MAX, DEFAULT_N_MAX, MomentTrajectory, \
     floquet_mean_source, floquet_recurse, integrate_first_moments, \
@@ -63,8 +63,6 @@ class ExperimentConfig:
     numerics: StepperConfig = field(default_factory=StepperConfig)
     j_max: int = DEFAULT_J_MAX
     n_max: int = DEFAULT_N_MAX
-    init_moments: FirstMoments = ZERO_MOMENTS
-    init_cm: np.ndarray | None = None
     first_moment_source: str = "ode"
     sample_periods: float = 2.0
     samples_per_period: int = 200
@@ -80,7 +78,7 @@ class ExperimentConfig:
                          "coupling target")
 
     def validate(self) -> list[str]:
-        report = []
+        report = [f"unknown key '{name}'" for name in _unknown_keys(self.raw)]
         if (self.drive is None) == (self.engineered is None):
             report.append("exactly one of 'drive' and 'engineered' "
                           "must be given")
@@ -143,6 +141,30 @@ def _parse_drive(d: dict) -> DriveSpec:
 _PARAM_KEYS = {"delta_a", "kappa", "gamma_m", "g", "delta_c", "gamma_a",
                "n_th", "omega_m"}
 
+# Every key config_from_dict reads, dotted; a list's items share one name.
+_KEYS = {f"params.{k}" for k in _PARAM_KEYS} | set("""
+    params params.G0 params.g0_collective params.delta_a_effective
+    drive drive.Omega drive.components drive.components.n drive.components.re
+    drive.components.im engineered engineered.G1 engineered.G2 engineered.Omega
+    horizon_periods sample_periods samples_per_period outputs wigner_times
+    first_moment_source numerics numerics.rel_tol numerics.abs_tol floquet
+    floquet.j_max floquet.n_max sweep sweep.axes sweep.axes.name
+    sweep.axes.min sweep.axes.max sweep.axes.points""".split())
+
+
+def _unknown_keys(doc: dict, at: str = "") -> list[str]:
+    """The dotted name of every key in doc that config_from_dict does not
+    read, so that a misspelt or retired setting is not silently ignored."""
+    names = []
+    for key, value in doc.items():
+        if at + key not in _KEYS:
+            names.append(at + key)
+            continue
+        for item in value if isinstance(value, list) else [value]:
+            if isinstance(item, dict):
+                names += _unknown_keys(item, f"{at}{key}.")
+    return names
+
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     p = doc["params"]
@@ -159,21 +181,10 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
                                         big_omega=float(e["Omega"]))
 
     num = doc.get("numerics", {})
-    numerics = StepperConfig(
-        rel_tol=float(num.get("rel_tol", 1e-9)),
-        abs_tol=float(num.get("abs_tol", 1e-12)),
-        max_step=float(num.get("max_step", np.inf)),
-        overflow_guard=float(num.get("overflow_guard", 1e12)))
+    numerics = StepperConfig(rel_tol=float(num.get("rel_tol", 1e-9)),
+                             abs_tol=float(num.get("abs_tol", 1e-12)))
 
     flq = doc.get("floquet", {})
-    init = doc.get("init", {})
-    init_moments = FirstMoments(
-        q=float(init.get("q", 0.0)), p=float(init.get("p", 0.0)),
-        a=complex(init.get("re_a", 0.0), init.get("im_a", 0.0)),
-        c=complex(init.get("re_c", 0.0), init.get("im_c", 0.0)))
-    init_cm = None
-    if "cm_diag" in init:
-        init_cm = np.diag([float(x) for x in init["cm_diag"]])
 
     sweep = tuple(SweepAxis(name=a["name"], min=float(a["min"]),
                             max=float(a["max"]), points=int(a["points"]))
@@ -188,7 +199,6 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         sweep=sweep, numerics=numerics,
         j_max=int(flq.get("j_max", DEFAULT_J_MAX)),
         n_max=int(flq.get("n_max", DEFAULT_N_MAX)),
-        init_moments=init_moments, init_cm=init_cm,
         first_moment_source=doc.get("first_moment_source", "ode"),
         sample_periods=float(doc.get("sample_periods", 2.0)),
         samples_per_period=int(doc.get("samples_per_period", 200)),
@@ -320,15 +330,15 @@ def solve(cfg: ExperimentConfig, t_eval: np.ndarray,
             source = floquet_mean_source(series, cfg.params.g)
         elif source == "engineered":
             source = engineered_mean_source(cfg.params, cfg.engineered)
-        y0 = cfg.init_moments
+        y0 = ZERO_MOMENTS
         if source != "ode" and "first_moments" not in cfg.outputs:
             y0 = None       # the CM alone: the source fills the drift
-        lt = integrate_lyapunov(cfg.params, drive, source, cfg.init_cm,
-                                t_end, t_eval=t_eval, cfg=cfg.numerics,
+        lt = integrate_lyapunov(cfg.params, drive, source, None, t_end,
+                                t_eval=t_eval, cfg=cfg.numerics,
                                 moment_init=y0)
         means, vs = lt.means, lt.v
     if means is None and "first_moments" in cfg.outputs:
-        means = integrate_first_moments(cfg.params, drive, cfg.init_moments,
+        means = integrate_first_moments(cfg.params, drive, ZERO_MOMENTS,
                                         t_end, t_eval=t_eval,
                                         cfg=cfg.numerics)
     return t_eval, means, vs, stability
@@ -371,7 +381,8 @@ def _write_outputs(cfg: ExperimentConfig, out_dir: Path, written: dict,
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path,
                    jobs: int = 1) -> dict:
-    """Execute the configured pipeline; returns {output name: path}."""
+    """Execute the configured pipeline in this process; returns {output
+    name: path}.  jobs is ignored: the benchmark harness still passes it."""
     cfg.check()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -386,7 +397,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path,
     written["manifest"] = path
 
     if cfg.sweep:
-        written["sweep"] = run_sweep(cfg, out_dir / "sweep.csv", jobs)
+        written["sweep"] = run_sweep(cfg, out_dir / "sweep.csv")
         return written
     if cfg.outputs:
         _write_outputs(cfg, out_dir, written, *solve(cfg, sample_times(cfg)))
@@ -504,32 +515,30 @@ def evaluate_cell(cfg: ExperimentConfig) -> tuple[str, float]:
     return _cell_status(None, physical.all()), float(np.max(en))
 
 
-def _cell_worker(args):
-    cfg, values = args
-    for ax, val in values:
-        cfg = _apply_axis(cfg, ax.name, val)
-    return evaluate_cell(cfg)
-
-
-def run_sweep(cfg: ExperimentConfig, out_path: Path, jobs: int = 1) -> Path:
+def run_sweep(cfg: ExperimentConfig, out_path: Path) -> Path:
     """Grid sweep over 1 or 2 axes; one CSV row per cell, the last axis
-    fastest.
+    fastest.  Every cell is solved in this process.
 
-    A constant drive's cells are solved in this process, SWEEP_BLOCK at a
-    time: one SystemParams (and E0) whose swept fields hold the block's
-    axis values, for _constant_cells.  Only a block with a working point
-    that cannot be found is solved a cell at a time.  Modulated cells, one
-    periodic solve each, go to a pool of jobs processes when jobs > 1.
+    A constant drive's cells are solved SWEEP_BLOCK at a time: one
+    SystemParams (and E0) whose swept fields hold the block's axis
+    values, for _constant_cells.  Only a block with a working point that
+    cannot be found is solved a cell at a time.  Modulated cells are
+    solved one after another, one periodic solve each (evaluate_cell).
     """
     columns = [x.ravel() for x in np.meshgrid(
         *(ax.values() for ax in cfg.sweep), indexing="ij")]
 
-    def cells(lo=0, hi=None):       # _cell_worker's arguments
-        return [(cfg, tuple(zip(cfg.sweep, values)))
-                for values in zip(*(col[lo:hi].tolist() for col in columns))]
+    def cells(lo=0, hi=None):       # each cell's config, in row order
+        for values in zip(*(col[lo:hi].tolist() for col in columns)):
+            cell = cfg
+            for ax, val in zip(cfg.sweep, values):
+                cell = _apply_axis(cell, ax.name, val)
+            yield cell
 
     drive = cfg.resolved_drive()
-    if drive.big_omega == 0.0:
+    if drive.big_omega != 0.0:
+        results = list(map(evaluate_cell, cells()))
+    else:
         results = []
         for lo in range(0, len(columns[0]), SWEEP_BLOCK):
             params, e0 = cfg.params, drive.component(0)
@@ -543,17 +552,10 @@ def run_sweep(cfg: ExperimentConfig, out_path: Path, jobs: int = 1) -> Path:
                 _, v, _, errors = _constant_cells(cfg, params, e0)
             except SimulationError:
                 # a failing working point fails its block: one cell at a time
-                results += map(_cell_worker, cells(lo, lo + SWEEP_BLOCK))
+                results += map(evaluate_cell, cells(lo, lo + SWEEP_BLOCK))
                 continue
             en, physical = log_negativity_stack(reduce_atom_mirror_stack(v))
             results += zip(map(_cell_status, errors, physical), en.tolist())
-    elif jobs > 1:
-        # imported here, so that only a pooled sweep loads multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_cell_worker, cells(), chunksize=4))
-    else:
-        results = list(map(_cell_worker, cells()))
     write_rows(out_path, [ax.name for ax in cfg.sweep] + ["status", "EN"],
                (*columns, *zip(*results)))
     return out_path

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,15 +9,13 @@ import scipy.linalg
 
 from optomech import experiment, fluctuations
 from optomech.cli import main as cli_main
-from optomech.experiment import (ExperimentConfig, SweepAxis,
-                                 compare_sources, config_from_dict,
+from optomech.experiment import (compare_sources, config_from_dict,
                                  evaluate_cell, measures_from_cm_series,
                                  run_experiment)
 from optomech.errors import NoConvergence, NotStable, SingularDenominator
 from optomech.fluctuations import integrate_lyapunov
 from optomech.measures import principal_axis_angle, squeezing_parameter
-from optomech.model import DriveSpec, SystemParams
-from optomech.numerics import StepperConfig
+from optomech.model import ZERO_MOMENTS
 from optomech.recipes import load_recipe, recipe_names
 from optomech.tables import write_cm_csv, write_measures_csv
 
@@ -38,6 +37,15 @@ def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return path
+
+
+def bench_module(name):
+    """bench/<name>.py, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_config_parsing_round_trip():
@@ -180,6 +188,48 @@ def test_recipes_ship_and_parse():
         assert cfg.validate() == []
 
 
+def test_bench_workloads_validate():
+    workloads = bench_module("workloads")
+    for name in workloads.SPECS:
+        for seed in (1, 2):
+            doc = workloads.resolved_doc(workloads.workload_spec(name, seed),
+                                         load_recipe)
+            assert config_from_dict(doc).validate() == [], name
+
+
+def _rename_g0(doc):
+    doc["params"]["g0"] = doc["params"].pop("G0")
+
+
+@pytest.mark.parametrize("edit, name", [
+    (_rename_g0, "params.g0"),      # silently G0 = 0, no atoms, before
+    (lambda doc: doc.update(horizon_period=60), "horizon_period"),
+    (lambda doc: doc.update(output=["EN"]), "output"),
+    (lambda doc: doc.update(init={"q": 1.0, "cm_diag": [0.5] * 6}), "init"),
+    (lambda doc: doc.update(numerics={"max_step": 0.1}), "numerics.max_step"),
+    (lambda doc: doc.update(numerics={"overflow_guard": 1e6}),
+     "numerics.overflow_guard"),
+    (lambda doc: doc["sweep"]["axes"][1].update(pts=5), "sweep.axes.pts")])
+def test_config_names_unknown_keys(tmp_path, edit, name):
+    doc = load_recipe("fig4a")
+    edit(doc)
+    cfg = config_from_dict(doc)
+    assert cfg.validate() == [f"unknown key '{name}'"]
+    with pytest.raises(ValueError, match=re.escape(f"'{name}'")):
+        run_experiment(cfg, tmp_path)
+
+
+@pytest.mark.parametrize("command", ["engineer-drive", "simulate",
+                                     "stability", "compare-sources"])
+def test_cli_names_unknown_keys(tmp_path, command):
+    doc = {"params": {"delta_a": 1.0, "kappa": 10.0, "gamma_m": 1e-3,
+                      "g": 1e-3, "delta_c": -1.0, "gamma_a": 1e-3, "g0": 1.0},
+           "engineered": {"G1": 1.2, "G2": 0.1, "Omega": 2.0}}
+    path = write_config(tmp_path, doc)
+    with pytest.raises(ValueError, match="unknown key 'params.g0'"):
+        cli_main([command, "--config", str(path)])
+
+
 def test_cli_simulate_with_config(tmp_path, capsys):
     doc = dict(FIG2_DOC)
     doc["outputs"] = ["EN"]
@@ -303,36 +353,6 @@ def test_cli_checks_config_before_solving(tmp_path, command):
     assert str(got.value) == str(simulate.value)
 
 
-def test_sweep_parallel_matches_serial(tmp_path):
-    cfg = ExperimentConfig(
-        params=SystemParams(delta_a=1.0, kappa=2.0, gamma_m=1e-3,
-                            g=1e-5, delta_c=-1.0, gamma_a=0.1,
-                            g0_collective=1.0),
-        drive=DriveSpec(big_omega=0.0, components={0: 1.2e5}),
-        delta_a_effective=1.0,
-        sweep=(SweepAxis(name="G0", min=0.5, max=2.0, points=4),),
-        numerics=StepperConfig())
-    run_experiment(cfg, tmp_path / "serial", jobs=1)
-    run_experiment(cfg, tmp_path / "par", jobs=2)
-    assert (tmp_path / "serial" / "sweep.csv").read_bytes() == \
-        (tmp_path / "par" / "sweep.csv").read_bytes()
-
-
-def test_modulated_sweep_parallel_matches_serial(tmp_path):
-    doc = dict(FIG2_DOC, horizon_periods=3.0, samples_per_period=20,
-               drive=UNSTABLE_CYCLE_DRIVE,
-               sweep={"axes": [{"name": "E0", "min": 5e4, "max": 1.5e5,
-                                "points": 3}]})
-    cfg = config_from_dict(doc)
-    run_experiment(cfg, tmp_path / "serial", jobs=1)
-    run_experiment(cfg, tmp_path / "par", jobs=2)
-    text = (tmp_path / "serial" / "sweep.csv").read_text()
-    assert text == (tmp_path / "par" / "sweep.csv").read_text()
-    rows = [line.split(",") for line in text.splitlines()[1:]]
-    assert rows[0][1:] == ["unstable", "nan"]    # the |mu| = 1.047 drive
-    assert rows[1][1] == "stable"
-
-
 FIG4A_BOX_DOC = {
     "params": {"delta_a": 1.0, "kappa": 0.2, "gamma_m": 1e-3, "g": 1e-5,
                "delta_c": -1.0, "gamma_a": 0.1, "G0": 1.0,
@@ -410,10 +430,7 @@ def test_cubic_sweep_matches_one_cell_evaluation(tmp_path, e0_axis):
 def test_fig4a_sweep_matches_independent_oracle(tmp_path):
     # bench/check.py's oracle solves each cell by Bartels-Stewart from its
     # own drift transcription; the stacked sweep must agree on every cell
-    path = Path(__file__).resolve().parents[1] / "bench" / "check.py"
-    spec = importlib.util.spec_from_file_location("bench_check", path)
-    check = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(check)
+    check = bench_module("check")
     doc = load_recipe("fig4a")
     written = run_experiment(config_from_dict(doc), tmp_path)
     expected = check.sweep_oracle(doc)
@@ -530,9 +547,9 @@ def brute_force_window(cfg):
     t_end = cfg.horizon_periods * drive.period
     t_eval = np.linspace(t_end - cfg.sample_periods * drive.period, t_end,
                          int(cfg.sample_periods * cfg.samples_per_period))
-    return integrate_lyapunov(cfg.params, drive, "ode", cfg.init_cm, t_end,
+    return integrate_lyapunov(cfg.params, drive, "ode", None, t_end,
                               t_eval=t_eval, cfg=cfg.numerics,
-                              moment_init=cfg.init_moments)
+                              moment_init=ZERO_MOMENTS)
 
 
 def assert_brute_force_csvs(cfg, run_dir, ref_dir):
