@@ -106,13 +106,13 @@ def _cavity_mean(params: SystemParams, target: EngineeredCoupling, t):
 
 def _transient_kernel(params: SystemParams, target: EngineeredCoupling,
                       lc: LaplaceCoefficients):
-    """Scalar-time t -> (<q>, <p>, <a>) from the mechanical exponentials.
+    """t -> (<q>, <p>, <a>) from the mechanical exponentials, elementwise
+    over an array t.
 
     <q> is reconstructed from the momentum equation with <pdot> evaluated
     by term-by-term differentiation of the exponential sum (never by
-    finite differences).  One vector exp gives the four exponentials and
-    the cavity phase e^{-i Omega t}; the rest is Python complex
-    arithmetic, as in model.drive_kernel.
+    finite differences).  One exp gives the four exponentials and the
+    cavity phase e^{-i Omega t}; the sums run term by term from 0.
     """
     rates = np.array([*lc.s[:4], -1j * target.big_omega])
     terms = [(complex(s), complex(k)) for s, k in zip(lc.s[:4], lc.k[:4])]
@@ -121,7 +121,8 @@ def _transient_kernel(params: SystemParams, target: EngineeredCoupling,
     root2_g = float(SQRT2 * g)
 
     def kernel(t):
-        *exps, phase = np.exp(rates * t).tolist()
+        *exps, phase = np.moveaxis(np.exp(np.multiply.outer(t, rates)), -1,
+                                   0)
         p = pdot = 0j
         for (s, k), e in zip(terms, exps):
             term = k * e
@@ -142,14 +143,15 @@ def transient_first_moments(params: SystemParams,
     lc = lc or laplace_coefficients(params, target)
     q, p, a = _transient_kernel(params, target, lc)(t)
     c = np.sum(np.asarray(lc.k[4:]) * np.exp(np.asarray(lc.s[4:]) * t))
-    return FirstMoments(q=q, p=p, a=a, c=complex(c))
+    return FirstMoments(q=float(q), p=float(p), a=complex(a), c=complex(c))
 
 
 def engineered_mean_source(params: SystemParams,
                            target: EngineeredCoupling,
                            lc: LaplaceCoefficients | None = None):
-    """Callable t -> (<q>, <a>) of transient_first_moments, for drift
-    assembly; the kernel is built once and <c> is not evaluated."""
+    """Callable t -> (<q>, <a>) of transient_first_moments, elementwise
+    over an array t, for drift assembly; the kernel is built once and <c>
+    is not evaluated."""
     kernel = _transient_kernel(params, target,
                                lc or laplace_coefficients(params, target))
 

@@ -277,12 +277,13 @@ def solve(cfg: ExperimentConfig, t_eval: np.ndarray,
       harmonics give the means and the CMs at t_eval, and nothing is
       integrated; otherwise the CM is integrated from t = 0.
 
-    means (a MomentTrajectory) is asked for by first_moments.  A run
-    that integrates its CM carries the means in the same stepping loop,
-    whatever the source (next to the CM for "floquet" and "engineered",
-    whose callable fills the drift).  Only a run with no CM output calls
-    integrate_first_moments.  A callable-source run that does not ask
-    for first_moments integrates vech V alone.
+    means (a MomentTrajectory) is asked for by first_moments.  With the
+    "ode" source, a run that integrates its CM carries the means in the
+    same stepping loop, since they fill the drift.  With "floquet" or
+    "engineered", the source's callable fills the drift, so the CM is
+    propagated by interval maps and nothing is stepped for it; the means
+    asked for are then stepped alone, by integrate_first_moments, as in
+    a run with no CM output.
 
     vs, the (T, 6, 6) CMs, is asked for by the measure outputs.  vs is
     None, with no integration made, when the verdict rules out a
@@ -330,12 +331,8 @@ def solve(cfg: ExperimentConfig, t_eval: np.ndarray,
             source = floquet_mean_source(series, cfg.params.g)
         elif source == "engineered":
             source = engineered_mean_source(cfg.params, cfg.engineered)
-        y0 = ZERO_MOMENTS
-        if source != "ode" and "first_moments" not in cfg.outputs:
-            y0 = None       # the CM alone: the source fills the drift
         lt = integrate_lyapunov(cfg.params, drive, source, None, t_end,
-                                t_eval=t_eval, cfg=cfg.numerics,
-                                moment_init=y0)
+                                t_eval=t_eval, cfg=cfg.numerics)
         means, vs = lt.means, lt.v
     if means is None and "first_moments" in cfg.outputs:
         means = integrate_first_moments(cfg.params, drive, ZERO_MOMENTS,

@@ -3,8 +3,14 @@
 Assembles the time-dependent drift matrix and the diffusion matrix of the
 linearized quadrature dynamics, propagates the 6x6 covariance matrix
 through the Lyapunov equation of motion, and solves for the periodic
-CM algebraically.  The hot loop fills one drift template per integration
-(drift_kernel); build_drift assembles a fresh matrix for everything else.
+CM algebraically.  integrate_lyapunov propagates by one of two routes.
+With the "ode" source the means fill the drift, so they are stepped
+together with vech V, one right-hand side at a time, and the RHS fills
+one drift template per integration (drift_kernel).  With a callable
+source A(t) is known in advance and the CM equation is linear: each
+interval acts on V as V -> U V U^T + W, and U and W are stepped for many
+intervals at once as arrays, from one build_drift call per chunk
+(_propagate_cm); no RHS is called one time at a time.
 lyapunov_harmonics is the one algebraic solve of both drive kinds: the
 periodic CM's harmonics and the Floquet exponent from the drift's, for a
 modulated drive from periodic_state's harmonic balance, and for a
@@ -13,9 +19,10 @@ test (lyapunov_stack).  stability_check turns the exponent into the
 verdict.
 
 Quadrature ordering is (dq, dp, dX, dY, dx, dy); vacuum variance 1/2.
-Every integration and the algebraic solves carry the symmetric CM as
-vech V, its 21 entries V[VECH] on and above the diagonal in row-major
-order, the column order of cm.csv; V = vech[UNVECH] rebuilds the matrix.
+The stepper, the algebraic solves and every returned CM series carry the
+symmetric CM as vech V, its 21 entries V[VECH] on and above the diagonal
+in row-major order, the column order of cm.csv; V = vech[UNVECH]
+rebuilds the matrix.
 """
 
 from __future__ import annotations
@@ -25,15 +32,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NonPhysical, NotStable, \
-    SimulationError, Singular
+from .errors import Diverged, NoConvergence, NonPhysical, NotStable, \
+    SimulationError, Singular, StepFailure
 from .measures import symplectic_eigenvalues
 from .model import DriveSpec, FirstMoments, SystemParams, ZERO_MOMENTS, \
     cell_matrices
 from .moments import FloquetSolution, MomentTrajectory, _rhs_vector, \
     default_stepper, effective_coupling, effective_detuning, \
     floquet_recurse, periodic_means
-from .numerics import StepperConfig, integrate_adaptive
+from .numerics import StepperConfig, checked_t_eval, integrate_adaptive
 
 PHYSICALITY_SLACK = 1e-6
 # vech V = V[VECH]; UNVECH[i, j] is the vech index of entry (i, j) and of
@@ -116,7 +123,7 @@ def thermal_vacuum_cm(n_th: float) -> np.ndarray:
 class LyapunovTrajectory:
     t: np.ndarray
     v: np.ndarray                       # (T, 6, 6)
-    means: MomentTrajectory | None      # the co-integrated means, if carried
+    means: MomentTrajectory | None      # the co-integrated means ("ode")
 
 
 def _check_physical(t: np.ndarray, vs: np.ndarray):
@@ -131,32 +138,193 @@ def _check_physical(t: np.ndarray, vs: np.ndarray):
             f"t = {t[k]:g}; integration accuracy insufficient")
 
 
-def _moments_cm_rhs(params: SystemParams, drive: DriveSpec, source=None,
-                    means: bool = True):
-    """RHS of the CM, and of the mean values co-integrated with it.
-
-    The state is (moments[6], vech V[21]); without means it is vech V
-    alone.  The drift is filled in at every call from source(t) when a
-    mean source is given, else from the co-integrated means.
-    """
+def _moments_cm_rhs(params: SystemParams, drive: DriveSpec):
+    """RHS of the means and of the CM co-integrated with them: the state
+    is (moments[6], vech V[21]), and the means fill the drift at every
+    call."""
     drift = drift_kernel(params)
     d = build_diffusion(params)[VECH]
-    if not means:
-        def f(t, y):
-            av = drift(*source(t)) @ y[UNVECH]
-            return av.take(_UPPER) + av.take(_LOWER) + d
-
-        return f
     moment_rhs = _rhs_vector(params, drive)
 
     def f(t, y):
         dy_m = moment_rhs(t, y[:6])
-        a_mat = (drift(y[0], complex(y[2], y[3])) if source is None
-                 else drift(*source(t)))
-        av = a_mat @ y[6:][UNVECH]
+        av = drift(y[0], complex(y[2], y[3])) @ y[6:][UNVECH]
         return np.concatenate((dy_m, av.take(_UPPER) + av.take(_LOWER) + d))
 
     return f
+
+
+# Parts stepped together as arrays by _step_maps: the 13 DOP853 stages of
+# U and W take 13 * 72 floats, 7.5 kB, a part, about 1 MB a chunk.  A
+# piece is cut into at most PIECE_CHUNK parts.
+PIECE_CHUNK = 128
+
+
+def _compose_pairs(u: np.ndarray, w: np.ndarray):
+    """Maps 2i then 2i + 1 of stacked interval maps V -> U V U^T + W,
+    composed: (U_2 U_1, U_2 W_1 U_2^T + W_2)."""
+    u1, w1, u2, w2 = u[::2], w[::2], u[1::2], w[1::2]
+    return u2 @ u1, u2 @ w1 @ u2.swapaxes(1, 2) + w2
+
+
+def _reduce(u: np.ndarray, w: np.ndarray):
+    """The one map of a stack of consecutive interval maps, first map
+    first, composed pairwise."""
+    while len(u) > 1:
+        even = len(u) - len(u) % 2
+        pu, pw = _compose_pairs(u[:even], w[:even])
+        u, w = np.concatenate((pu, u[even:])), np.concatenate((pw, w[even:]))
+    return u[0], w[0]
+
+
+def _step_maps(drift_at, d: np.ndarray, t: np.ndarray, h: np.ndarray,
+               v: np.ndarray, cfg: StepperConfig):
+    """(U, W, error norm) of one DOP853 step over each interval
+    [t_i, t_i + h_i] at once: dU/dt = A U from U = I and
+    dW/dt = A W + W A^T + D from W = 0.
+
+    The norm is DOP853's estimate for the CM that the map makes of v,
+    V = U v U^T + W: the estimates dU and dW of the errors in U and W
+    give dU v U^T + U v dU^T + dW, over vech V.  The stepper scales each
+    entry by its own size, atol + rtol max(|v_ij|, |V_ij|); here entry
+    (i, j) is scaled by sqrt(s_ii s_jj), s = max(|v|, |V|), which bounds
+    a covariance's |V_ij| and equals the stepper's scale on the
+    diagonal, so that a correlation passing through zero is not held to
+    atol alone.
+    """
+    from scipy.integrate import DOP853 as rk
+
+    n = len(t)
+    a = drift_at(t + h * np.append(rk.C, 1.0)[:, None])     # (13, n, 6, 6)
+    ku, kw = np.empty((2, 13, n, 6, 6))
+    ku[0], kw[0] = a[0], d
+    hh = h[:, None, None]
+
+    def combine(coef, k):       # sum_s coef_s k_s
+        return (coef @ k[:len(coef)].reshape(len(coef), -1)).reshape(n, 6, 6)
+
+    for s in range(1, 13):      # the last stage is at t + h, from the step
+        coef = rk.A[s, :s] if s < 12 else rk.B
+        u = np.eye(6) + hh * combine(coef, ku)
+        w = hh * combine(coef, kw)
+        np.matmul(a[s], u, out=ku[s])
+        aw = a[s] @ w
+        np.add(aw, aw.swapaxes(1, 2), out=kw[s])
+        kw[s] += d
+    vut = (u @ v).swapaxes(1, 2)
+
+    def vech(x):
+        return x.reshape(n, 36)[:, _UPPER]
+
+    def error(coef):            # the error estimate of vech(U v U^T + W)
+        du = combine(coef, ku) @ vut
+        return vech(du + du.swapaxes(1, 2) + combine(coef, kw))
+
+    rtol = max(cfg.rel_tol, 100 * np.finfo(float).eps)   # DOP853's floor
+    size = np.sqrt(np.maximum(np.abs(np.diagonal(v)),
+                              np.abs(np.diagonal(u @ vut + w, 0, 1, 2))))
+    scale = cfg.abs_tol + rtol * vech(size[:, :, None] * size[:, None, :])
+    err5 = np.sum((error(rk.E5) / scale) ** 2, axis=1)
+    err3 = np.sum((error(rk.E3) / scale) ** 2, axis=1)
+    denom = np.sqrt((err5 + 0.01 * err3) * 21)
+    err = h * np.divide(err5, denom, out=np.zeros(n), where=err5 != 0)
+    return u, w, err
+
+
+def _piece_maps(drift_at, d: np.ndarray, t: np.ndarray, h: np.ndarray,
+                v: np.ndarray, cfg: StepperConfig, part: float):
+    """(U, W, part): the map of each piece [t_i, t_i + h_i].
+
+    Each piece is cut into the fewest parts, a power of two, no longer
+    than part, and its parts are stepped once each by _step_maps (their
+    errors judged for the CM v), PIECE_CHUNK parts at a time, then
+    composed pairwise back into one map per piece.  A chunk whose
+    largest error norm exceeds 1 is stepped again with its parts halved.
+    As an adaptive stepper keeps its step, the part length that passed
+    carries over to the next chunk, and back to the caller.  StepFailure
+    when a piece would need more than PIECE_CHUNK parts.
+    """
+    us, ws = np.empty((2, len(t), 6, 6))
+    i = 0
+    while i < len(t):
+        longest, m = np.max(h[i:i + PIECE_CHUNK]), 1
+        while longest / m > part * (1.0 + 1e-9):    # past rounding
+            m *= 2
+        if m > PIECE_CHUNK:
+            raise StepFailure(f"interval maps after t = {t[i]:g} fail "
+                              f"their tolerance at every part length")
+        j = min(len(t), i + PIECE_CHUNK // m)
+        u, w, err = _step_maps(
+            drift_at, d, (t[i:j, None] + h[i:j, None] * np.arange(m) / m)
+            .ravel(), np.repeat(h[i:j] / m, m), v, cfg)
+        if not np.max(err) <= 1.0:
+            part = longest / (2 * m)
+            continue
+        while len(u) > j - i:
+            u, w = _compose_pairs(u, w)
+        us[i:j], ws[i:j] = u, w
+        i = j
+    return us, ws, part
+
+
+def _stretch_map(drift_at, d: np.ndarray, t_a: float, t_b: float,
+                 v: np.ndarray, cfg: StepperConfig, part: float):
+    """(U, W, part) of [t_a, t_b], cut into equal pieces no longer than
+    max_step, their errors judged for the CM v = V(t_a): each chunk's
+    piece maps (_piece_maps) reduced, then the chunks' maps."""
+    edges = np.linspace(t_a, t_b,
+                        int(np.ceil((t_b - t_a) / cfg.max_step)) + 1)
+    t, h = edges[:-1], np.diff(edges)
+    maps = []
+    for i in range(0, len(h), PIECE_CHUNK):
+        u, w, part = _piece_maps(drift_at, d, t[i:i + PIECE_CHUNK],
+                                 h[i:i + PIECE_CHUNK], v, cfg, part)
+        maps.append(_reduce(u, w))
+    return (*_reduce(*map(np.array, zip(*maps))), part)
+
+
+def _propagate_cm(params: SystemParams, source, v0: np.ndarray,
+                  t_eval: np.ndarray, cfg: StepperConfig) -> np.ndarray:
+    """(T, 6, 6) V at t_eval from V(0) = v0, when source(t) fills A(t).
+
+    Gap k, [t_{k-1}, t_k] with t_{-1} = 0, acts on V as the interval map
+    V -> U V U^T + W.  Gaps no longer than max_step are one piece each,
+    PIECE_CHUNK at a time (_piece_maps); a longer gap (the stretch before
+    the first sample, say) is one _stretch_map.  The maps act in order.
+    Their errors are judged for the last V known, and each batch starts
+    from the part length that the last one passed (max_step at first).
+    """
+    d = build_diffusion(params)
+
+    def drift_at(t):        # one array call of the source per chunk
+        q, a = source(t.ravel())
+        m = build_drift(params, q, a)
+        return np.broadcast_to(m, (t.size, 6, 6)).reshape(t.shape + (6, 6))
+
+    starts = np.concatenate(([0.0], t_eval[:-1]))
+    gaps = t_eval - starts
+    short = (gaps > 0.0) & (gaps <= cfg.max_step)
+    vs = np.empty((len(t_eval), 6, 6))
+    v, part = v0, cfg.max_step
+    for lo in range(0, len(t_eval), PIECE_CHUNK):
+        block = np.arange(lo, min(lo + PIECE_CHUNK, len(t_eval)))
+        batch = block[short[block]]
+        maps = {}
+        if batch.size:
+            us, ws, part = _piece_maps(drift_at, d, starts[batch],
+                                       gaps[batch], v, cfg, part)
+            maps = dict(zip(batch.tolist(), zip(us, ws)))
+        for k in block.tolist():
+            if k in maps:
+                u, w = maps[k]
+            elif gaps[k] > 0.0:
+                u, w, part = _stretch_map(drift_at, d, starts[k],
+                                          t_eval[k], v, cfg, part)
+            else:
+                vs[k] = v
+                continue
+            v = vs[k] = u @ v @ u.T + w
+    return vs
 
 
 def integrate_lyapunov(params: SystemParams, drive: DriveSpec,
@@ -165,40 +333,62 @@ def integrate_lyapunov(params: SystemParams, drive: DriveSpec,
                        cfg: StepperConfig | None = None,
                        moment_init: FirstMoments | None = None
                        ) -> LyapunovTrajectory:
-    """Propagate dV/dt = A(t) V + V A^T + D from t = 0 to t_end.
+    """Propagate dV/dt = A(t) V + V A^T + D from t = 0 to t_end, sampled
+    at t_eval (t_end alone when None).
 
-    v0 (read on and above its diagonal) and moment_init are the state at
-    t = 0.  first_moment_source selects where the means that fill A(t)
-    at every step come from:
+    v0 (read on and above its diagonal; the thermal vacuum when None) is
+    V(0).  first_moment_source selects where the means that fill A(t)
+    come from, and with it what is stepped:
 
-    * "ode"    - co-integrate the mean-value ODEs alongside V, starting
-                 from moment_init (zero when None; the exact numerical
-                 route);
-    * callable - t -> (q_mean, a_mean), e.g. the Floquet series or the
-                 engineered closed form.  When moment_init is given the
-                 mean-value ODEs are co-integrated alongside V all the
-                 same, in the same stepping loop, though they do not
-                 fill A(t); when it is None V is integrated alone.
+    * "ode"    - the mean-value ODEs, co-integrated with vech V from
+                 moment_init (zero when None) in one DOP853 loop
+                 (integrate_adaptive); the exact numerical route.  The
+                 trajectory carries them as means.
+    * callable - t -> (q_mean, a_mean) over an array of times (a source
+                 that returns scalars is broadcast), e.g. the Floquet
+                 series or the engineered closed form.  A(t) is known
+                 before any stepping, so the CM equation is linear and
+                 nothing is stepped in a loop: each gap between samples
+                 (and the stretch before the first) acts on V as an
+                 interval map V -> U V U^T + W, whose U and W are stepped
+                 as arrays with DOP853's own tableau (_propagate_cm).
+                 means is None, and moment_init must be.
 
-    The trajectory carries the co-integrated means as means, and None
-    when V was integrated alone.
+    Raises Diverged when |V| exceeds cfg.overflow_guard (at a step of
+    the "ode" route, at a sample of the callable one), StepFailure when
+    the tolerances cannot be met, and NonPhysical at the first
+    unphysical CM.
     """
     if v0 is None:
         v0 = thermal_vacuum_cm(params.n_th)
     v0 = np.asarray(v0, dtype=float)[VECH]
     cfg = default_stepper(drive, cfg)
-    source = None if first_moment_source == "ode" else first_moment_source
-    if source is None and moment_init is None:
-        moment_init = ZERO_MOMENTS
-    f = _moments_cm_rhs(params, drive, source, moment_init is not None)
-    y0 = (v0 if moment_init is None
-          else np.concatenate((moment_init.to_vector(), v0)))
-    sol = integrate_adaptive(f, (0.0, t_end), y0, cfg, t_eval=t_eval)
-    vs = sol.y[-21:].T[:, UNVECH]
-    _check_physical(sol.t, vs)
-    means = (MomentTrajectory.from_states(sol.t, sol.y[:6])
-             if moment_init is not None else None)
-    return LyapunovTrajectory(t=sol.t, v=vs, means=means)
+    if first_moment_source == "ode":
+        init = (ZERO_MOMENTS if moment_init is None
+                else moment_init).to_vector()
+        sol = integrate_adaptive(_moments_cm_rhs(params, drive), (0.0, t_end),
+                                 np.concatenate((init, v0)), cfg,
+                                 t_eval=t_eval)
+        t, means = sol.t, MomentTrajectory.from_states(sol.t, sol.y[:6])
+        vs = sol.y[6:].T[:, UNVECH]
+    elif moment_init is not None:
+        raise ValueError("moment_init starts the 'ode' source's means; a "
+                         "callable source steps none")
+    else:
+        t = (np.array([float(t_end)]) if t_eval is None
+             else checked_t_eval(t_eval, 0.0, t_end))
+        with np.errstate(over="ignore", invalid="ignore"):
+            vs = _propagate_cm(params, first_moment_source, v0[UNVECH], t,
+                               cfg)
+        big = ~(np.max(np.abs(vs), axis=(1, 2)) <= cfg.overflow_guard)
+        if big.any():
+            raise Diverged(f"state magnitude exceeded "
+                           f"{cfg.overflow_guard:g} at t = "
+                           f"{t[np.argmax(big)]:g}")
+        vs = vs.reshape(-1, 36)[:, _UPPER][:, UNVECH]
+        means = None
+    _check_physical(t, vs)
+    return LyapunovTrajectory(t=t, v=vs, means=means)
 
 
 HB_ORDERS = (4, 8, 16, 32)      # truncations periodic_state tries

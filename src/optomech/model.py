@@ -32,9 +32,15 @@ class SystemParams:
 
 def cell_matrices(entries, n: int) -> np.ndarray:
     """n x n matrices from n * n row-major entries that broadcast: one per
-    cell where an entry holds one value per cell."""
-    entries = np.broadcast_arrays(*entries)
-    return np.stack(entries, axis=-1).reshape(entries[0].shape + (n, n))
+    cell where an entry holds one value per cell; one matrix, made by
+    one np.array call, when every entry is a scalar."""
+    if not any(isinstance(x, np.ndarray) and x.ndim for x in entries):
+        return np.array(entries, dtype=float).reshape(n, n)
+    shape = np.broadcast_shapes(*map(np.shape, entries))
+    out = np.empty((n * n,) + shape)
+    for i, x in enumerate(entries):
+        out[i] = x
+    return np.moveaxis(out, 0, -1).reshape(shape + (n, n))
 
 
 @dataclass(frozen=True)

@@ -265,11 +265,12 @@ def periodic_means(params: SystemParams, drive: DriveSpec, n_max: int,
 
 
 def floquet_mean_source(sol: FloquetSolution, g: float):
-    """Callable t -> (q_mean, a_mean) backed by the Floquet series."""
+    """Callable t -> (q_mean, a_mean) backed by the Floquet series: one
+    value per time of an array t (a 1-element array for a scalar t)."""
 
     def source(t):
         vals = sol.evaluate(g, t)
-        return float(vals["q"][0]), complex(vals["a"][0])
+        return vals["q"], vals["a"]
 
     return source
 

@@ -39,6 +39,16 @@ class Solution:
     nfev: int
 
 
+def checked_t_eval(t_eval, t0: float, t_end: float) -> np.ndarray:
+    """t_eval as a float array; ValueError unless it ascends within
+    [t0, t_end]."""
+    t_eval = np.asarray(t_eval, dtype=float)
+    if (np.any(t_eval < t0) or np.any(t_eval > t_end)
+            or np.any(np.diff(t_eval) <= 0)):
+        raise ValueError("t_eval must ascend within t_span")
+    return t_eval
+
+
 def integrate_adaptive(f, t_span, y0, cfg: StepperConfig, t_eval=None):
     """Integrate dy/dt = f(t, y) forward with the DOP853 pair.
 
@@ -55,10 +65,7 @@ def integrate_adaptive(f, t_span, y0, cfg: StepperConfig, t_eval=None):
                     rtol=cfg.rel_tol, atol=cfg.abs_tol,
                     max_step=cfg.max_step)
     if t_eval is not None:
-        t_eval = np.asarray(t_eval, dtype=float)
-        if (np.any(t_eval < t0) or np.any(t_eval > t_end)
-                or np.any(np.diff(t_eval) <= 0)):
-            raise ValueError("t_eval must ascend within t_span")
+        t_eval = checked_t_eval(t_eval, t0, t_end)
     i = 0
     ys = []
     while solver.status == "running":

@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 
 from optomech import experiment, fluctuations
+from optomech import moments as moments_module
 from optomech.cli import main as cli_main
 from optomech.experiment import (compare_sources, config_from_dict,
                                  evaluate_cell, measures_from_cm_series,
@@ -804,10 +805,11 @@ def test_first_moments_come_from_the_cm_integration(tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("make_doc", [_fig7_engineered, _floquet_source])
-def test_callable_source_co_integrates_the_means(tmp_path, monkeypatch,
-                                                 make_doc):
-    # the source fills the drift; the means asked for ride in the CM's
-    # stepping loop from t = 0, so the run makes one integration
+def test_callable_source_steps_only_the_means(tmp_path, monkeypatch,
+                                              make_doc):
+    # the source fills the drift, so the CM is propagated by interval
+    # maps and never stepped; the means asked for are stepped alone, as
+    # in a run that asks for nothing else
     doc = dict(make_doc(), outputs=["first_moments", "cm", "EN"])
     cfg = config_from_dict(doc)
     lyapunov = counting(monkeypatch, experiment.integrate_lyapunov,
@@ -815,29 +817,27 @@ def test_callable_source_co_integrates_the_means(tmp_path, monkeypatch,
     moments = counting(monkeypatch, experiment.integrate_first_moments,
                        experiment)
     steps = counting(monkeypatch, fluctuations.integrate_adaptive,
-                     fluctuations)
+                     fluctuations, moments_module)
     run_experiment(cfg, tmp_path)
-    assert len(lyapunov) == 1 and moments == []
+    assert len(lyapunov) == 1 and len(moments) == 1
     args, kwargs = lyapunov[0]
-    assert callable(args[2]) and steps[0][0][1][0] == 0.0
+    assert callable(args[2]) and "moment_init" not in kwargs
+    assert [np.size(a[2]) for a, _ in steps] == [6]
+    assert steps[0][0][1][0] == 0.0
     fm = np.loadtxt(tmp_path / "first_moments.csv", delimiter=",",
                     skiprows=1)
     meas = np.loadtxt(tmp_path / "measures.csv", delimiter=",", skiprows=1)
     assert np.array_equal(fm[:, 0], meas[:, 0])
 
+    # the same means, bit for bit, as the run that asks for them alone
     alone = dict(doc, outputs=["first_moments"])
     run_experiment(config_from_dict(alone), tmp_path / "alone")
-    assert len(lyapunov) == 1 and len(moments) == 1
-    ref = np.loadtxt(tmp_path / "alone" / "first_moments.csv",
-                     delimiter=",", skiprows=1)
-    assert np.array_equal(ref[:, 0], fm[:, 0])
-    scale = np.max(np.abs(ref), axis=0)
-    assert np.max(np.abs(fm - ref)[:, 1:] / scale[1:]) <= \
-        10 * cfg.numerics.rel_tol
+    assert len(lyapunov) == 1 and len(moments) == 2
+    assert (tmp_path / "alone" / "first_moments.csv").read_bytes() == \
+        (tmp_path / "first_moments.csv").read_bytes()
 
 
-def test_engineered_run_carries_means_only_when_asked(tmp_path,
-                                                      monkeypatch):
+def test_engineered_run_steps_means_only_when_asked(tmp_path, monkeypatch):
     sizes = []
     integrate = fluctuations.integrate_adaptive
 
@@ -846,13 +846,14 @@ def test_engineered_run_carries_means_only_when_asked(tmp_path,
         return integrate(f, t_span, y0, cfg, t_eval=t_eval)
 
     monkeypatch.setattr(fluctuations, "integrate_adaptive", counted)
+    monkeypatch.setattr(moments_module, "integrate_adaptive", counted)
     doc = _fig7_engineered()
     assert doc["outputs"] == ["EN"]
     run_experiment(config_from_dict(doc), tmp_path / "en")
-    assert sizes == [21]                    # vech V alone
+    assert sizes == []                      # nothing stepped
     doc = dict(doc, outputs=["first_moments", "EN"])
     run_experiment(config_from_dict(doc), tmp_path / "means")
-    assert sizes == [21, 27]                # the means next to vech V
+    assert sizes == [6]                     # the means alone
 
 
 @pytest.mark.parametrize("t_wigner", [1e6, -1.0])

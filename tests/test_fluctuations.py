@@ -7,7 +7,10 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm, solve_continuous_lyapunov, \
     solve_discrete_lyapunov
 
-from optomech.errors import NonPhysical, NotStable, Singular
+from optomech.engineering import engineered_mean_source, \
+    modulation_components
+from optomech.errors import Diverged, NonPhysical, NotStable, Singular, \
+    StepFailure
 from optomech.experiment import config_from_dict, run_experiment
 from optomech.fluctuations import (UNVECH, VECH, _check_physical,
                                    _moments_cm_rhs, build_diffusion,
@@ -16,9 +19,10 @@ from optomech.fluctuations import (UNVECH, VECH, _check_physical,
                                    periodic_state, stability_check,
                                    steady_state_lyapunov, thermal_vacuum_cm)
 from optomech.measures import symplectic_eigenvalues
-from optomech.model import DriveSpec, SystemParams
+from optomech.model import DriveSpec, EngineeredCoupling, SystemParams, \
+    ZERO_MOMENTS
 from optomech.moments import _rhs_vector, default_stepper, \
-    steady_state_constant
+    floquet_mean_source, floquet_recurse, steady_state_constant
 from optomech.numerics import StepperConfig, integrate_adaptive
 
 FIG2 = SystemParams(delta_a=1.0, kappa=2.0, gamma_m=1e-3, g=1e-5,
@@ -140,6 +144,22 @@ def test_drift_kernel_bitwise_equals_build_drift():
                                               1.5 - 0.4j).tobytes()
 
 
+def test_scalar_and_one_cell_params_give_the_same_bits():
+    # scalars take cell_matrices' one-np.array path, one-element arrays
+    # its broadcast path
+    rng = np.random.default_rng(8)
+    for params in (FIG2, *(random_params(rng) for _ in range(5))):
+        cell = replace(params, **{k: np.array([v]) for k, v in
+                                  vars(params).items()})
+        q_mean, a_mean = rng.uniform(-50, 50), complex(*rng.normal(0, 9, 2))
+        scalar = build_drift(params, q_mean, a_mean)
+        arrays = build_drift(cell, np.array([q_mean]), np.array([a_mean]))
+        assert scalar.shape == (6, 6) and arrays.shape == (1, 6, 6)
+        assert scalar.tobytes() == arrays[0].tobytes()
+        assert build_diffusion(params).tobytes() == \
+            build_diffusion(cell)[0].tobytes()
+
+
 def test_diffusion_entries():
     p = SystemParams(delta_a=1.0, kappa=2.0, gamma_m=1e-3, g=1e-5,
                      delta_c=-1.0, gamma_a=0.1, g0_collective=1.0,
@@ -181,6 +201,117 @@ def test_vacuum_fixed_point_of_decoupled_cavity():
         assert np.max(np.abs(v[2:4, 2:4] - 0.5 * np.eye(2))) <= 1e-9
 
 
+FIG7 = SystemParams(delta_a=1.0, kappa=10.0, gamma_m=1e-3, g=1e-3,
+                    delta_c=-1.0, gamma_a=1e-3, g0_collective=1.0)
+FIG7_TARGET = EngineeredCoupling(g1=1.2, g2=0.1, big_omega=2.0)
+
+
+@pytest.mark.parametrize("t_eval", [np.linspace(0.0, 3.0, 31),
+                                    np.array([0.7, 2.0, 2.05, 9.0])])
+def test_constant_drift_propagates_in_closed_form(t_eval):
+    # V(t) = e^{At} (V0 - V_inf) e^{A^T t} + V_inf, for a source that
+    # returns scalars; the second window starts late and has gaps
+    # longer than the step cap
+    fm, eff = steady_state_constant(FIG2, 1.2e5, delta_a_eff=1.0)
+    a = build_drift(eff, fm.q, fm.a)
+    v_inf = solve_continuous_lyapunov(a, -build_diffusion(eff))
+    drive = DriveSpec(big_omega=0.0, components={0: 1.2e5})
+    v0 = thermal_vacuum_cm(3.0)
+    lt = integrate_lyapunov(eff, drive, lambda t: (fm.q, fm.a), v0,
+                            t_eval[-1], t_eval=t_eval)
+    assert lt.means is None and np.array_equal(lt.t, t_eval)
+    for t, v in zip(t_eval, lt.v):
+        u = expm(a * t)
+        want = u @ (v0 - v_inf) @ u.T + v_inf
+        assert np.max(np.abs(v - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def _fig7_brute_force(t_eval):
+    """vech V of FIG7's engineered drive at t_eval from the thermal
+    vacuum, integrated at rel_tol 1e-12 one RHS call at a time."""
+    source = engineered_mean_source(FIG7, FIG7_TARGET)
+    d = build_diffusion(FIG7)
+
+    def f(t, y):
+        av = build_drift(FIG7, *source(t)) @ y[UNVECH]
+        return (av + av.T + d)[VECH]
+
+    cfg = StepperConfig(rel_tol=1e-12, abs_tol=1e-15, max_step=np.pi / 50)
+    return integrate_adaptive(f, (0.0, t_eval[-1]),
+                              thermal_vacuum_cm(0.0)[VECH], cfg,
+                              t_eval=t_eval).y.T
+
+
+def test_engineered_cm_matches_brute_force():
+    # three periods of fig7 from t = 0, 20 samples a period; the
+    # co-integrating stepper was 3.4e-9 off (column-scaled)
+    t_eval = np.linspace(0.0, 3 * np.pi, 61)
+    drive = modulation_components(FIG7, FIG7_TARGET)
+    lt = integrate_lyapunov(FIG7, drive,
+                            engineered_mean_source(FIG7, FIG7_TARGET), None,
+                            t_eval[-1], t_eval=t_eval)
+    want = _fig7_brute_force(t_eval)
+    got = lt.v[:, VECH[0], VECH[1]]
+    assert np.max(np.abs(got - want) / np.max(np.abs(want), axis=0)) \
+        <= 3.4e-9
+    assert np.max(np.abs(lt.v - lt.v.swapaxes(1, 2))) <= 1e-10
+    assert np.min(symplectic_eigenvalues(lt.v)) >= 0.5 - 1e-6
+
+
+def test_late_window_equals_the_run_sampled_from_zero():
+    drive = modulation_components(FIG7, FIG7_TARGET)
+    source = engineered_mean_source(FIG7, FIG7_TARGET)
+    t_eval = np.linspace(0.0, 6 * np.pi, 241)
+    full = integrate_lyapunov(FIG7, drive, source, None, t_eval[-1],
+                              t_eval=t_eval)
+    late = integrate_lyapunov(FIG7, drive, source, None, t_eval[-1],
+                              t_eval=t_eval[200:])
+    assert np.array_equal(late.t, t_eval[200:])
+    scale = np.max(np.abs(full.v[200:]), axis=0)
+    assert np.max(np.abs(late.v - full.v[200:]) / scale) <= 1e-9
+
+
+def test_mean_sources_take_arrays_of_times():
+    ts = np.random.default_rng(4).uniform(0.0, 40 * np.pi, 50)
+    series = floquet_recurse(FIG2, FIG2_DRIVE)
+    for source in (engineered_mean_source(FIG7, FIG7_TARGET),
+                   floquet_mean_source(series, FIG2.g)):
+        q, a = source(ts)
+        assert q.shape == a.shape == ts.shape
+        assert q.dtype == float and a.dtype == complex
+        for t, qt, at in zip(ts, q, a):
+            q1, a1 = source(t)
+            assert abs(q1 - qt) <= 1e-14 * abs(qt)
+            assert abs(a1 - at) <= 1e-14 * abs(at)
+
+
+def test_divergent_cm_raises_past_the_overflow_guard():
+    # blue detuned and strongly coupled: max Re eig(A) = 0.75
+    params = replace(FIG2, delta_a=-1.0)
+    drive = DriveSpec(big_omega=0.0, components={})
+    with pytest.raises(Diverged, match=r"exceeded 1e\+12 at t = 18$"):
+        integrate_lyapunov(params, drive, lambda t: (0.0, 5e5 + 0j), None,
+                           40.0, t_eval=np.linspace(0.0, 40.0, 41))
+    # the stretch before a single sample
+    with pytest.raises(Diverged, match=r"at t = 40$"):
+        integrate_lyapunov(params, drive, lambda t: (0.0, 5e5 + 0j), None,
+                           40.0)
+
+
+def test_interval_route_rejects_what_it_cannot_step():
+    drive = DriveSpec(big_omega=0.0, components={})
+    # a drift that is not finite fails every halving of its pieces
+    with pytest.raises(StepFailure, match="at every part length"):
+        integrate_lyapunov(FIG2, drive, lambda t: (np.nan, 0j), None, 1.0)
+    # a callable source steps no means, so none can be started
+    with pytest.raises(ValueError, match="moment_init"):
+        integrate_lyapunov(FIG2, drive, lambda t: (0.0, 0j), None, 1.0,
+                           moment_init=ZERO_MOMENTS)
+    with pytest.raises(ValueError, match="t_eval must ascend"):
+        integrate_lyapunov(FIG2, drive, lambda t: (0.0, 0j), None, 1.0,
+                           t_eval=[0.5, 0.2])
+
+
 def test_lyapunov_symmetry_and_physicality_fig2():
     t_eval = np.linspace(0.0, 10 * np.pi, 50)
     lt = integrate_lyapunov(FIG2, FIG2_DRIVE, "ode", None, 10 * np.pi,
@@ -212,8 +343,9 @@ def test_steady_state_thermal_oscillator():
 def fig4_point_steady_states():
     """(algebraic, integrated) steady-state CMs of FIG2 at E0 = 1.2e5 and
     the working-point detuning 1: the Lyapunov solve, and the CM equation
-    integrated to 50/kappa + 20/gamma_m.  The integration is slow, so
-    every test that compares the two shares this one result."""
+    propagated to 50/kappa + 20/gamma_m by interval maps, 200,250
+    pieces.  That takes about a second, so every test that compares the
+    two shares this one result."""
     fm, eff = steady_state_constant(FIG2, 1.2e5, delta_a_eff=1.0)
     v_alg = steady_state_lyapunov(build_drift(eff, fm.q, fm.a),
                                   build_diffusion(eff))
