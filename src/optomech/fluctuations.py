@@ -35,8 +35,7 @@ import numpy as np
 from .errors import Diverged, NoConvergence, NonPhysical, NotStable, \
     SimulationError, Singular, StepFailure
 from .measures import symplectic_eigenvalues
-from .model import DriveSpec, FirstMoments, SystemParams, ZERO_MOMENTS, \
-    cell_matrices
+from .model import DriveSpec, SystemParams, ZERO_MOMENTS, cell_matrices
 from .moments import FloquetSolution, MomentTrajectory, _rhs_vector, \
     default_stepper, effective_coupling, effective_detuning, \
     floquet_recurse, periodic_means
@@ -330,8 +329,7 @@ def _propagate_cm(params: SystemParams, source, v0: np.ndarray,
 def integrate_lyapunov(params: SystemParams, drive: DriveSpec,
                        first_moment_source, v0: np.ndarray | None,
                        t_end: float, t_eval: np.ndarray | None = None,
-                       cfg: StepperConfig | None = None,
-                       moment_init: FirstMoments | None = None
+                       cfg: StepperConfig | None = None
                        ) -> LyapunovTrajectory:
     """Propagate dV/dt = A(t) V + V A^T + D from t = 0 to t_end, sampled
     at t_eval (t_end alone when None).
@@ -341,9 +339,9 @@ def integrate_lyapunov(params: SystemParams, drive: DriveSpec,
     come from, and with it what is stepped:
 
     * "ode"    - the mean-value ODEs, co-integrated with vech V from
-                 moment_init (zero when None) in one DOP853 loop
-                 (integrate_adaptive); the exact numerical route.  The
-                 trajectory carries them as means.
+                 zero means in one DOP853 loop (integrate_adaptive); the
+                 exact numerical route.  The trajectory carries them as
+                 means.
     * callable - t -> (q_mean, a_mean) over an array of times (a source
                  that returns scalars is broadcast), e.g. the Floquet
                  series or the engineered closed form.  A(t) is known
@@ -352,7 +350,7 @@ def integrate_lyapunov(params: SystemParams, drive: DriveSpec,
                  (and the stretch before the first) acts on V as an
                  interval map V -> U V U^T + W, whose U and W are stepped
                  as arrays with DOP853's own tableau (_propagate_cm).
-                 means is None, and moment_init must be.
+                 means is None.
 
     Raises Diverged when |V| exceeds cfg.overflow_guard (at a step of
     the "ode" route, at a sample of the callable one), StepFailure when
@@ -364,16 +362,11 @@ def integrate_lyapunov(params: SystemParams, drive: DriveSpec,
     v0 = np.asarray(v0, dtype=float)[VECH]
     cfg = default_stepper(drive, cfg)
     if first_moment_source == "ode":
-        init = (ZERO_MOMENTS if moment_init is None
-                else moment_init).to_vector()
         sol = integrate_adaptive(_moments_cm_rhs(params, drive), (0.0, t_end),
-                                 np.concatenate((init, v0)), cfg,
-                                 t_eval=t_eval)
+                                 np.concatenate((ZERO_MOMENTS.to_vector(),
+                                                 v0)), cfg, t_eval=t_eval)
         t, means = sol.t, MomentTrajectory.from_states(sol.t, sol.y[:6])
         vs = sol.y[6:].T[:, UNVECH]
-    elif moment_init is not None:
-        raise ValueError("moment_init starts the 'ode' source's means; a "
-                         "callable source steps none")
     else:
         t = (np.array([float(t_end)]) if t_eval is None
              else checked_t_eval(t_eval, 0.0, t_end))

@@ -16,7 +16,6 @@ from optomech.experiment import (compare_sources, config_from_dict,
 from optomech.errors import NoConvergence, NotStable, SingularDenominator
 from optomech.fluctuations import integrate_lyapunov
 from optomech.measures import principal_axis_angle, squeezing_parameter
-from optomech.model import ZERO_MOMENTS
 from optomech.recipes import load_recipe, recipe_names
 from optomech.tables import write_cm_csv, write_measures_csv
 
@@ -549,8 +548,7 @@ def brute_force_window(cfg):
     t_eval = np.linspace(t_end - cfg.sample_periods * drive.period, t_end,
                          int(cfg.sample_periods * cfg.samples_per_period))
     return integrate_lyapunov(cfg.params, drive, "ode", None, t_end,
-                              t_eval=t_eval, cfg=cfg.numerics,
-                              moment_init=ZERO_MOMENTS)
+                              t_eval=t_eval, cfg=cfg.numerics)
 
 
 def assert_brute_force_csvs(cfg, run_dir, ref_dir):
@@ -821,7 +819,7 @@ def test_callable_source_steps_only_the_means(tmp_path, monkeypatch,
     run_experiment(cfg, tmp_path)
     assert len(lyapunov) == 1 and len(moments) == 1
     args, kwargs = lyapunov[0]
-    assert callable(args[2]) and "moment_init" not in kwargs
+    assert callable(args[2])
     assert [np.size(a[2]) for a, _ in steps] == [6]
     assert steps[0][0][1][0] == 0.0
     fm = np.loadtxt(tmp_path / "first_moments.csv", delimiter=",",

@@ -19,8 +19,7 @@ from optomech.fluctuations import (UNVECH, VECH, _check_physical,
                                    periodic_state, stability_check,
                                    steady_state_lyapunov, thermal_vacuum_cm)
 from optomech.measures import symplectic_eigenvalues
-from optomech.model import DriveSpec, EngineeredCoupling, SystemParams, \
-    ZERO_MOMENTS
+from optomech.model import DriveSpec, EngineeredCoupling, SystemParams
 from optomech.moments import _rhs_vector, default_stepper, \
     floquet_mean_source, floquet_recurse, steady_state_constant
 from optomech.numerics import StepperConfig, integrate_adaptive
@@ -303,10 +302,6 @@ def test_interval_route_rejects_what_it_cannot_step():
     # a drift that is not finite fails every halving of its pieces
     with pytest.raises(StepFailure, match="at every part length"):
         integrate_lyapunov(FIG2, drive, lambda t: (np.nan, 0j), None, 1.0)
-    # a callable source steps no means, so none can be started
-    with pytest.raises(ValueError, match="moment_init"):
-        integrate_lyapunov(FIG2, drive, lambda t: (0.0, 0j), None, 1.0,
-                           moment_init=ZERO_MOMENTS)
     with pytest.raises(ValueError, match="t_eval must ascend"):
         integrate_lyapunov(FIG2, drive, lambda t: (0.0, 0j), None, 1.0,
                            t_eval=[0.5, 0.2])
