@@ -28,6 +28,7 @@ rebuilds the matrix.
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,8 @@ from .model import DriveSpec, SystemParams, ZERO_MOMENTS, cell_matrices
 from .moments import FloquetSolution, MomentTrajectory, _rhs_vector, \
     default_stepper, effective_coupling, effective_detuning, \
     floquet_recurse, periodic_means
-from .numerics import StepperConfig, checked_t_eval, integrate_adaptive
+from .numerics import RTOL_FLOOR, StepperConfig, checked_t_eval, dop853, \
+    integrate_adaptive
 
 PHYSICALITY_SLACK = 1e-6
 # vech V = V[VECH]; UNVECH[i, j] is the vech index of entry (i, j) and of
@@ -87,7 +89,7 @@ def drift_kernel(params: SystemParams):
     a_mat = build_drift(params, 0.0, 0j)
     da0 = params.delta_a
     g = params.g
-    g_root2 = np.sqrt(2.0) * g
+    g_root2 = math.sqrt(2.0) * g
 
     def fill(q_mean, a_mean):
         det = da0 - g * q_mean
@@ -147,7 +149,8 @@ def _moments_cm_rhs(params: SystemParams, drive: DriveSpec):
 
     def f(t, y):
         dy_m = moment_rhs(t, y[:6])
-        av = drift(y[0], complex(y[2], y[3])) @ y[6:][UNVECH]
+        q, _, ar, ai = y[:4].tolist()
+        av = drift(q, complex(ar, ai)) @ y[6:][UNVECH]
         return np.concatenate((dy_m, av.take(_UPPER) + av.take(_LOWER) + d))
 
     return f
@@ -191,8 +194,7 @@ def _step_maps(drift_at, d: np.ndarray, t: np.ndarray, h: np.ndarray,
     diagonal, so that a correlation passing through zero is not held to
     atol alone.
     """
-    from scipy.integrate import DOP853 as rk
-
+    rk = dop853()
     n = len(t)
     a = drift_at(t + h * np.append(rk.C, 1.0)[:, None])     # (13, n, 6, 6)
     ku, kw = np.empty((2, 13, n, 6, 6))
@@ -219,7 +221,7 @@ def _step_maps(drift_at, d: np.ndarray, t: np.ndarray, h: np.ndarray,
         du = combine(coef, ku) @ vut
         return vech(du + du.swapaxes(1, 2) + combine(coef, kw))
 
-    rtol = max(cfg.rel_tol, 100 * np.finfo(float).eps)   # DOP853's floor
+    rtol = max(cfg.rel_tol, RTOL_FLOOR)
     size = np.sqrt(np.maximum(np.abs(np.diagonal(v)),
                               np.abs(np.diagonal(u @ vut + w, 0, 1, 2))))
     scale = cfg.abs_tol + rtol * vech(size[:, :, None] * size[:, None, :])

@@ -7,6 +7,7 @@ omega_m, which is fixed to 1 in internal units.  Time is measured in
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,17 +106,18 @@ def drive_kernel(drive: DriveSpec):
     """Scalar-time E(t), with the harmonic terms worked out once.
 
     Sums E_n exp(-i n Omega t) term by term from 0 in the order of
-    drive_value, so both give the same bits.
+    drive_value, each exponential by cmath.exp, so both give the same bits.
     """
     if drive.big_omega == 0.0:
         e0 = drive.component(0)
         return lambda t: e0
     amps, rates = drive_terms(drive)
+    terms = list(zip(amps, rates.tolist()))
 
     def kernel(t):
         acc = 0j
-        for en, phase in zip(amps, np.exp(rates * t).tolist()):
-            acc += en * phase
+        for en, rate in terms:
+            acc += en * cmath.exp(rate * t)
         return acc
 
     return kernel

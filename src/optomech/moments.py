@@ -44,7 +44,7 @@ def _rhs_vector(params: SystemParams, drive: DriveSpec):
     drive_at = drive_kernel(drive)
 
     def f(t, y):
-        q, p, ar, ai, cr, ci = y
+        q, p, ar, ai, cr, ci = y.tolist()      # Python floats: faster ops
         e = drive_at(t)
         det = da0 - g * q
         dar = -kap * ar + det * ai + g0 * ci + e.real

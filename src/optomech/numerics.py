@@ -1,19 +1,35 @@
 """The adaptive stepper shared by every integration.
 
-It is SciPy's Dormand-Prince 8(5,3) pair (DOP853), stepped in one loop
-that checks each accepted step against an overflow guard; it is
-deterministic.  DOP853 is imported at the first integration, not with
-this module: importing scipy.integrate takes most of a fresh process's
-start-up, and runs that reach their samples by algebra never step.
+integrate_adaptive steps the Dormand-Prince 8(5,3) pair (DOP853) in one
+lean loop of its own over SciPy's tableau.  It takes SciPy's initial step
+and 100 eps floor on rel_tol.  Each stage, error estimate and dense-output
+sample is the NumPy expression that scipy.integrate.DOP853 evaluates, in
+the same order, and the step-size control is the same arithmetic on
+Python floats.  So the loop returns solve_ivp(method="DOP853")'s bits and
+RHS count, without its per-step solver and dense-output objects.  Every
+accepted step is checked against an overflow guard; it is deterministic.
+
+SciPy is imported at the first integration, not with this module:
+importing scipy.integrate takes most of a fresh process's start-up, and
+runs that reach their samples by algebra never step.
 """
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import Diverged, StepFailure
+
+RTOL_FLOOR = 100 * np.finfo(float).eps      # DOP853's floor on rel_tol
+# DOP853's step-size control, as scipy.integrate._ivp.rk has it: a step's
+# next length is SAFETY * err**ERROR_EXPONENT times its own, within
+# [MIN_FACTOR, MAX_FACTOR] (at most 1 after a rejection)
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
+ERROR_EXPONENT = -1 / 8         # -1 / (error estimator order 7 + 1)
 
 
 @dataclass(frozen=True)
@@ -49,38 +65,123 @@ def checked_t_eval(t_eval, t0: float, t_end: float) -> np.ndarray:
     return t_eval
 
 
+def dop853():
+    """SciPy's DOP853 class, whose A, B, C, E3 and E5 (and D, A_EXTRA and
+    C_EXTRA for dense output) are the pair's tableau; scipy.integrate is
+    imported at the first call."""
+    from scipy.integrate import DOP853
+    return DOP853
+
+
 def integrate_adaptive(f, t_span, y0, cfg: StepperConfig, t_eval=None):
     """Integrate dy/dt = f(t, y) forward with the DOP853 pair.
 
-    t_eval (ascending, within t_span) is read off each step's dense output,
-    as solve_ivp does; without it the solution holds the end state only.
-    Raises Diverged when an accepted step leaves some |y| above
-    cfg.overflow_guard and StepFailure when the stepper cannot meet its
-    tolerances.
+    t_eval (ascending, within t_span) is read off the dense output of
+    each step that holds a sample, as solve_ivp does; without it the
+    solution holds the end state only.  Raises ValueError when t_span
+    does not go forward, Diverged when an accepted step leaves some |y|
+    above cfg.overflow_guard and StepFailure when the stepper cannot meet
+    its tolerances.
     """
-    from scipy.integrate import DOP853
-
-    t0, t_end = map(float, t_span)
-    solver = DOP853(f, t0, np.asarray(y0, dtype=float), t_end,
-                    rtol=cfg.rel_tol, atol=cfg.abs_tol,
-                    max_step=cfg.max_step)
+    from scipy.integrate._ivp.common import select_initial_step
+    rk = dop853()
+    t, t_end = map(float, t_span)
+    if not t < t_end:
+        raise ValueError("t_span must go forward")
+    y = np.asarray(y0, dtype=float)
+    if y.ndim != 1 or not np.isfinite(y).all():
+        raise ValueError("y0 must be a finite 1-d state")
     if t_eval is not None:
-        t_eval = checked_t_eval(t_eval, t0, t_end)
-    i = 0
-    ys = []
-    while solver.status == "running":
-        message = solver.step()
-        if solver.status == "failed":
-            raise StepFailure(message)
-        if np.max(np.abs(solver.y)) > cfg.overflow_guard:
-            raise Diverged(f"state magnitude exceeded "
-                           f"{cfg.overflow_guard:g} at t = {solver.t:g}")
+        t_eval = checked_t_eval(t_eval, t, t_end)
+        samples, i, ys = t_eval.tolist(), 0, []
+    rtol, atol = max(cfg.rel_tol, RTOL_FLOOR), cfg.abs_tol
+    max_step, guard = cfg.max_step, cfg.overflow_guard
+    # the stages' rows as SciPy stores them: 12 stages, the RHS at the
+    # step's end, and the dense output's 3 extra stages
+    k_ext = np.empty((16, len(y)))
+    k = k_ext[:13]
+    stages = [(s, c, k[:s].T, a[:s]) for s, (a, c) in
+              enumerate(zip(rk.A[1:], rk.C[1:].tolist()), start=1)]
+    extra = [(s, c, k_ext[:s].T, a[:s]) for s, (a, c) in
+             enumerate(zip(rk.A_EXTRA, rk.C_EXTRA.tolist()), start=13)]
+    k_b, k_e = k[:-1].T, k.T       # the stages that B and E3, E5 weigh
+    k[0] = f(t, y)
+    h_abs = float(select_initial_step(
+        lambda t, y: np.asarray(f(t, y), dtype=float), t, y, t_end, max_step,
+        k[0].copy(), 1.0, 7, rtol, atol))
+    nfev = 2
+    abs_y = np.abs(y)
+    while t < t_end:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        if h_abs > max_step:
+            h_abs = max_step
+        elif h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise StepFailure("Required step size is less than "
+                                  "spacing between numbers.")
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            h_abs = abs(h)
+            for s, c, k_s, a in stages:
+                k[s] = f(t + c * h, y + np.dot(k_s, a) * h)
+            y_new = y + h * np.dot(k_b, rk.B)
+            k[12] = f(t + h, y_new)
+            nfev += 12
+            abs_new = np.abs(y_new)
+            scale = atol + np.maximum(abs_y, abs_new) * rtol
+            err5 = np.dot(k_e, rk.E5) / scale
+            err3 = np.dot(k_e, rk.E3) / scale
+            # SciPy squares np.linalg.norm, sqrt(x . x): the same bits
+            n5 = math.sqrt(err5.dot(err5)) ** 2
+            n3 = math.sqrt(err3.dot(err3)) ** 2
+            if n5 == 0 and n3 == 0:
+                error_norm = 0.0
+            else:
+                error_norm = h_abs * n5 / math.sqrt((n5 + 0.01 * n3)
+                                                    * len(y))
+            if error_norm < 1:
+                factor = MAX_FACTOR if error_norm == 0 else min(
+                    MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
+            rejected = True
+        t_old, y_old, t, y, abs_y = t, y, t_new, y_new, abs_new
+        if abs_y.max() > guard:
+            raise Diverged(f"state magnitude exceeded {guard:g} at "
+                           f"t = {t:g}")
         if t_eval is not None:
-            i_new = np.searchsorted(t_eval, solver.t, side="right")
-            if i_new > i:
-                ys.append(solver.dense_output()(t_eval[i:i_new]))
-                i = i_new
+            j = bisect.bisect_right(samples, t, i)
+            if j > i:
+                ys.append(_dense_samples(f, extra, k_ext, rk.D, t_old, h,
+                                         y_old, y, t_eval[i:j]))
+                nfev += len(extra)
+                i = j
+        k[0] = k[12]
     if t_eval is None:
-        return Solution(t=np.array([solver.t]), y=solver.y[:, None],
-                        nfev=solver.nfev)
-    return Solution(t=t_eval, y=np.hstack(ys), nfev=solver.nfev)
+        return Solution(t=np.array([t]), y=y[:, None], nfev=nfev)
+    return Solution(t=t_eval, y=np.hstack(ys), nfev=nfev)
+
+
+def _dense_samples(f, extra, k_ext, d, t_old, h, y_old, y, ts):
+    """(n, len(ts)) states at ts within the step of length h from
+    (t_old, y_old) to y, whose stages k_ext holds: the extra stages, then
+    DOP853's interpolant, as Dop853DenseOutput evaluates it."""
+    for s, c, k_s, a in extra:
+        k_ext[s] = f(t_old + c * h, y_old + np.dot(k_s, a) * h)
+    f_old, delta_y = k_ext[0], y - y_old
+    coef = np.empty((7, len(y)))
+    coef[0] = delta_y
+    coef[1] = h * f_old - delta_y
+    coef[2] = 2 * delta_y - h * (k_ext[12] + f_old)
+    coef[3:] = h * np.dot(d, k_ext)
+    x = ((ts - t_old) / h)[:, None]
+    out = np.zeros((len(ts), len(y)))
+    for n, c in enumerate(coef[::-1]):
+        out += c
+        out *= x if n % 2 == 0 else 1 - x
+    out += y_old
+    return out.T

@@ -1,10 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from optomech.errors import Diverged
-from optomech.numerics import StepperConfig, integrate_adaptive
+from optomech.errors import Diverged, StepFailure
+from optomech.experiment import config_from_dict
+from optomech.fluctuations import VECH, _moments_cm_rhs, thermal_vacuum_cm
+from optomech.moments import _rhs_vector, default_stepper
+from optomech.numerics import RTOL_FLOOR, StepperConfig, integrate_adaptive
+from optomech.recipes import load_recipe
 
 
 def test_scalar_exponential():
@@ -111,6 +117,76 @@ def test_end_state_only_without_t_eval():
     assert got.y.shape == (9, 1)
     assert np.array_equal(got.y[:, 0], want.y[:, -1])
     assert got.nfev == want.nfev
+
+
+def assert_as_solve_ivp(f, t_span, y0, cfg, t_eval=None):
+    """integrate_adaptive gives solve_ivp(method="DOP853")'s t, y and nfev
+    bit for bit."""
+    got = integrate_adaptive(f, t_span, y0, cfg, t_eval=t_eval)
+    want = solve_ivp(f, t_span, y0, method="DOP853", rtol=cfg.rel_tol,
+                     atol=cfg.abs_tol, max_step=cfg.max_step, t_eval=t_eval)
+    if t_eval is None:
+        assert np.array_equal(got.t, want.t[-1:])
+        assert np.array_equal(got.y, want.y[:, -1:])
+    else:
+        assert np.array_equal(got.t, want.t)
+        assert np.array_equal(got.y, want.y)
+    assert got.nfev == want.nfev
+
+
+FIG2 = config_from_dict(load_recipe("fig2"))
+
+
+def test_fig2_means_match_solve_ivp_bitwise():
+    # 3 periods sampled every tau/100 under the tau/50 step cap: two
+    # samples in most steps, and the first steps rejected
+    drive = FIG2.drive
+    t_end = 3 * drive.period
+    assert_as_solve_ivp(_rhs_vector(FIG2.params, drive), (0.0, t_end),
+                        np.zeros(6), default_stepper(drive),
+                        np.linspace(0.0, t_end, 301))
+
+
+@pytest.mark.parametrize("t_eval", [None, "samples"])
+def test_fig2_means_and_cm_match_solve_ivp_bitwise(t_eval):
+    # the 27-entry state of the "ode" route over one period
+    drive = FIG2.drive
+    y0 = np.concatenate((np.zeros(6), thermal_vacuum_cm(0.0)[VECH]))
+    if t_eval == "samples":
+        t_eval = np.linspace(0.1, drive.period, 40)
+    assert_as_solve_ivp(_moments_cm_rhs(FIG2.params, drive),
+                        (0.0, drive.period), y0, default_stepper(drive),
+                        t_eval)
+
+
+def test_rel_tol_below_the_floor_matches_solve_ivp_bitwise():
+    f, y0 = _driven_lyapunov()
+    cfg = StepperConfig(rel_tol=RTOL_FLOOR / 4, abs_tol=1e-14, max_step=0.5)
+    with pytest.warns(UserWarning, match="rtol"):    # SciPy's, not ours
+        assert_as_solve_ivp(f, (0.0, 2.0), y0, cfg,
+                            np.linspace(0.25, 2.0, 8))
+
+
+def test_uncapped_steps_match_solve_ivp_bitwise():
+    # every step length set by the error control alone, over ~320 steps:
+    # a last-bit change in the error norm shows in the end state
+    f, y0 = _driven_lyapunov()
+    assert_as_solve_ivp(f, (0.0, 40.0), y0,
+                        StepperConfig(rel_tol=1e-6, abs_tol=1e-14))
+
+
+def test_blow_up_raises_step_failure():
+    # y' = y^2 from y(0) = 1 reaches infinity at t = 1; with no overflow
+    # guard the step shrinks there until it cannot move t
+    cfg = StepperConfig(overflow_guard=math.inf)
+    with pytest.raises(StepFailure, match="step size"):
+        integrate_adaptive(lambda t, y: y * y, (0.0, 2.0), [1.0], cfg)
+
+
+@pytest.mark.parametrize("t_span", [(1.0, 1.0), (1.0, 0.0)])
+def test_span_that_does_not_go_forward_rejected(t_span):
+    with pytest.raises(ValueError, match="forward"):
+        integrate_adaptive(lambda t, y: -y, t_span, [1.0], StepperConfig())
 
 
 @pytest.mark.parametrize("t_eval", [[-0.1, 0.5], [0.5, 1.1], [0.6, 0.4]])
