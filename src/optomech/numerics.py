@@ -83,19 +83,21 @@ def integrate_adaptive(f, t_span, y0, cfg: StepperConfig, t_eval=None):
     above cfg.overflow_guard and StepFailure when the stepper cannot meet
     its tolerances.
     """
-    from scipy.integrate._ivp.common import select_initial_step
     rk = dop853()
     t, t_end = map(float, t_span)
     if not t < t_end:
         raise ValueError("t_span must go forward")
-    y = np.asarray(y0, dtype=float)
-    if y.ndim != 1 or not np.isfinite(y).all():
-        raise ValueError("y0 must be a finite 1-d state")
     if t_eval is not None:
         t_eval = checked_t_eval(t_eval, t, t_end)
         samples, i, ys = t_eval.tolist(), 0, []
     rtol, atol = max(cfg.rel_tol, RTOL_FLOOR), cfg.abs_tol
     max_step, guard = cfg.max_step, cfg.overflow_guard
+    # SciPy's solver checks y0 and takes the first RHS value and its
+    # initial step (select_initial_step, one more RHS call); the loop
+    # below does the stepping
+    start = rk(f, t, np.asarray(y0, dtype=float), t_end, rtol=rtol,
+               atol=atol, max_step=max_step)
+    y, h_abs, nfev = start.y, float(start.h_abs), start.nfev
     # the stages' rows as SciPy stores them: 12 stages, the RHS at the
     # step's end, and the dense output's 3 extra stages
     k_ext = np.empty((16, len(y)))
@@ -105,11 +107,7 @@ def integrate_adaptive(f, t_span, y0, cfg: StepperConfig, t_eval=None):
     extra = [(s, c, k_ext[:s].T, a[:s]) for s, (a, c) in
              enumerate(zip(rk.A_EXTRA, rk.C_EXTRA.tolist()), start=13)]
     k_b, k_e = k[:-1].T, k.T       # the stages that B and E3, E5 weigh
-    k[0] = f(t, y)
-    h_abs = float(select_initial_step(
-        lambda t, y: np.asarray(f(t, y), dtype=float), t, y, t_end, max_step,
-        k[0].copy(), 1.0, 7, rtol, atol))
-    nfev = 2
+    k[0] = start.f
     abs_y = np.abs(y)
     while t < t_end:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
