@@ -220,22 +220,19 @@ def measures_from_cm_series(t: np.ndarray, vs: np.ndarray) -> dict:
     if not physical.all():
         raise NonPhysical("reduced CM is not a valid two-mode covariance "
                           f"matrix at t = {t[np.argmin(physical)]:g}")
-    r_db = np.array([squeezing_parameter(v[:2, :2])[2] for v in vs])
     return {"t": t, "EN": en, "v11": vs[:, 0, 0], "v22": vs[:, 1, 1],
-            "neff": (vs[:, 0, 0] + vs[:, 1, 1] - 1.0) / 2.0, "r_db": r_db}
+            "neff": (vs[:, 0, 0] + vs[:, 1, 1] - 1.0) / 2.0,
+            "r_db": squeezing_parameter(vs[:, :2, :2])[2]}
 
 
 def _principal_axis_columns(vs: np.ndarray) -> np.ndarray:
     """(theta, lam_minus, lam_plus, r_db) columns of the mechanical
     squeezing ellipse of each CM: its major-axis angle, the two CM
     eigenvalues and the squeezing in dB."""
-    rows = []
-    for v in vs:
-        mech = v[:2, :2]
-        lam, _, r_db = squeezing_parameter(mech)
-        rows.append((principal_axis_angle(mech), lam,
-                     float(np.trace(mech)) - lam, r_db))
-    return np.array(rows).T
+    mech = vs[:, :2, :2]
+    lam, _, r_db = squeezing_parameter(mech)
+    return np.array([principal_axis_angle(mech), lam,
+                     np.trace(mech, axis1=1, axis2=2) - lam, r_db])
 
 
 # ---------------------------------------------------------------------------

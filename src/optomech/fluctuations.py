@@ -8,9 +8,10 @@ With the "ode" source the means fill the drift, so they are stepped
 together with vech V, one right-hand side at a time, and the RHS fills
 one drift template per integration (drift_kernel).  With a callable
 source A(t) is known in advance and the CM equation is linear: each
-interval acts on V as V -> U V U^T + W, and U and W are stepped for many
-intervals at once as arrays, from one build_drift call per chunk
-(_propagate_cm); no RHS is called one time at a time.
+piece of the gaps between samples acts on V as V -> U V U^T + W, and U
+and W are stepped a chunk of pieces at once as arrays, from one
+build_drift call per chunk, whose maps then act on V (_propagate_cm);
+no RHS is called one time at a time.
 lyapunov_harmonics is the one algebraic solve of both drive kinds: the
 periodic CM's harmonics and the Floquet exponent from the drift's, for a
 modulated drive from periodic_state's harmonic balance, and for a
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,21 +164,19 @@ def _moments_cm_rhs(params: SystemParams, drive: DriveSpec):
 PIECE_CHUNK = 128
 
 
-def _compose_pairs(u: np.ndarray, w: np.ndarray):
-    """Maps 2i then 2i + 1 of stacked interval maps V -> U V U^T + W,
-    composed: (U_2 U_1, U_2 W_1 U_2^T + W_2)."""
-    u1, w1, u2, w2 = u[::2], w[::2], u[1::2], w[1::2]
-    return u2 @ u1, u2 @ w1 @ u2.swapaxes(1, 2) + w2
-
-
 def _reduce(u: np.ndarray, w: np.ndarray):
-    """The one map of a stack of consecutive interval maps, first map
-    first, composed pairwise."""
-    while len(u) > 1:
-        even = len(u) - len(u) % 2
-        pu, pw = _compose_pairs(u[:even], w[:even])
-        u, w = np.concatenate((pu, u[even:])), np.concatenate((pw, w[even:]))
-    return u[0], w[0]
+    """The one map of each stack of consecutive interval maps
+    V -> U V U^T + W along axis -3, first map first, composed pairwise:
+    maps 2i then 2i + 1 make (U_2 U_1, U_2 W_1 U_2^T + W_2)."""
+    while u.shape[-3] > 1:
+        u1, w1 = u[..., :-1:2, :, :], w[..., :-1:2, :, :]
+        u2, w2 = u[..., 1::2, :, :], w[..., 1::2, :, :]
+        pu, pw = u2 @ u1, u2 @ w1 @ u2.swapaxes(-1, -2) + w2
+        if u.shape[-3] % 2:         # the last map waits a round
+            pu = np.concatenate((pu, u[..., -1:, :, :]), axis=-3)
+            pw = np.concatenate((pw, w[..., -1:, :, :]), axis=-3)
+        u, w = pu, pw
+    return u[..., 0, :, :], w[..., 0, :, :]
 
 
 def _step_maps(drift_at, d: np.ndarray, t: np.ndarray, h: np.ndarray,
@@ -232,21 +232,46 @@ def _step_maps(drift_at, d: np.ndarray, t: np.ndarray, h: np.ndarray,
     return u, w, err
 
 
-def _piece_maps(drift_at, d: np.ndarray, t: np.ndarray, h: np.ndarray,
-                v: np.ndarray, cfg: StepperConfig, part: float):
-    """(U, W, part): the map of each piece [t_i, t_i + h_i].
+@np.errstate(over="ignore", invalid="ignore")     # inf, NaN: Diverged
+def _propagate_cm(params: SystemParams, source, v0: np.ndarray,
+                  t_eval: np.ndarray, cfg: StepperConfig) -> np.ndarray:
+    """(T, 6, 6) V at t_eval from V(0) = v0, when source(t) fills A(t).
 
-    Each piece is cut into the fewest parts, a power of two, no longer
-    than part, and its parts are stepped once each by _step_maps (their
-    errors judged for the CM v), PIECE_CHUNK parts at a time, then
-    composed pairwise back into one map per piece.  A chunk whose
-    largest error norm exceeds 1 is stepped again with its parts halved.
-    As an adaptive stepper keeps its step, the part length that passed
-    carries over to the next chunk, and back to the caller.  StepFailure
-    when a piece would need more than PIECE_CHUNK parts.
+    Gap k, [t_{k-1}, t_k] with t_{-1} = 0, is cut into the fewest equal
+    pieces no longer than max_step, each an interval map
+    V -> U V U^T + W.  The pieces are stepped in order, PIECE_CHUNK
+    parts at a time: a chunk's pieces are cut into the fewest parts, a
+    power of two, no longer than the part length, stepped by _step_maps
+    with their errors judged for the V at the chunk's start, and
+    composed back.  A chunk whose largest error norm exceeds 1 is
+    stepped again with its parts halved; the part length that passed
+    (max_step at first) carries over, as an adaptive stepper keeps its
+    step.  Each gap's pieces in the chunk are reduced to one map that
+    acts on V.  Diverged after a chunk that leaves some |V| above
+    cfg.overflow_guard, at the first sample past it, or else at the
+    sample its unfinished gap leads to; StepFailure when a piece would
+    need more than PIECE_CHUNK parts.
     """
-    us, ws = np.empty((2, len(t), 6, 6))
-    i = 0
+    d = build_diffusion(params)
+
+    def drift_at(t):        # one array call of the source per chunk
+        q, a = source(t.ravel())
+        m = build_drift(params, q, a)
+        return np.broadcast_to(m, (t.size, 6, 6)).reshape(t.shape + (6, 6))
+
+    starts = np.concatenate(([0.0], t_eval[:-1]))
+    gaps = t_eval - starts
+    counts = np.ceil(gaps / cfg.max_step).astype(int)
+    ends = np.cumsum(counts)                # pieces up to sample k
+    gap = np.repeat(np.arange(len(t_eval)), counts)
+    # each piece's start, as np.linspace spaces the edges of its gap
+    t = (np.arange(ends[-1]) - (ends - counts)[gap]) \
+        * (gaps / np.maximum(counts, 1))[gap] + starts[gap]
+    h = np.diff(np.append(t, t_eval[-1]))
+    ends, vs = ends.tolist(), np.empty((len(t_eval), 6, 6))
+    k = bisect_right(ends, 0)               # samples at t = 0 hold v0
+    vs[:k] = v0
+    v, part, i = v0, cfg.max_step, 0
     while i < len(t):
         longest, m = np.max(h[i:i + PIECE_CHUNK]), 1
         while longest / m > part * (1.0 + 1e-9):    # past rounding
@@ -261,70 +286,21 @@ def _piece_maps(drift_at, d: np.ndarray, t: np.ndarray, h: np.ndarray,
         if not np.max(err) <= 1.0:
             part = longest / (2 * m)
             continue
-        while len(u) > j - i:
-            u, w = _compose_pairs(u, w)
-        us[i:j], ws[i:j] = u, w
+        u, w = _reduce(u.reshape(-1, m, 6, 6), w.reshape(-1, m, 6, 6))
+        first, k, a = k, bisect_right(ends, j, k), i  # end first..k - 1
+        for n, b in enumerate(ends[first:k] + [j], first):
+            if b > a:
+                ru, rw = _reduce(u[a - i:b - i], w[a - i:b - i])
+                v, a = ru @ v @ ru.T + rw, b
+            if n < k:
+                vs[n] = v
+        # V at the chunk's samples, then at its end, in gap k if unfinished
+        big = ~(np.max(np.abs(np.concatenate((vs[first:k], [v]))),
+                       axis=(1, 2)) <= cfg.overflow_guard)
+        if big.any():
+            raise Diverged(f"state magnitude exceeded {cfg.overflow_guard:g}"
+                           f" at t = {t_eval[first + np.argmax(big)]:g}")
         i = j
-    return us, ws, part
-
-
-def _stretch_map(drift_at, d: np.ndarray, t_a: float, t_b: float,
-                 v: np.ndarray, cfg: StepperConfig, part: float):
-    """(U, W, part) of [t_a, t_b], cut into equal pieces no longer than
-    max_step, their errors judged for the CM v = V(t_a): each chunk's
-    piece maps (_piece_maps) reduced, then the chunks' maps."""
-    edges = np.linspace(t_a, t_b,
-                        int(np.ceil((t_b - t_a) / cfg.max_step)) + 1)
-    t, h = edges[:-1], np.diff(edges)
-    maps = []
-    for i in range(0, len(h), PIECE_CHUNK):
-        u, w, part = _piece_maps(drift_at, d, t[i:i + PIECE_CHUNK],
-                                 h[i:i + PIECE_CHUNK], v, cfg, part)
-        maps.append(_reduce(u, w))
-    return (*_reduce(*map(np.array, zip(*maps))), part)
-
-
-def _propagate_cm(params: SystemParams, source, v0: np.ndarray,
-                  t_eval: np.ndarray, cfg: StepperConfig) -> np.ndarray:
-    """(T, 6, 6) V at t_eval from V(0) = v0, when source(t) fills A(t).
-
-    Gap k, [t_{k-1}, t_k] with t_{-1} = 0, acts on V as the interval map
-    V -> U V U^T + W.  Gaps no longer than max_step are one piece each,
-    PIECE_CHUNK at a time (_piece_maps); a longer gap (the stretch before
-    the first sample, say) is one _stretch_map.  The maps act in order.
-    Their errors are judged for the last V known, and each batch starts
-    from the part length that the last one passed (max_step at first).
-    """
-    d = build_diffusion(params)
-
-    def drift_at(t):        # one array call of the source per chunk
-        q, a = source(t.ravel())
-        m = build_drift(params, q, a)
-        return np.broadcast_to(m, (t.size, 6, 6)).reshape(t.shape + (6, 6))
-
-    starts = np.concatenate(([0.0], t_eval[:-1]))
-    gaps = t_eval - starts
-    short = (gaps > 0.0) & (gaps <= cfg.max_step)
-    vs = np.empty((len(t_eval), 6, 6))
-    v, part = v0, cfg.max_step
-    for lo in range(0, len(t_eval), PIECE_CHUNK):
-        block = np.arange(lo, min(lo + PIECE_CHUNK, len(t_eval)))
-        batch = block[short[block]]
-        maps = {}
-        if batch.size:
-            us, ws, part = _piece_maps(drift_at, d, starts[batch],
-                                       gaps[batch], v, cfg, part)
-            maps = dict(zip(batch.tolist(), zip(us, ws)))
-        for k in block.tolist():
-            if k in maps:
-                u, w = maps[k]
-            elif gaps[k] > 0.0:
-                u, w, part = _stretch_map(drift_at, d, starts[k],
-                                          t_eval[k], v, cfg, part)
-            else:
-                vs[k] = v
-                continue
-            v = vs[k] = u @ v @ u.T + w
     return vs
 
 
@@ -348,16 +324,16 @@ def integrate_lyapunov(params: SystemParams, drive: DriveSpec,
                  that returns scalars is broadcast), e.g. the Floquet
                  series or the engineered closed form.  A(t) is known
                  before any stepping, so the CM equation is linear and
-                 nothing is stepped in a loop: each gap between samples
-                 (and the stretch before the first) acts on V as an
-                 interval map V -> U V U^T + W, whose U and W are stepped
-                 as arrays with DOP853's own tableau (_propagate_cm).
+                 nothing is stepped in a loop: each piece of the gaps
+                 between samples acts on V as an interval map
+                 V -> U V U^T + W, whose U and W are stepped as arrays
+                 with DOP853's own tableau (_propagate_cm).
                  means is None.
 
     Raises Diverged when |V| exceeds cfg.overflow_guard (at a step of
-    the "ode" route, at a sample of the callable one), StepFailure when
-    the tolerances cannot be met, and NonPhysical at the first
-    unphysical CM.
+    the "ode" route; on the callable one, after each chunk of interval
+    maps, at the first sample past it), StepFailure when the tolerances
+    cannot be met, and NonPhysical at the first unphysical CM.
     """
     if v0 is None:
         v0 = thermal_vacuum_cm(params.n_th)
@@ -372,14 +348,7 @@ def integrate_lyapunov(params: SystemParams, drive: DriveSpec,
     else:
         t = (np.array([float(t_end)]) if t_eval is None
              else checked_t_eval(t_eval, 0.0, t_end))
-        with np.errstate(over="ignore", invalid="ignore"):
-            vs = _propagate_cm(params, first_moment_source, v0[UNVECH], t,
-                               cfg)
-        big = ~(np.max(np.abs(vs), axis=(1, 2)) <= cfg.overflow_guard)
-        if big.any():
-            raise Diverged(f"state magnitude exceeded "
-                           f"{cfg.overflow_guard:g} at t = "
-                           f"{t[np.argmax(big)]:g}")
+        vs = _propagate_cm(params, first_moment_source, v0[UNVECH], t, cfg)
         vs = vs.reshape(-1, 36)[:, _UPPER][:, UNVECH]
         means = None
     _check_physical(t, vs)

@@ -73,33 +73,36 @@ def log_negativity(r: np.ndarray) -> float:
 
 
 def squeezing_parameter(mech_cm: np.ndarray
-                        ) -> tuple[float, float, float]:
-    """(lambda, r_raw, r_db) of the mechanical 2x2 block.
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lambda, r_raw, r_db) of the mechanical 2x2 block, one each per
+    block of a (..., 2, 2) stack.
 
     lambda is the smaller CM eigenvalue by the closed form
     m - sqrt(m^2 - det).  r_raw = -10 log10(lambda) as printed in the
     source convention; r_db = -10 log10(2 lambda) is normalized so the
-    vacuum reads 0 dB.
+    vacuum reads 0 dB.  NonPhysical at the first block whose det or
+    lambda is not positive.
     """
     mech_cm = np.asarray(mech_cm, dtype=float)
     det = np.linalg.det(mech_cm)
-    if det <= 0.0:
-        raise NonPhysical(f"mechanical block determinant {det:g} <= 0")
-    m = 0.5 * np.trace(mech_cm)
-    lam = m - np.sqrt(max(m * m - det, 0.0))
-    if lam <= 0.0:
-        raise NonPhysical("mechanical block not positive definite")
-    r_raw = -10.0 * np.log10(lam)
-    r_db = -10.0 * np.log10(2.0 * lam)
-    return float(lam), float(r_raw), float(r_db)
+    m = 0.5 * np.trace(mech_cm, axis1=-2, axis2=-1)
+    lam = m - np.sqrt(np.maximum(m * m - det, 0.0))
+    bad = np.ravel((det <= 0.0) | (lam <= 0.0))
+    if bad.any():
+        d = np.ravel(det)[np.argmax(bad)]
+        raise NonPhysical(f"mechanical block determinant {d:g} <= 0"
+                          if d <= 0.0 else
+                          "mechanical block not positive definite")
+    return lam, -10.0 * np.log10(lam), -10.0 * np.log10(2.0 * lam)
 
 
-def principal_axis_angle(mech_cm: np.ndarray) -> float:
-    """Orientation of the major variance axis, in [-pi/2, pi/2)."""
+def principal_axis_angle(mech_cm: np.ndarray) -> np.ndarray:
+    """Orientation of the major variance axis, in [-pi/2, pi/2), one per
+    block of a (..., 2, 2) stack."""
     mech_cm = np.asarray(mech_cm, dtype=float)
     # doubled-angle form avoids the eigenvector sign ambiguity
-    return 0.5 * np.arctan2(2.0 * mech_cm[0, 1],
-                            mech_cm[0, 0] - mech_cm[1, 1])
+    return 0.5 * np.arctan2(2.0 * mech_cm[..., 0, 1],
+                            mech_cm[..., 0, 0] - mech_cm[..., 1, 1])
 
 
 @dataclass

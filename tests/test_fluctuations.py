@@ -206,11 +206,15 @@ FIG7_TARGET = EngineeredCoupling(g1=1.2, g2=0.1, big_omega=2.0)
 
 
 @pytest.mark.parametrize("t_eval", [np.linspace(0.0, 3.0, 31),
-                                    np.array([0.7, 2.0, 2.05, 9.0])])
+                                    np.array([0.7, 2.0, 2.05, 9.0]),
+                                    np.array([13.0, 13.05, 13.1, 27.0,
+                                              27.02])])
 def test_constant_drift_propagates_in_closed_form(t_eval):
     # V(t) = e^{At} (V0 - V_inf) e^{A^T t} + V_inf, for a source that
     # returns scalars; the second window starts late and has gaps
-    # longer than the step cap
+    # longer than the step cap; in the third, the 130 pieces of 0.1
+    # before the first sample outlast a chunk, so the chunk that ends
+    # them also holds short gaps
     fm, eff = steady_state_constant(FIG2, 1.2e5, delta_a_eff=1.0)
     a = build_drift(eff, fm.q, fm.a)
     v_inf = solve_continuous_lyapunov(a, -build_diffusion(eff))
@@ -295,6 +299,11 @@ def test_divergent_cm_raises_past_the_overflow_guard():
     with pytest.raises(Diverged, match=r"at t = 40$"):
         integrate_lyapunov(params, drive, lambda t: (0.0, 5e5 + 0j), None,
                            40.0)
+    # past the guard long before the last of many samples: each chunk is
+    # checked before the next one is judged for its V
+    with pytest.raises(Diverged, match=r"exceeded 1e\+12 at t = 18$"):
+        integrate_lyapunov(params, drive, lambda t: (0.0, 5e5 + 0j), None,
+                           1000.0, t_eval=np.linspace(0.0, 1000.0, 1001))
 
 
 def test_interval_route_rejects_what_it_cannot_step():

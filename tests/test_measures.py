@@ -206,6 +206,20 @@ def test_position_variance_and_flags():
     assert cols["v11"][1] < 0.5
     assert cols["neff"][0] == 0.0
     assert cols["neff"][2] == 10.0
+    assert cols["r_db"].tolist() == [squeezing_parameter(v[:2, :2])[2]
+                                     for v in vs]
+    # a stack gives each block's squeezing and angle bit for bit
+    rng = np.random.default_rng(3)
+    mech = np.array([rotation(th) @ np.diag(ls) @ rotation(th).T
+                     for th, ls in zip(rng.uniform(-1.5, 1.5, 64),
+                                       rng.uniform(0.05, 3.0, (64, 2)))])
+    stack = (*squeezing_parameter(mech), principal_axis_angle(mech))
+    loop = [(*squeezing_parameter(m), principal_axis_angle(m)) for m in mech]
+    assert np.stack(stack, axis=1).tobytes() == np.array(loop).tobytes()
+    for bad, match in ((np.diag([1.0, -1.0]), "determinant -1 <= 0"),
+                       (-np.eye(2), "not positive definite")):
+        with pytest.raises(NonPhysical, match=match):
+            squeezing_parameter(np.concatenate((mech, bad[None], mech)))
 
 
 def test_squeezing_parameter_vacuum():
