@@ -165,18 +165,18 @@ PIECE_CHUNK = 128
 
 
 def _reduce(u: np.ndarray, w: np.ndarray):
-    """The one map of each stack of consecutive interval maps
-    V -> U V U^T + W along axis -3, first map first, composed pairwise:
-    maps 2i then 2i + 1 make (U_2 U_1, U_2 W_1 U_2^T + W_2)."""
-    while u.shape[-3] > 1:
-        u1, w1 = u[..., :-1:2, :, :], w[..., :-1:2, :, :]
-        u2, w2 = u[..., 1::2, :, :], w[..., 1::2, :, :]
+    """The one map of interval maps V -> U V U^T + W stacked in order
+    along axis 0 (one per stack along the axes before the 6 x 6 ones),
+    composed pairwise: maps 2i then 2i + 1 make
+    (U_2 U_1, U_2 W_1 U_2^T + W_2)."""
+    while len(u) > 1:
+        u1, w1, u2, w2 = u[:-1:2], w[:-1:2], u[1::2], w[1::2]
         pu, pw = u2 @ u1, u2 @ w1 @ u2.swapaxes(-1, -2) + w2
-        if u.shape[-3] % 2:         # the last map waits a round
-            pu = np.concatenate((pu, u[..., -1:, :, :]), axis=-3)
-            pw = np.concatenate((pw, w[..., -1:, :, :]), axis=-3)
+        if len(u) % 2:              # the last map waits a round
+            pu, pw = (np.concatenate((pu, u[-1:])),
+                      np.concatenate((pw, w[-1:])))
         u, w = pu, pw
-    return u[..., 0, :, :], w[..., 0, :, :]
+    return u[0], w[0]
 
 
 def _step_maps(drift_at, d: np.ndarray, t: np.ndarray, h: np.ndarray,
@@ -286,8 +286,9 @@ def _propagate_cm(params: SystemParams, source, v0: np.ndarray,
         if not np.max(err) <= 1.0:
             part = longest / (2 * m)
             continue
-        u, w = _reduce(u.reshape(-1, m, 6, 6), w.reshape(-1, m, 6, 6))
-        first, k, a = k, bisect_right(ends, j, k), i  # end first..k - 1
+        u, w = _reduce(u.reshape(-1, m, 6, 6).swapaxes(0, 1),
+                       w.reshape(-1, m, 6, 6).swapaxes(0, 1))
+        first, k, a = k, bisect_right(ends, j, k), i  # samples ending here
         for n, b in enumerate(ends[first:k] + [j], first):
             if b > a:
                 ru, rw = _reduce(u[a - i:b - i], w[a - i:b - i])
