@@ -20,7 +20,7 @@ from pathlib import Path
 from .engineering import modulation_components
 from .errors import SimulationError
 from .experiment import compare_sources, config_from_dict, \
-    drive_to_dict, load_config, run_experiment, sample_times, solve
+    drive_to_dict, run_experiment, sample_times, solve
 from .recipes import load_recipe, recipe_names
 
 
@@ -31,15 +31,14 @@ def _out_dir(args) -> Path:
 
 
 def _load(args):
-    if getattr(args, "recipe", None):
-        doc = load_recipe(args.recipe)
-        if args.config:
-            with open(args.config) as fh:
-                doc.update(json.load(fh))
-        return config_from_dict(doc)
-    if not args.config:
+    recipe = getattr(args, "recipe", None)
+    if not (recipe or args.config):
         raise SystemExit("either --config or --recipe is required")
-    return load_config(args.config)
+    doc = load_recipe(recipe) if recipe else {}
+    if args.config:
+        with open(args.config) as fh:
+            doc.update(json.load(fh))
+    return config_from_dict(doc)
 
 
 def _add_common(sub):

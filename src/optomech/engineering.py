@@ -44,6 +44,24 @@ def _check_target(params: SystemParams, target: EngineeredCoupling):
                 f"atomic denominator gamma_a + i ({name}) vanishes")
 
 
+def _residues(kind: str, num, den, poles: tuple) -> list:
+    """Partial-fraction amplitudes num(s_i) / (den prod_{j != i}
+    (s_i - s_j)) of num(s) / (den prod_j (s - s_j)), one per pole s_i;
+    poles closer than 1e-10 raise DegenerateExponents, named by kind."""
+    for x, y in combinations(poles, 2):
+        if abs(x - y) < 1e-10:
+            raise DegenerateExponents(
+                f"{kind} exponents degenerate; partial fractions invalid")
+    amps = []
+    for i, si in enumerate(poles):
+        d = den
+        for j, so in enumerate(poles):
+            if j != i:
+                d *= si - so
+        amps.append(num(si) / d)
+    return amps
+
+
 def laplace_coefficients(params: SystemParams, target: EngineeredCoupling
                          ) -> LaplaceCoefficients:
     _check_target(params, target)
@@ -63,45 +81,15 @@ def laplace_coefficients(params: SystemParams, target: EngineeredCoupling
     s6 = s3
     s7 = -(params.gamma_a + 1j * params.delta_c)
 
-    for x, y in combinations((s1, s2, s3, s4), 2):
-        if abs(x - y) < 1e-10:
-            raise DegenerateExponents(
-                "mechanical exponents degenerate; partial fractions invalid")
-    for x, y in combinations((s5, s6, s7), 2):
-        if abs(x - y) < 1e-10:
-            raise DegenerateExponents(
-                "atomic exponents degenerate; partial fractions invalid")
-
-    def k_mech(si, others):
-        num = (g1 + g2) ** 2 * si ** 2 + (g1 ** 2 + g2 ** 2) * big ** 2
-        den = 2.0 * g
-        for so in others:
-            den *= (si - so)
-        return num / den
-
-    k1 = k_mech(s1, (s2, s3, s4))
-    k2 = k_mech(s2, (s1, s3, s4))
-    k3 = k_mech(s3, (s1, s2, s4))
-    k4 = k_mech(s4, (s1, s2, s3))
-
-    def k_atom(si, others):
-        num = -1j * g0 * (g1 + g2) * si + g0 * g1 * big
-        den = SQRT2 * g
-        for so in others:
-            den *= (si - so)
-        return num / den
-
-    k5 = k_atom(s5, (s6, s7))
-    k6 = k_atom(s6, (s5, s7))
-    k7 = k_atom(s7, (s5, s6))
-
+    k_mech = _residues(
+        "mechanical",
+        lambda s: (g1 + g2) ** 2 * s ** 2 + (g1 ** 2 + g2 ** 2) * big ** 2,
+        2.0 * g, (s1, s2, s3, s4))
+    k_atom = _residues(
+        "atomic", lambda s: -1j * g0 * (g1 + g2) * s + g0 * g1 * big,
+        SQRT2 * g, (s5, s6, s7))
     return LaplaceCoefficients(s=(s1, s2, s3, s4, s5, s6, s7),
-                               k=(k1, k2, k3, k4, k5, k6, k7))
-
-
-def _cavity_mean(params: SystemParams, target: EngineeredCoupling, t):
-    return (target.g1 + target.g2 * np.exp(-1j * target.big_omega * t)) \
-        / (SQRT2 * params.g)
+                               k=(*k_mech, *k_atom))
 
 
 def _transient_kernel(params: SystemParams, target: EngineeredCoupling,
@@ -174,8 +162,8 @@ def asymptotic_first_moments(params: SystemParams,
     g1, g2 = target.g1, target.g2
     dd = big ** 2 - om ** 2
 
-    a = _cavity_mean(params, target, t)
     ph = np.exp(-1j * big * t)
+    a = (g1 + g2 * ph) / (SQRT2 * g)
     p = (1j * g1 * g2 * big / (2.0 * g * dd)) * (ph - np.conj(ph))
     q = ((g1 ** 2 + g2 ** 2) / (2.0 * g * om)
          - (g1 * g2 * om / (2.0 * g * dd)) * (ph + np.conj(ph)))

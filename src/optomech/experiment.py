@@ -11,7 +11,6 @@ resolved configuration.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -78,7 +77,7 @@ class ExperimentConfig:
                          "coupling target")
 
     def validate(self) -> list[str]:
-        report = [f"unknown key '{name}'" for name in _unknown_keys(self.raw)]
+        report = [f"unknown key '{name}'" for name in _check_keys(self.raw)[0]]
         if (self.drive is None) == (self.engineered is None):
             report.append("exactly one of 'drive' and 'engineered' "
                           "must be given")
@@ -150,23 +149,39 @@ _KEYS = {f"params.{k}" for k in _PARAM_KEYS} | set("""
     first_moment_source numerics numerics.rel_tol numerics.abs_tol floquet
     floquet.j_max floquet.n_max sweep sweep.axes sweep.axes.name
     sweep.axes.min sweep.axes.max sweep.axes.points""".split())
+# The keys each block needs, by the dotted name of the block.
+_REQUIRED = {"": ("params",),
+             "params.": ("delta_a", "kappa", "gamma_m", "g", "delta_c",
+                         "gamma_a"),
+             "drive.": ("Omega",), "drive.components.": ("n",),
+             "engineered.": ("G1", "G2", "Omega"),
+             "sweep.axes.": ("name", "min", "max", "points")}
 
 
-def _unknown_keys(doc: dict, at: str = "") -> list[str]:
-    """The dotted name of every key in doc that config_from_dict does not
-    read, so that a misspelt or retired setting is not silently ignored."""
-    names = []
+def _check_keys(doc: dict, at: str = "") -> tuple[list, list]:
+    """(unknown, missing): the dotted name of every key in doc that
+    config_from_dict does not read, so that a misspelt or retired setting
+    is not silently ignored, and of every key it needs that a block of doc
+    lacks."""
+    unknown = []
+    missing = [at + key for key in _REQUIRED.get(at, ()) if key not in doc]
     for key, value in doc.items():
         if at + key not in _KEYS:
-            names.append(at + key)
+            unknown.append(at + key)
             continue
         for item in value if isinstance(value, list) else [value]:
             if isinstance(item, dict):
-                names += _unknown_keys(item, f"{at}{key}.")
-    return names
+                names = _check_keys(item, f"{at}{key}.")
+                unknown += names[0]
+                missing += names[1]
+    return unknown, missing
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
+    missing = _check_keys(doc)[1]
+    if missing:
+        raise ValueError("invalid configuration: " + "; ".join(
+            f"missing key '{name}'" for name in missing))
     p = doc["params"]
     kwargs = {k: float(v) for k, v in p.items() if k in _PARAM_KEYS}
     kwargs["g0_collective"] = float(p.get("G0", p.get("g0_collective", 0.0)))
@@ -204,11 +219,6 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         samples_per_period=int(doc.get("samples_per_period", 200)),
         wigner_times=tuple(float(t) for t in doc.get("wigner_times", [])),
         raw=doc)
-
-
-def load_config(path: str | Path) -> ExperimentConfig:
-    with open(path) as fh:
-        return config_from_dict(json.load(fh))
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +392,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path,
     out_dir.mkdir(parents=True, exist_ok=True)
     written: dict = {}
 
-    manifest = {"version": __version__, "config": cfg.raw or _echo(cfg)}
+    manifest = {"version": __version__, "config": cfg.raw}
     if cfg.engineered is not None:
         drv = cfg.resolved_drive()
         manifest["resolved_drive"] = drive_to_dict(drv)
@@ -396,11 +406,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path,
     if cfg.outputs:
         _write_outputs(cfg, out_dir, written, *solve(cfg, sample_times(cfg)))
     return written
-
-
-def _echo(cfg: ExperimentConfig) -> dict:
-    return {"params": dataclasses.asdict(cfg.params),
-            "outputs": list(cfg.outputs)}
 
 
 def drive_to_dict(drive: DriveSpec) -> dict:

@@ -5,8 +5,8 @@ linearized quadrature dynamics, propagates the 6x6 covariance matrix
 through the Lyapunov equation of motion, and solves for the periodic
 CM algebraically.  integrate_lyapunov propagates by one of two routes.
 With the "ode" source the means fill the drift, so they are stepped
-together with vech V, one right-hand side at a time, and the RHS fills
-one drift template per integration (drift_kernel).  With a callable
+together with vech V, one right-hand side at a time, and the RHS
+refills one drift template's mean-dependent entries.  With a callable
 source A(t) is known in advance and the CM equation is linear: each
 piece of the gaps between samples acts on V as V -> U V U^T + W, and U
 and W are stepped a chunk of pieces at once as arrays, from one
@@ -40,8 +40,7 @@ from .errors import Diverged, NoConvergence, NonPhysical, NotStable, \
 from .measures import symplectic_eigenvalues
 from .model import DriveSpec, SystemParams, ZERO_MOMENTS, cell_matrices
 from .moments import FloquetSolution, MomentTrajectory, _rhs_vector, \
-    default_stepper, effective_coupling, effective_detuning, \
-    floquet_recurse, periodic_means
+    default_stepper, floquet_recurse, periodic_means
 from .numerics import RTOL_FLOOR, StepperConfig, checked_t_eval, dop853, \
     integrate_adaptive
 
@@ -65,11 +64,13 @@ _LYAPUNOV = (_E[..., VECH[0], :] * _V[:, VECH[1]] + _E[..., VECH[1], :]
 def build_drift(params: SystemParams, q_mean: float,
                 a_mean: complex) -> np.ndarray:
     """Drift matrix A(t) of the linearized quadrature dynamics, one per
-    cell where params' fields, q_mean or a_mean hold one value per cell."""
+    cell where params' fields, q_mean or a_mean hold one value per cell:
+    the means enter through the effective coupling G(t) = sqrt(2) g <a(t)>
+    and the effective detuning Delta_a(t) = delta_a - g <q(t)>."""
     om = params.omega_m
     g0 = params.g0_collective
-    det = effective_detuning(params, q_mean)
-    gc = effective_coupling(params.g, a_mean)
+    det = params.delta_a - params.g * q_mean
+    gc = np.sqrt(2.0) * params.g * a_mean
     gx, gy = gc.real, gc.imag
     return cell_matrices([
         0.0,    om,            0.0,          0.0,          0.0,            0.0,
@@ -79,33 +80,6 @@ def build_drift(params: SystemParams, q_mean: float,
         0.0,    0.0,           0.0,          g0,           -params.gamma_a, params.delta_c,
         0.0,    0.0,           -g0,          0.0,          -params.delta_c, -params.gamma_a,
     ], 6)
-
-
-def drift_kernel(params: SystemParams):
-    """(q_mean, a_mean) -> A(t), filling the six mean-dependent entries of
-    one template built by build_drift.
-
-    Every call returns the same array, so a caller must use it before the
-    next call and never keep it; the values equal build_drift's.
-    """
-    a_mat = build_drift(params, 0.0, 0j)
-    da0 = params.delta_a
-    g = params.g
-    g_root2 = math.sqrt(2.0) * g
-
-    def fill(q_mean, a_mean):
-        det = da0 - g * q_mean
-        gc = g_root2 * a_mean
-        gx, gy = gc.real, gc.imag
-        a_mat[1, 2] = gx
-        a_mat[1, 3] = gy
-        a_mat[2, 0] = -gy
-        a_mat[2, 3] = det
-        a_mat[3, 0] = gx
-        a_mat[3, 2] = -det
-        return a_mat
-
-    return fill
 
 
 def build_diffusion(params: SystemParams) -> np.ndarray:
@@ -143,16 +117,28 @@ def _check_physical(t: np.ndarray, vs: np.ndarray):
 
 def _moments_cm_rhs(params: SystemParams, drive: DriveSpec):
     """RHS of the means and of the CM co-integrated with them: the state
-    is (moments[6], vech V[21]), and the means fill the drift at every
-    call."""
-    drift = drift_kernel(params)
+    is (moments[6], vech V[21]).  Each call writes the six entries that
+    its means set, as build_drift does, into one drift template."""
+    a_mat = build_drift(params, 0.0, 0j)
     d = build_diffusion(params)[VECH]
     moment_rhs = _rhs_vector(params, drive)
+    da0 = params.delta_a
+    g = params.g
+    g_root2 = math.sqrt(2.0) * g
 
     def f(t, y):
         dy_m = moment_rhs(t, y[:6])
         q, _, ar, ai = y[:4].tolist()
-        av = drift(q, complex(ar, ai)) @ y[6:][UNVECH]
+        det = da0 - g * q
+        gc = g_root2 * complex(ar, ai)
+        gx, gy = gc.real, gc.imag
+        a_mat[1, 2] = gx
+        a_mat[1, 3] = gy
+        a_mat[2, 0] = -gy
+        a_mat[2, 3] = det
+        a_mat[3, 0] = gx
+        a_mat[3, 2] = -det
+        av = a_mat @ y[6:][UNVECH]
         return np.concatenate((dy_m, av.take(_UPPER) + av.take(_LOWER) + d))
 
     return f
@@ -200,13 +186,14 @@ def _step_maps(drift_at, d: np.ndarray, t: np.ndarray, h: np.ndarray,
     ku, kw = np.empty((2, 13, n, 6, 6))
     ku[0], kw[0] = a[0], d
     hh = h[:, None, None]
+    eye = np.eye(6)
 
     def combine(coef, k):       # sum_s coef_s k_s
         return (coef @ k[:len(coef)].reshape(len(coef), -1)).reshape(n, 6, 6)
 
     for s in range(1, 13):      # the last stage is at t + h, from the step
         coef = rk.A[s, :s] if s < 12 else rk.B
-        u = np.eye(6) + hh * combine(coef, ku)
+        u = eye + hh * combine(coef, ku)
         w = hh * combine(coef, kw)
         np.matmul(a[s], u, out=ku[s])
         aw = a[s] @ w

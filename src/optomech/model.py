@@ -94,7 +94,7 @@ class EngineeredCoupling:
 
 
 def drive_terms(drive: DriveSpec) -> tuple[list, np.ndarray]:
-    """Amplitudes E_n and exponent rates -i n Omega of a modulated drive,
+    """Amplitudes E_n and exponent rates -i n Omega of the drive,
     in the order of drive.components."""
     amps = list(drive.components.values())
     rates = np.array([-1j * n * drive.big_omega for n in drive.components],
@@ -108,9 +108,6 @@ def drive_kernel(drive: DriveSpec):
     Sums E_n exp(-i n Omega t) term by term from 0 in the order of
     drive_value, each exponential by cmath.exp, so both give the same bits.
     """
-    if drive.big_omega == 0.0:
-        e0 = drive.component(0)
-        return lambda t: e0
     amps, rates = drive_terms(drive)
     terms = list(zip(amps, rates.tolist()))
 

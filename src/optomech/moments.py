@@ -276,18 +276,8 @@ def floquet_mean_source(sol: FloquetSolution, g: float):
 
 
 # ---------------------------------------------------------------------------
-# Derived couplings and the constant-drive working point
+# The constant-drive working point
 # ---------------------------------------------------------------------------
-
-def effective_coupling(g: float, a_mean: complex) -> complex:
-    """Linearized optomechanical coupling G(t) = sqrt(2) g <a(t)>."""
-    return np.sqrt(2.0) * g * a_mean
-
-
-def effective_detuning(params: SystemParams, q_mean: float) -> float:
-    """Effective cavity detuning Delta_a(t) = delta_a - g <q(t)>."""
-    return params.delta_a - params.g * q_mean
-
 
 def steady_state_constant(params: SystemParams, e0: complex,
                           delta_a_eff: float | None = None

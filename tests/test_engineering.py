@@ -1,13 +1,18 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from optomech.cli import main as cli_main
 from optomech.engineering import (asymptotic_first_moments,
                                   engineered_mean_source,
                                   laplace_coefficients,
                                   modulation_components,
                                   transient_first_moments)
-from optomech.errors import SingularDenominator
+from optomech.errors import DegenerateExponents, SingularDenominator
 from optomech.model import EngineeredCoupling, SystemParams
+from optomech.recipes import load_recipe
 
 FIG6 = SystemParams(delta_a=1.0, kappa=10.0, gamma_m=1e-3, g=1e-3,
                     delta_c=-1.0, gamma_a=1e-3, g0_collective=1.0)
@@ -212,3 +217,24 @@ def test_undamped_resonant_atoms_rejected(delta_c, name):
             closed_form(params, TARGET)
     with pytest.raises(SingularDenominator, match=message):
         asymptotic_first_moments(params, TARGET, 0.0)
+
+
+@pytest.mark.parametrize("kind, changes", [
+    ("mechanical", {"gamma_m": 2.0}),     # critical damping: s1 = s2 = -1
+    # s7 = -i delta_c lies within 1e-10 of s5 = 0, yet gamma_a + i delta_c
+    # is not small enough for the check on the target
+    ("atomic", {"gamma_a": 0.0, "delta_c": 5e-11}),
+])
+def test_degenerate_exponents_raise(tmp_path, capsys, kind, changes):
+    message = f"{kind} exponents degenerate; partial fractions invalid"
+    with pytest.raises(DegenerateExponents, match=message):
+        laplace_coefficients(replace(FIG6, **changes), TARGET)
+    doc = load_recipe("fig7")
+    doc["params"].update(changes)
+    path = tmp_path / "fig7.json"
+    path.write_text(json.dumps(doc))
+    rc = cli_main(["simulate", "--config", str(path),
+                   "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        f"error: DegenerateExponents: {message}\n"

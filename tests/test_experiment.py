@@ -230,6 +230,33 @@ def test_cli_names_unknown_keys(tmp_path, command):
         cli_main([command, "--config", str(path)])
 
 
+@pytest.mark.parametrize("recipe, key", [
+    ("fig5a", "params"),
+    *(("fig5a", f"params.{k}") for k in ("delta_a", "kappa", "gamma_m", "g",
+                                         "delta_c", "gamma_a")),
+    ("fig5a", "drive.Omega"), ("fig5a", "drive.components.n"),
+    *(("fig7", f"engineered.{k}") for k in ("G1", "G2", "Omega")),
+    *(("fig4a", f"sweep.axes.{k}") for k in ("name", "min", "max",
+                                             "points")),
+])
+def test_missing_key_is_named(tmp_path, recipe, key):
+    doc = load_recipe(recipe)
+    *blocks, last = key.split(".")
+    block = doc
+    for name in blocks:         # a list's first item stands for the list
+        block = block[name]
+        block = block[0] if isinstance(block, list) else block
+    del block[last]
+    message = f"invalid configuration: missing key '{key}'"
+    with pytest.raises(ValueError) as got:
+        config_from_dict(doc)
+    assert str(got.value) == message
+    with pytest.raises(ValueError) as got:
+        cli_main(["simulate", "--config", str(write_config(tmp_path, doc)),
+                  "--out", str(tmp_path / "run")])
+    assert str(got.value) == message
+
+
 def test_cli_simulate_with_config(tmp_path, capsys):
     doc = dict(FIG2_DOC)
     doc["outputs"] = ["EN"]

@@ -14,10 +14,10 @@ from optomech.errors import Diverged, NonPhysical, NotStable, Singular, \
 from optomech.experiment import config_from_dict, run_experiment
 from optomech.fluctuations import (UNVECH, VECH, _check_physical,
                                    _moments_cm_rhs, build_diffusion,
-                                   build_drift, drift_kernel,
-                                   integrate_lyapunov, lyapunov_stack,
-                                   periodic_state, stability_check,
-                                   steady_state_lyapunov, thermal_vacuum_cm)
+                                   build_drift, integrate_lyapunov,
+                                   lyapunov_stack, periodic_state,
+                                   stability_check, steady_state_lyapunov,
+                                   thermal_vacuum_cm)
 from optomech.measures import symplectic_eigenvalues
 from optomech.model import DriveSpec, EngineeredCoupling, SystemParams
 from optomech.moments import _rhs_vector, default_stepper, \
@@ -124,23 +124,23 @@ def test_drift_matches_transcription_oracle():
             1.0, np.max(np.abs(want)))
 
 
-def test_drift_kernel_bitwise_equals_build_drift():
+def test_cm_rhs_bitwise_equals_build_drift():
+    # the co-integrated RHS fills its drift template in place; its CM part
+    # must be vech(A V + V A^T) + vech D with A = build_drift(means), also
+    # when a call repeats earlier means after a call with other means
     rng = np.random.default_rng(5)
+    means = [(0.0, 0.0, 0.0, 0.0), (12.3, 0.2, 1.5, -0.4),
+             (-7.0, -1.0, -2.0, 3.0), (4.5, 0.0, 0.0, -8.0),
+             (12.3, 0.2, 1.5, -0.4)]
     for params in (FIG2, *(random_params(rng) for _ in range(5))):
-        fill = drift_kernel(params)
-        means = [(0.0, 0j), (12.3, 1.5 - 0.4j), (-7.0, -2.0 + 3.0j),
-                 (np.float64(4.5), complex(0.0, -8.0))]
-        for q_mean, a_mean in means:
-            got = fill(q_mean, a_mean)
-            want = build_drift(params, q_mean, a_mean)
-            assert got.tobytes() == want.tobytes()
-        # two calls in a row: no entry of the first call may survive
-        first = fill(12.3, 1.5 - 0.4j).copy()
-        second = fill(-7.0, -2.0 + 3.0j)
-        assert second.tobytes() == build_drift(params, -7.0,
-                                               -2.0 + 3.0j).tobytes()
-        assert first.tobytes() == build_drift(params, 12.3,
-                                              1.5 - 0.4j).tobytes()
+        f = _moments_cm_rhs(params, FIG2_DRIVE)
+        d = build_diffusion(params)[VECH]
+        for q, p, ar, ai in means:
+            m = rng.normal(size=(6, 6))
+            y = np.concatenate(((q, p, ar, ai, 0.3, -0.2), (m @ m.T)[VECH]))
+            av = build_drift(params, q, complex(ar, ai)) @ y[6:][UNVECH]
+            want = (av + av.T)[VECH] + d
+            assert f(0.7, y)[6:].tobytes() == want.tobytes()
 
 
 def test_scalar_and_one_cell_params_give_the_same_bits():
@@ -551,10 +551,9 @@ def _one_period(params, drive, y, t0, cfg):
     means, the fundamental matrix (dPhi/dt = A(t) Phi) and the forced CM
     integrated together."""
     f = _moments_cm_rhs(params, drive)
-    drift = drift_kernel(params)
 
     def rhs(t, state):
-        phi = drift(state[0], complex(state[2], state[3])) \
+        phi = build_drift(params, state[0], complex(state[2], state[3])) \
             @ state[27:].reshape(6, 6)
         return np.concatenate((f(t, state[:27]), phi.ravel()))
 

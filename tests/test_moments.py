@@ -6,9 +6,9 @@ import pytest
 
 from optomech.errors import SingularDenominator
 from optomech.experiment import config_from_dict
+from optomech.fluctuations import build_drift
 from optomech.model import DriveSpec, FirstMoments, SystemParams, ZERO_MOMENTS
 from optomech.moments import (FloquetSolution, _rhs_vector,
-                              effective_coupling, effective_detuning,
                               floquet_recurse, integrate_first_moments,
                               steady_state_constant)
 from optomech.recipes import load_recipe
@@ -298,6 +298,17 @@ def test_determinism():
     b = integrate_first_moments(FIG2, FIG2_DRIVE, ZERO_MOMENTS, 5.0,
                                 t_eval=t_eval)
     assert np.array_equal(a.a, b.a) and np.array_equal(a.q, b.q)
+
+
+def effective_coupling(g, a_mean):
+    """G = sqrt(2) g <a>, as the drift's entries A[1, 2] + i A[1, 3]."""
+    a = build_drift(replace(FIG2, g=g), 0.0, a_mean)
+    return complex(a[1, 2], a[1, 3])
+
+
+def effective_detuning(params, q_mean):
+    """Delta_a = delta_a - g <q>, as the drift's entry A[2, 3]."""
+    return build_drift(params, q_mean, 0j)[2, 3]
 
 
 def test_effective_coupling():
