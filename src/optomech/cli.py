@@ -30,17 +30,6 @@ def _out_dir(args) -> Path:
     return Path(os.environ.get("OPTOMECH_OUT_DIR", "."))
 
 
-def _load(args):
-    recipe = getattr(args, "recipe", None)
-    if not (recipe or args.config):
-        raise SystemExit("either --config or --recipe is required")
-    doc = load_recipe(recipe) if recipe else {}
-    if args.config:
-        with open(args.config) as fh:
-            doc.update(json.load(fh))
-    return config_from_dict(doc)
-
-
 def _add_common(sub):
     sub.add_argument("--config", help="JSON configuration file")
     sub.add_argument("--recipe", choices=recipe_names(),
@@ -63,16 +52,30 @@ def main(argv=None) -> int:
     sub.add_argument("--times", help="comma-separated evaluation times")
 
     args = parser.parse_args(argv)
+    recipe = getattr(args, "recipe", None)
+    if not (recipe or args.config):
+        raise SystemExit("either --config or --recipe is required")
+    try:        # a ValueError here is the config's, not the solve's
+        doc = load_recipe(recipe) if recipe else {}
+        if args.config:
+            with open(args.config) as fh:
+                doc.update(json.load(fh))
+        cfg = config_from_dict(doc)
+        if getattr(args, "times", None):
+            cfg.wigner_times = tuple(float(t) for t in args.times.split(","))
+        cfg.check()
+    except ValueError as exc:
+        reason = str(exc).removeprefix("invalid configuration: ")
+        print(f"error: invalid configuration: {reason}", file=sys.stderr)
+        return 1
     try:
-        return _run(args)
+        return _run(args, cfg)
     except SimulationError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 
-def _run(args) -> int:
-    cfg = _load(args)
-    cfg.check()
+def _run(args, cfg) -> int:
     if args.command == "engineer-drive":
         if cfg.engineered is None:
             raise SystemExit("config must carry an 'engineered' target")
@@ -90,8 +93,6 @@ def _run(args) -> int:
         return 0
 
     if args.command == "wigner":
-        if args.times:
-            cfg.wigner_times = tuple(float(t) for t in args.times.split(","))
         cfg.outputs = tuple(set(cfg.outputs) | {"wigner"})
     written = run_experiment(cfg, _out_dir(args))
     for name, path in written.items():

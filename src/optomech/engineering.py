@@ -14,7 +14,8 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DegenerateExponents, SingularDenominator
-from .model import DriveSpec, EngineeredCoupling, FirstMoments, SystemParams
+from .model import DEGENERACY_BOUND, DriveSpec, EngineeredCoupling, \
+    FirstMoments, SystemParams
 
 SQRT2 = np.sqrt(2.0)
 
@@ -34,12 +35,12 @@ def _check_target(params: SystemParams, target: EngineeredCoupling):
     om = target.big_omega
     if om == 0.0:
         raise SingularDenominator("engineered drive requires Omega > 0")
-    if abs(om ** 2 - params.omega_m ** 2) < 1e-9:
+    if abs(om ** 2 - 1.0) < 1e-9:
         raise SingularDenominator(
-            "Omega coincides with omega_m; the long-time denominators "
-            "Omega^2 - omega_m^2 vanish")
-    for name, shift in (("delta_c", 0.0), ("delta_c - Omega", om)):
-        if abs(params.gamma_a + 1j * (params.delta_c - shift)) < 1e-12:
+            "Omega coincides with omega_m = 1; the long-time denominators "
+            "Omega^2 - 1 vanish")
+    for name, w in (("delta_c", 0.0), ("delta_c - Omega", om)):
+        if abs(params.gamma_a + 1j * (params.delta_c - w)) < DEGENERACY_BOUND:
             raise SingularDenominator(
                 f"atomic denominator gamma_a + i ({name}) vanishes")
 
@@ -47,9 +48,10 @@ def _check_target(params: SystemParams, target: EngineeredCoupling):
 def _residues(kind: str, num, den, poles: tuple) -> list:
     """Partial-fraction amplitudes num(s_i) / (den prod_{j != i}
     (s_i - s_j)) of num(s) / (den prod_j (s - s_j)), one per pole s_i;
-    poles closer than 1e-10 raise DegenerateExponents, named by kind."""
+    poles closer than DEGENERACY_BOUND raise DegenerateExponents, named
+    by kind."""
     for x, y in combinations(poles, 2):
-        if abs(x - y) < 1e-10:
+        if abs(x - y) < DEGENERACY_BOUND:
             raise DegenerateExponents(
                 f"{kind} exponents degenerate; partial fractions invalid")
     amps = []
@@ -66,13 +68,12 @@ def laplace_coefficients(params: SystemParams, target: EngineeredCoupling
                          ) -> LaplaceCoefficients:
     _check_target(params, target)
     gm = params.gamma_m
-    om = params.omega_m
     big = target.big_omega
     g = params.g
     g0 = params.g0_collective
     g1, g2 = target.g1, target.g2
 
-    root = np.sqrt(complex(gm ** 2 - 4.0 * om ** 2))
+    root = np.sqrt(complex(gm ** 2 - 4.0))
     s1 = (-gm + root) / 2.0
     s2 = (-gm - root) / 2.0
     s3 = -1j * big
@@ -105,7 +106,7 @@ def _transient_kernel(params: SystemParams, target: EngineeredCoupling,
     rates = np.array([*lc.s[:4], -1j * target.big_omega])
     terms = [(complex(s), complex(k)) for s, k in zip(lc.s[:4], lc.k[:4])]
     g1, g2 = target.g1, target.g2
-    gm, g, om = params.gamma_m, params.g, params.omega_m
+    gm, g = params.gamma_m, params.g
     root2_g = float(SQRT2 * g)
 
     def kernel(t):
@@ -117,7 +118,7 @@ def _transient_kernel(params: SystemParams, target: EngineeredCoupling,
             p += term
             pdot += s * term
         a = (g1 + g2 * phase) / root2_g
-        q = (-pdot - gm * p + g * abs(a) ** 2) / om
+        q = -pdot - gm * p + g * abs(a) ** 2
         return q.real, p.real, a
 
     return kernel
@@ -156,17 +157,16 @@ def asymptotic_first_moments(params: SystemParams,
     """Long-time closed forms after the damped exponentials die out."""
     _check_target(params, target)
     g = params.g
-    om = params.omega_m
     big = target.big_omega
     g0 = params.g0_collective
     g1, g2 = target.g1, target.g2
-    dd = big ** 2 - om ** 2
+    dd = big ** 2 - 1.0
 
     ph = np.exp(-1j * big * t)
     a = (g1 + g2 * ph) / (SQRT2 * g)
     p = (1j * g1 * g2 * big / (2.0 * g * dd)) * (ph - np.conj(ph))
-    q = ((g1 ** 2 + g2 ** 2) / (2.0 * g * om)
-         - (g1 * g2 * om / (2.0 * g * dd)) * (ph + np.conj(ph)))
+    q = ((g1 ** 2 + g2 ** 2) / (2.0 * g)
+         - (g1 * g2 / (2.0 * g * dd)) * (ph + np.conj(ph)))
     c = (-1j * g0 * g1 / (SQRT2 * g * (params.gamma_a
                                        + 1j * params.delta_c))
          + g0 * g2 * ph / (SQRT2 * 1j * g
@@ -180,24 +180,23 @@ def modulation_components(params: SystemParams,
     """Truncated four-component drive realizing the target coupling."""
     _check_target(params, target)
     g = params.g
-    om = params.omega_m
     big = target.big_omega
     g0 = params.g0_collective
     g1, g2 = target.g1, target.g2
-    dd = big ** 2 - om ** 2
+    dd = big ** 2 - 1.0
     kap = params.kappa
     da = params.delta_a
     ga = params.gamma_a
     dc = params.delta_c
 
-    e2 = 1j * g1 * g2 ** 2 * om / (2.0 * SQRT2 * g * dd)
-    em1 = 1j * g1 ** 2 * g2 * om / (2.0 * SQRT2 * g * dd)
+    e2 = 1j * g1 * g2 ** 2 / (2.0 * SQRT2 * g * dd)
+    em1 = 1j * g1 ** 2 * g2 / (2.0 * SQRT2 * g * dd)
     e1 = (g2 / (SQRT2 * g) * (kap + 1j * (da - big))
-          - 1j * g2 / (2.0 * SQRT2 * g * om)
+          - 1j * g2 / (2.0 * SQRT2 * g)
           * (2.0 * g1 ** 2 + g2 ** 2 - g1 ** 2 * big ** 2 / dd)
           + g0 ** 2 * g2 / (SQRT2 * g * (ga + 1j * (dc - big))))
     e0 = (g1 / (SQRT2 * g) * (kap + 1j * da)
-          - 1j * g1 / (2.0 * SQRT2 * g * om)
+          - 1j * g1 / (2.0 * SQRT2 * g)
           * (g1 ** 2 + 2.0 * g2 ** 2 - g2 ** 2 * big ** 2 / dd)
           + g0 ** 2 * g1 / (SQRT2 * g * (ga + 1j * dc)))
     return DriveSpec(big_omega=big,

@@ -12,7 +12,7 @@ resolved configuration.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -94,10 +94,7 @@ class ExperimentConfig:
                               "scalar parameter")
             if ax.points < 1:
                 report.append(f"sweep axis '{ax.name}' needs points >= 1")
-        if self.drive is not None:
-            report.extend(validate_params(self.params, self.drive))
-        else:
-            report.extend(validate_params(self.params))
+        report.extend(validate_params(self.params, self.drive))
         if self.first_moment_source not in ("ode", "floquet", "engineered"):
             report.append("unknown first_moment_source "
                           f"{self.first_moment_source!r}")
@@ -107,6 +104,9 @@ class ExperimentConfig:
         drive = self.drive or self.engineered    # both carry big_omega
         if not (drive and drive.big_omega > 0.0):
             return report       # a constant drive samples t = 0 alone
+        if self.delta_a_effective is not None:
+            report.append("params.delta_a_effective applies to a constant "
+                          "drive only")
         for name in ("horizon_periods", "sample_periods"):
             if not getattr(self, name) > 0.0:
                 report.append(f"{name} must be positive")
@@ -137,12 +137,13 @@ def _parse_drive(d: dict) -> DriveSpec:
     return DriveSpec(big_omega=float(d["Omega"]), components=comps)
 
 
-_PARAM_KEYS = {"delta_a", "kappa", "gamma_m", "g", "delta_c", "gamma_a",
-               "n_th", "omega_m"}
+# SystemParams field of each params key and sweep axis; G0 is g0_collective
+_PARAM_KEYS = {"G0" if f.name == "g0_collective" else f.name: f.name
+               for f in fields(SystemParams)}
 
 # Every key config_from_dict reads, dotted; a list's items share one name.
 _KEYS = {f"params.{k}" for k in _PARAM_KEYS} | set("""
-    params params.G0 params.g0_collective params.delta_a_effective
+    params params.delta_a_effective
     drive drive.Omega drive.components drive.components.n drive.components.re
     drive.components.im engineered engineered.G1 engineered.G2 engineered.Omega
     horizon_periods sample_periods samples_per_period outputs wigner_times
@@ -151,8 +152,8 @@ _KEYS = {f"params.{k}" for k in _PARAM_KEYS} | set("""
     sweep.axes.min sweep.axes.max sweep.axes.points""".split())
 # The keys each block needs, by the dotted name of the block.
 _REQUIRED = {"": ("params",),
-             "params.": ("delta_a", "kappa", "gamma_m", "g", "delta_c",
-                         "gamma_a"),
+             "params.": tuple(f.name for f in fields(SystemParams)
+                              if f.default is MISSING),
              "drive.": ("Omega",), "drive.components.": ("n",),
              "engineered.": ("G1", "G2", "Omega"),
              "sweep.axes.": ("name", "min", "max", "points")}
@@ -183,9 +184,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         raise ValueError("invalid configuration: " + "; ".join(
             f"missing key '{name}'" for name in missing))
     p = doc["params"]
-    kwargs = {k: float(v) for k, v in p.items() if k in _PARAM_KEYS}
-    kwargs["g0_collective"] = float(p.get("G0", p.get("g0_collective", 0.0)))
-    params = SystemParams(**kwargs)
+    params = SystemParams(**{_PARAM_KEYS[k]: float(v) for k, v in p.items()
+                             if k in _PARAM_KEYS})
 
     drive = _parse_drive(doc["drive"]) if "drive" in doc else None
     engineered = None
@@ -450,15 +450,6 @@ def compare_sources(cfg: ExperimentConfig) -> dict[str, float]:
 SWEEP_BLOCK = 256
 
 
-def _apply_param(params: SystemParams, name: str,
-                 value: float) -> SystemParams:
-    if name == "G0":
-        return replace(params, g0_collective=value)
-    if name in _PARAM_KEYS:
-        return replace(params, **{name: value})
-    raise KeyError(name)
-
-
 def _apply_axis(cfg: ExperimentConfig, name: str,
                 value: float) -> ExperimentConfig:
     if name in ("E", "E0"):
@@ -468,7 +459,8 @@ def _apply_axis(cfg: ExperimentConfig, name: str,
         return replace(cfg, drive=DriveSpec(big_omega=drive.big_omega,
                                             components=comps),
                        engineered=None)
-    return replace(cfg, params=_apply_param(cfg.params, name, value))
+    return replace(cfg, params=replace(cfg.params,
+                                       **{_PARAM_KEYS[name]: value}))
 
 
 def _cell_status(error: SimulationError | None, physical: bool = True):
@@ -546,7 +538,7 @@ def run_sweep(cfg: ExperimentConfig, out_path: Path) -> Path:
                 if ax.name in ("E", "E0"):
                     e0 = block.astype(complex)
                 else:
-                    params = _apply_param(params, ax.name, block)
+                    params = replace(params, **{_PARAM_KEYS[ax.name]: block})
             try:
                 _, v, _, errors = _constant_cells(cfg, params, e0)
             except SimulationError:

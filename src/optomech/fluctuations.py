@@ -67,14 +67,13 @@ def build_drift(params: SystemParams, q_mean: float,
     cell where params' fields, q_mean or a_mean hold one value per cell:
     the means enter through the effective coupling G(t) = sqrt(2) g <a(t)>
     and the effective detuning Delta_a(t) = delta_a - g <q(t)>."""
-    om = params.omega_m
     g0 = params.g0_collective
     det = params.delta_a - params.g * q_mean
     gc = np.sqrt(2.0) * params.g * a_mean
     gx, gy = gc.real, gc.imag
     return cell_matrices([
-        0.0,    om,            0.0,          0.0,          0.0,            0.0,
-        -om,   -params.gamma_m, gx,           gy,           0.0,            0.0,
+        0.0,    1.0,           0.0,          0.0,          0.0,            0.0,
+        -1.0,  -params.gamma_m, gx,           gy,           0.0,            0.0,
         -gy,    0.0,           -params.kappa, det,          0.0,            g0,
         gx,     0.0,           -det,         -params.kappa, -g0,            0.0,
         0.0,    0.0,           0.0,          g0,           -params.gamma_a, params.delta_c,

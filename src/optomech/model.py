@@ -1,8 +1,8 @@
 """Physical parameter types, drive specifications and state containers.
 
-All rates and detunings are expressed in units of the mechanical frequency
-omega_m, which is fixed to 1 in internal units.  Time is measured in
-1/omega_m and the modulation period is tau = 2*pi/Omega.
+The mechanical frequency omega_m is the unit: every rate and detuning is
+in units of omega_m and time in units of 1/omega_m, so omega_m = 1 enters
+no formula.  The modulation period is tau = 2*pi/Omega.
 """
 
 from __future__ import annotations
@@ -13,12 +13,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 N_MAX_DEFAULT = 8
+# |gamma_a + i (delta_c + w)| below this vanishes; closer exponents coincide
+DEGENERACY_BOUND = 1e-10
 
 
 @dataclass(frozen=True)
 class SystemParams:
     """Physical rates and detunings of the hybrid system (units of omega_m);
-    a field may hold an array, one value per cell of a sweep block."""
+    a field may hold an array, one value per cell of a sweep block.  Each is
+    config key params.<field> (params.G0 for g0_collective), required when
+    it has no default."""
 
     delta_a: float          # cavity-laser detuning
     kappa: float            # cavity decay rate
@@ -26,9 +30,8 @@ class SystemParams:
     g: float                # single-photon radiation-pressure coupling
     delta_c: float          # atom-laser detuning
     gamma_a: float          # atomic decay rate
-    g0_collective: float    # collective atom-cavity coupling sqrt(N)*g0
+    g0_collective: float = 0.0  # collective atom-cavity coupling sqrt(N)*g0
     n_th: float = 0.0       # mean thermal phonon occupation
-    omega_m: float = 1.0    # mechanical frequency (the unit)
 
 
 def cell_matrices(entries, n: int) -> np.ndarray:
@@ -49,8 +52,7 @@ class DriveSpec:
     """Periodic drive E(t) = sum_n E_n exp(-i n Omega t).
 
     big_omega = 0 means a constant drive; only the n = 0 component may then
-    be nonzero.  The component map is finite and bounded by N_MAX_DEFAULT
-    unless a larger bound is validated explicitly.
+    be nonzero.  validate_params bounds the component map by N_MAX_DEFAULT.
     """
 
     big_omega: float
@@ -136,12 +138,10 @@ def drive_value(drive: DriveSpec, t):
     return out
 
 
-def validate_params(params: SystemParams, drive: DriveSpec | None = None,
-                    n_max: int = N_MAX_DEFAULT) -> list[str]:
+def validate_params(params: SystemParams,
+                    drive: DriveSpec | None = None) -> list[str]:
     """Collect invariant violations; an empty list means a usable setup."""
     report = []
-    if params.omega_m <= 0:
-        report.append("omega_m must be positive")
     if params.kappa <= 0:
         report.append("kappa must be positive")
     if params.gamma_m <= 0:
@@ -153,7 +153,7 @@ def validate_params(params: SystemParams, drive: DriveSpec | None = None,
     if params.g < 0:
         report.append("g must be nonnegative")
     if params.g0_collective < 0:
-        report.append("g0_collective must be nonnegative")
+        report.append("G0 must be nonnegative")
     if drive is not None:
         if drive.big_omega < 0:
             report.append("modulation frequency must be nonnegative")
@@ -164,9 +164,9 @@ def validate_params(params: SystemParams, drive: DriveSpec | None = None,
                 report.append(
                     "constant drive (Omega = 0) admits only the n = 0 "
                     f"component, got nonzero n = {sorted(bad)}")
-        out_of_range = [n for n in drive.components if abs(n) > n_max]
+        out_of_range = [n for n in drive.components if abs(n) > N_MAX_DEFAULT]
         if out_of_range:
             report.append(
-                f"drive components outside |n| <= {n_max}: "
+                f"drive components outside |n| <= {N_MAX_DEFAULT}: "
                 f"{sorted(out_of_range)}")
     return report

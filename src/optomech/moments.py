@@ -22,8 +22,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NoConvergence, SingularDenominator
-from .model import (DriveSpec, FirstMoments, SystemParams, ZERO_MOMENTS,
-                    cell_matrices, drive_kernel)
+from .model import (DEGENERACY_BOUND, DriveSpec, FirstMoments, SystemParams,
+                    ZERO_MOMENTS, cell_matrices, drive_kernel)
 from .numerics import StepperConfig, integrate_adaptive
 
 DEFAULT_J_MAX = 6
@@ -33,7 +33,6 @@ HB_NEWTON_MAX = 40      # Newton steps of periodic_means from one start
 
 def _rhs_vector(params: SystemParams, drive: DriveSpec):
     """Real-vector RHS over (q, p, Re a, Im a, Re c, Im c)."""
-    om = params.omega_m
     gm = params.gamma_m
     g = params.g
     kap = params.kappa
@@ -51,8 +50,8 @@ def _rhs_vector(params: SystemParams, drive: DriveSpec):
         dai = -kap * ai - det * ar - g0 * cr + e.imag
         dcr = -ga * cr + dc0 * ci + g0 * ai
         dci = -ga * ci - dc0 * cr - g0 * ar
-        return (om * p,
-                -om * q - gm * p + g * (ar * ar + ai * ai),
+        return (p,
+                -q - gm * p + g * (ar * ar + ai * ai),
                 dar, dai, dcr, dci)
 
     return f
@@ -77,7 +76,7 @@ class MomentTrajectory:
 
 def default_stepper(drive: DriveSpec | None = None,
                     base: StepperConfig | None = None) -> StepperConfig:
-    """Resolve the max-step cap: tau/50 when modulated, else 0.1/omega_m."""
+    """Resolve the max-step cap: tau/50 when modulated, else 0.1."""
     base = base or StepperConfig()
     if np.isfinite(base.max_step):
         return base
@@ -152,7 +151,7 @@ def _denominators(params: SystemParams, big_omega: float, n_max: int,
     lin = ((1j * (w + params.delta_a) + params.kappa)
            * (1j * (w + params.delta_c) + params.gamma_a)
            + params.g0_collective ** 2)
-    mech = params.omega_m ** 2 - w ** 2 + 1j * params.gamma_m * w
+    mech = 1.0 - w ** 2 + 1j * params.gamma_m * w
     small = np.abs(lin) < 1e-12
     if small.any():
         raise SingularDenominator(
@@ -193,14 +192,13 @@ def floquet_recurse(params: SystemParams, drive: DriveSpec,
     src = np.array([drive.component(-n) for n in range(-n_max, n_max + 1)])
     for j in range(j_max + 1):
         if j:
-            q[:, j] = params.omega_m * sum(
-                np.correlate(a[:, j - 1 - k], a[:, k], "full")[keep]
-                for k in range(j)) / mech
+            q[:, j] = sum(np.correlate(a[:, j - 1 - k], a[:, k],
+                                       "full")[keep] for k in range(j)) / mech
             src = 1j * sum(np.convolve(a[:, k], q[:, j - 1 - k], "full")[keep]
                            for k in range(j))
         a[:, j] = num_a * src / lin
         c[:, j] = params.g0_collective * src / (1j * lin)
-    p = (1j * w / params.omega_m)[:, np.newaxis] * q
+    p = (1j * w)[:, np.newaxis] * q
     return FloquetSolution(q=q, p=p, a=a, c=c, n_max=n_max, j_max=j_max,
                            big_omega=drive.big_omega)
 
@@ -212,15 +210,21 @@ def periodic_means(params: SystemParams, drive: DriveSpec, n_max: int,
 
     Harmonic balance: Newton's method, with the exact real Jacobian and
     step halving, on L_n A_n - i g (Q * A)_n = E_{-n} for the harmonics
-    A_n of <a>, Q_n = omega_m g (A ⋆ A)_n / mech_n, in floquet_recurse's
+    A_n of <a>, Q_n = g (A ⋆ A)_n / mech_n, in floquet_recurse's
     denominators and truncated products.  It starts from the series,
     then from the linear response E_{-n} / L_n; NoConvergence when
-    neither converges within HB_NEWTON_MAX steps.
+    neither converges within HB_NEWTON_MAX steps.  SingularDenominator
+    at the first harmonic where gamma_a + i (delta_c + n Omega) vanishes.
     """
     lin, mech, w = _denominators(params, drive.big_omega, n_max, True)
     num_a = 1j * (w + params.delta_c) + params.gamma_a
+    small = np.abs(num_a) < DEGENERACY_BOUND
+    if small.any():
+        raise SingularDenominator(
+            "atomic denominator gamma_a + i (delta_c + n Omega) vanishes at "
+            f"harmonic n = {np.flatnonzero(small)[0] - n_max}")
     big_l, ig = lin / num_a, 1j * params.g
-    cq = params.omega_m * params.g / mech
+    cq = params.g / mech
     e = np.array([drive.component(-n) for n in range(-n_max, n_max + 1)])
     ns = np.arange(2 * n_max + 1)
     toeplitz, hankel = ns[:, None] - ns + 2 * n_max, ns[:, None] + ns
@@ -253,7 +257,7 @@ def periodic_means(params: SystemParams, drive: DriveSpec, n_max: int,
                 a = a + step
                 q = parts(a)[2][:, n_max]
                 return np.column_stack((
-                    q, 1j * w * q / params.omega_m, *real_parts(a),
+                    q, 1j * w * q, *real_parts(a),
                     *real_parts(-1j * params.g0_collective * a / num_a)))
             for _ in range(30):         # halve until the residual drops
                 if np.linalg.norm(parts(a + step)[3]) < np.linalg.norm(r):
@@ -289,7 +293,7 @@ def steady_state_constant(params: SystemParams, e0: complex,
     and delta_a is back-computed; the returned params carry that delta_a.
     Otherwise x = g <q> solves the stationary cubic, monic in x, so its
     companion matrix needs no division, not even at g = 0:
-    x [(Re K)^2 + (b - x)^2] = g^2 |E_0|^2 / omega_m, b = Im K + delta_a,
+    x [(Re K)^2 + (b - x)^2] = g^2 |E_0|^2, b = Im K + delta_a,
     K = kappa + G0^2 / (gamma_a + i delta_c).  The lowest real root, the
     branch reached from q = 0, is the working point.  Raises
     SingularDenominator where gamma_a + i delta_c vanishes in any cell.
@@ -297,7 +301,7 @@ def steady_state_constant(params: SystemParams, e0: complex,
     # NumPy's arithmetic in one cell too, for the bits of that cell in a
     # block: CPython's complex division and ** round differently
     atom = np.asarray(params.gamma_a + 1j * params.delta_c)
-    if np.any(np.abs(atom) < 1e-12):
+    if np.any(np.abs(atom) < DEGENERACY_BOUND):
         raise SingularDenominator(
             "atomic denominator gamma_a + i delta_c vanishes "
             "(undamped atoms on resonance)")
@@ -306,7 +310,7 @@ def steady_state_constant(params: SystemParams, e0: complex,
         b = k.imag + params.delta_a
         roots = np.linalg.eigvals(cell_matrices([
             2.0 * b, -np.square(k.real) - b * b,
-            np.square(params.g * np.abs(e0)) / params.omega_m,
+            np.square(params.g * np.abs(e0)),
             1.0, 0.0, 0.0,
             0.0, 1.0, 0.0], 3))
         # next to a fold the two merging roots come back as a pair split
@@ -316,7 +320,7 @@ def steady_state_constant(params: SystemParams, e0: complex,
         a = e0 / (k + 1j * (params.delta_a - x))
     else:
         a = e0 / (k + 1j * delta_a_eff)
-    q = params.g * np.square(np.abs(a)) / params.omega_m
+    q = params.g * np.square(np.abs(a))
     if delta_a_eff is not None:
         params = replace(params, delta_a=delta_a_eff + params.g * q)
     c = -1j * params.g0_collective * a / atom

@@ -49,7 +49,7 @@ def test_exponent_invariants_fig6():
     lc = laplace_coefficients(FIG6, TARGET)
     s1, s2, s3, s4, s5, s6, s7 = lc.s
     assert s1 + s2 == pytest.approx(-FIG6.gamma_m)
-    assert s1 * s2 == pytest.approx(FIG6.omega_m ** 2)
+    assert s1 * s2 == pytest.approx(1.0)     # omega_m ** 2
     # quadratic-root oracle
     root = np.sqrt(complex(FIG6.gamma_m ** 2 - 4.0))
     assert s1 == pytest.approx((-1e-3 + root) / 2)
@@ -205,10 +205,13 @@ def test_resonant_modulation_rejected():
 
 
 @pytest.mark.parametrize("delta_c, name", [(0.0, "delta_c"),
-                                           (2.0, "delta_c - Omega")])
+                                           (2.0, "delta_c - Omega"),
+                                           (5e-11, "delta_c")])
 def test_undamped_resonant_atoms_rejected(delta_c, name):
-    # gamma_a + i delta_c or gamma_a + i (delta_c - Omega) is zero: every
-    # closed form that divides by it refuses the target
+    # gamma_a + i delta_c or gamma_a + i (delta_c - Omega) is zero, or
+    # below DEGENERACY_BOUND (5e-11, where the atomic Laplace exponents
+    # s5 = 0 and s7 = -i delta_c are degenerate too): every closed form
+    # that divides by it refuses the target
     params = SystemParams(delta_a=1.0, kappa=10.0, gamma_m=1e-3, g=1e-3,
                           delta_c=delta_c, gamma_a=0.0, g0_collective=1.0)
     message = f"gamma_a \\+ i \\({name}\\) vanishes"
@@ -221,9 +224,6 @@ def test_undamped_resonant_atoms_rejected(delta_c, name):
 
 @pytest.mark.parametrize("kind, changes", [
     ("mechanical", {"gamma_m": 2.0}),     # critical damping: s1 = s2 = -1
-    # s7 = -i delta_c lies within 1e-10 of s5 = 0, yet gamma_a + i delta_c
-    # is not small enough for the check on the target
-    ("atomic", {"gamma_a": 0.0, "delta_c": 5e-11}),
 ])
 def test_degenerate_exponents_raise(tmp_path, capsys, kind, changes):
     message = f"{kind} exponents degenerate; partial fractions invalid"

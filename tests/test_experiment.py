@@ -221,13 +221,48 @@ def test_config_names_unknown_keys(tmp_path, edit, name):
 
 @pytest.mark.parametrize("command", ["engineer-drive", "simulate",
                                      "stability", "compare-sources"])
-def test_cli_names_unknown_keys(tmp_path, command):
+def test_cli_names_unknown_keys(tmp_path, capsys, command):
     doc = {"params": {"delta_a": 1.0, "kappa": 10.0, "gamma_m": 1e-3,
                       "g": 1e-3, "delta_c": -1.0, "gamma_a": 1e-3, "g0": 1.0},
            "engineered": {"G1": 1.2, "G2": 0.1, "Omega": 2.0}}
     path = write_config(tmp_path, doc)
-    with pytest.raises(ValueError, match="unknown key 'params.g0'"):
-        cli_main([command, "--config", str(path)])
+    assert cli_main([command, "--config", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: invalid configuration: unknown key 'params.g0'\n")
+
+
+def _set_param(key, value):
+    def edit(doc):
+        doc["params"][key] = value
+    return edit
+
+
+def _name_sweep_axis(doc):
+    doc["sweep"]["axes"][1]["name"] = "omega_m"
+
+
+# Each model parameter has one config key, and a key the run never reads
+# is named: omega_m is the unit, G0 is the only spelling of the collective
+# coupling, and delta_a_effective sets a constant drive's working point.
+@pytest.mark.parametrize("recipe, edit, message", [
+    ("fig5a", _set_param("omega_m", 1.0), "unknown key 'params.omega_m'"),
+    ("fig5a", _set_param("g0_collective", 7.0),
+     "unknown key 'params.g0_collective'"),
+    ("fig4a", _name_sweep_axis,
+     "sweep axis 'omega_m' does not name a scalar parameter"),
+    ("fig5a", _set_param("delta_a_effective", 0.3),
+     "params.delta_a_effective applies to a constant drive only"),
+], ids=["omega_m", "g0_collective", "omega_m-axis", "delta_a_effective"])
+def test_each_parameter_has_one_key(tmp_path, capsys, recipe, edit, message):
+    doc = load_recipe(recipe)
+    edit(doc)
+    assert config_from_dict(doc).validate() == [message]
+    path = write_config(tmp_path, doc)
+    assert cli_main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: invalid configuration: {message}\n")
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("recipe, key", [
@@ -239,7 +274,7 @@ def test_cli_names_unknown_keys(tmp_path, command):
     *(("fig4a", f"sweep.axes.{k}") for k in ("name", "min", "max",
                                              "points")),
 ])
-def test_missing_key_is_named(tmp_path, recipe, key):
+def test_missing_key_is_named(tmp_path, capsys, recipe, key):
     doc = load_recipe(recipe)
     *blocks, last = key.split(".")
     block = doc
@@ -251,10 +286,10 @@ def test_missing_key_is_named(tmp_path, recipe, key):
     with pytest.raises(ValueError) as got:
         config_from_dict(doc)
     assert str(got.value) == message
-    with pytest.raises(ValueError) as got:
-        cli_main(["simulate", "--config", str(write_config(tmp_path, doc)),
-                  "--out", str(tmp_path / "run")])
-    assert str(got.value) == message
+    assert cli_main(["simulate", "--config",
+                     str(write_config(tmp_path, doc)),
+                     "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_cli_simulate_with_config(tmp_path, capsys):
@@ -370,14 +405,16 @@ def test_cli_recipe_overlay(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["stability", "compare-sources"])
-def test_cli_checks_config_before_solving(tmp_path, command):
+def test_cli_checks_config_before_solving(tmp_path, capsys, command):
     overlay = write_config(tmp_path, {"horizon_periods": -1})
-    with pytest.raises(ValueError) as simulate:
-        cli_main(["simulate", "--recipe", "fig2", "--config", str(overlay),
-                  "--out", str(tmp_path / "run")])
-    with pytest.raises(ValueError, match="horizon_periods") as got:
-        cli_main([command, "--recipe", "fig2", "--config", str(overlay)])
-    assert str(got.value) == str(simulate.value)
+    line = "error: invalid configuration: horizon_periods must be positive\n"
+    assert cli_main(["simulate", "--recipe", "fig2", "--config",
+                     str(overlay), "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr() == ("", line)
+    assert not (tmp_path / "run").exists()
+    assert cli_main([command, "--recipe", "fig2",
+                     "--config", str(overlay)]) == 1
+    assert capsys.readouterr() == ("", line)
 
 
 FIG4A_BOX_DOC = {
@@ -968,9 +1005,15 @@ def _resonant_engineered():
                 horizon_periods=2.0, samples_per_period=10)
 
 
+def _resonant_modulated():
+    doc = load_recipe("fig5a")
+    return dict(doc, params=dict(doc["params"], gamma_a=0.0))
+
+
 @pytest.mark.parametrize("make_doc", [lambda: RESONANT_ATOMS_DOC,
-                                      _resonant_engineered],
-                         ids=["constant", "engineered"])
+                                      _resonant_engineered,
+                                      _resonant_modulated],
+                         ids=["constant", "engineered", "modulated"])
 def test_resonant_atoms_flag_their_sweep_cell_only(tmp_path, make_doc):
     def sweep(points):
         doc = dict(make_doc(), sweep={"axes": [

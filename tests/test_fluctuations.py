@@ -49,8 +49,8 @@ def transcription_oracle(params, q_mean, a_mean):
     ga = params.g * a_mean
     # basis (dq, dp, da, da*, dc, dc*)
     m = np.zeros((6, 6), dtype=complex)
-    m[0, 1] = params.omega_m
-    m[1, 0] = -params.omega_m
+    m[0, 1] = 1.0               # omega_m, the unit
+    m[1, 0] = -1.0
     m[1, 1] = -params.gamma_m
     m[1, 2] = np.conj(ga)
     m[1, 3] = ga

@@ -135,7 +135,7 @@ def loop_recurse(params, drive, j_max, n_max):
         a[n + n_max, 0] = ((1j * (n * big + params.delta_c)
                             + params.gamma_a) * e / lin(n))
         c[n + n_max, 0] = params.g0_collective * e / (1j * lin(n))
-    om = params.omega_m
+    om = 1.0                    # omega_m, the unit
     for j in range(1, j_max + 1):
         for n in ns:
             dq = om ** 2 - (n * big) ** 2 + 1j * params.gamma_m * n * big
