@@ -64,6 +64,13 @@ def main(argv=None) -> int:
         if getattr(args, "times", None):
             cfg.wigner_times = tuple(float(t) for t in args.times.split(","))
         cfg.check()
+        if args.command == "compare-sources" \
+                and cfg.resolved_drive().big_omega == 0.0:
+            raise ValueError("compare-sources needs a modulated drive")
+    except OSError as exc:
+        print(f"error: cannot read {exc.filename}: {exc.strerror}",
+              file=sys.stderr)
+        return 1
     except ValueError as exc:
         reason = str(exc).removeprefix("invalid configuration: ")
         print(f"error: invalid configuration: {reason}", file=sys.stderr)

@@ -26,12 +26,11 @@ from .measures import log_negativity_stack, principal_axis_angle, \
     reduce_atom_mirror_stack, squeezing_parameter, wigner
 from .model import DriveSpec, EngineeredCoupling, SystemParams, \
     ZERO_MOMENTS, validate_params
-from .moments import DEFAULT_J_MAX, DEFAULT_N_MAX, MomentTrajectory, \
-    floquet_mean_source, floquet_recurse, integrate_first_moments, \
-    steady_state_constant
+from .moments import MomentTrajectory, floquet_recurse, \
+    integrate_first_moments, steady_state_constant
 from .numerics import StepperConfig
-from .tables import write_cm_csv, write_measures_csv, write_rows, \
-    write_trajectory_csv, write_wigner_csv
+from .tables import write_cm_csv, write_rows, write_trajectory_csv, \
+    write_wigner_csv
 
 KNOWN_OUTPUTS = ("first_moments", "cm", "EN", "variance", "neff",
                  "squeezing", "principal_axis", "wigner", "stability")
@@ -60,8 +59,6 @@ class ExperimentConfig:
     outputs: tuple[str, ...] = ()
     sweep: tuple[SweepAxis, ...] = ()
     numerics: StepperConfig = field(default_factory=StepperConfig)
-    j_max: int = DEFAULT_J_MAX
-    n_max: int = DEFAULT_N_MAX
     first_moment_source: str = "ode"
     sample_periods: float = 2.0
     samples_per_period: int = 200
@@ -95,7 +92,7 @@ class ExperimentConfig:
             if ax.points < 1:
                 report.append(f"sweep axis '{ax.name}' needs points >= 1")
         report.extend(validate_params(self.params, self.drive))
-        if self.first_moment_source not in ("ode", "floquet", "engineered"):
+        if self.first_moment_source not in ("ode", "engineered"):
             report.append("unknown first_moment_source "
                           f"{self.first_moment_source!r}")
         elif self.first_moment_source == "engineered" \
@@ -112,10 +109,6 @@ class ExperimentConfig:
                 report.append(f"{name} must be positive")
         if self.samples_per_period < 1:
             report.append("samples_per_period must be at least 1")
-        if self.j_max < 0:
-            report.append("floquet j_max must be >= 0")
-        if self.n_max < 1:
-            report.append("floquet n_max must be >= 1")
         if self.wigner_times:
             t_end = self.horizon_periods * (2.0 * np.pi / drive.big_omega)
             bad = [t for t in self.wigner_times if not 0.0 <= t <= t_end]
@@ -147,9 +140,9 @@ _KEYS = {f"params.{k}" for k in _PARAM_KEYS} | set("""
     drive drive.Omega drive.components drive.components.n drive.components.re
     drive.components.im engineered engineered.G1 engineered.G2 engineered.Omega
     horizon_periods sample_periods samples_per_period outputs wigner_times
-    first_moment_source numerics numerics.rel_tol numerics.abs_tol floquet
-    floquet.j_max floquet.n_max sweep sweep.axes sweep.axes.name
-    sweep.axes.min sweep.axes.max sweep.axes.points""".split())
+    first_moment_source numerics numerics.rel_tol numerics.abs_tol sweep
+    sweep.axes sweep.axes.name sweep.axes.min sweep.axes.max
+    sweep.axes.points""".split())
 # The keys each block needs, by the dotted name of the block.
 _REQUIRED = {"": ("params",),
              "params.": tuple(f.name for f in fields(SystemParams)
@@ -199,8 +192,6 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     numerics = StepperConfig(rel_tol=float(num.get("rel_tol", 1e-9)),
                              abs_tol=float(num.get("abs_tol", 1e-12)))
 
-    flq = doc.get("floquet", {})
-
     sweep = tuple(SweepAxis(name=a["name"], min=float(a["min"]),
                             max=float(a["max"]), points=int(a["points"]))
                   for a in doc.get("sweep", {}).get("axes", []))
@@ -212,8 +203,6 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         horizon_periods=float(doc.get("horizon_periods", 50.0)),
         outputs=tuple(doc.get("outputs", [])),
         sweep=sweep, numerics=numerics,
-        j_max=int(flq.get("j_max", DEFAULT_J_MAX)),
-        n_max=int(flq.get("n_max", DEFAULT_N_MAX)),
         first_moment_source=doc.get("first_moment_source", "ode"),
         sample_periods=float(doc.get("sample_periods", 2.0)),
         samples_per_period=int(doc.get("samples_per_period", 200)),
@@ -226,6 +215,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 def measures_from_cm_series(t: np.ndarray, vs: np.ndarray) -> dict:
+    """The columns of measures.csv, keyed by its header in its order."""
     en, physical = log_negativity_stack(reduce_atom_mirror_stack(vs))
     if not physical.all():
         raise NonPhysical("reduced CM is not a valid two-mode covariance "
@@ -286,11 +276,11 @@ def solve(cfg: ExperimentConfig, t_eval: np.ndarray,
 
     means (a MomentTrajectory) is asked for by first_moments.  With the
     "ode" source, a run that integrates its CM carries the means in the
-    same stepping loop, since they fill the drift.  With "floquet" or
-    "engineered", the source's callable fills the drift, so the CM is
-    propagated by interval maps and nothing is stepped for it; the means
-    asked for are then stepped alone, by integrate_first_moments, as in
-    a run with no CM output.
+    same stepping loop, since they fill the drift.  With "engineered",
+    the closed form (engineered_mean_source) fills the drift, so the CM
+    is propagated by interval maps and nothing is stepped for it; the
+    means asked for are then stepped alone, by integrate_first_moments,
+    as in a run with no CM output.
 
     vs, the (T, 6, 6) CMs, is asked for by the measure outputs.  vs is
     None, with no integration made, when the verdict rules out a
@@ -309,19 +299,13 @@ def solve(cfg: ExperimentConfig, t_eval: np.ndarray,
         means = MomentTrajectory.from_states(t_eval, fm.to_vector()[:, None])
         return t_eval, means, vs, stability
 
-    def recurse():
-        return floquet_recurse(cfg.params, drive, cfg.j_max, cfg.n_max)
-
     asked = "stability" in cfg.outputs or require_verdict
     source = cfg.first_moment_source
     t0, t_end = float(t_eval[0]), float(t_eval[-1])
-    series = recurse() if measured and source == "floquet" else None
     periodic = stability = means = vs = None
     if asked or (measured and source == "ode" and t0 > 0.0):
         try:
-            periodic = periodic_state(cfg.params, drive, t0, cfg.numerics,
-                                      recurse() if series is None
-                                      else series)
+            periodic = periodic_state(cfg.params, drive, t0, cfg.numerics)
         except SimulationError:
             if asked:
                 raise
@@ -334,9 +318,7 @@ def solve(cfg: ExperimentConfig, t_eval: np.ndarray,
         means = MomentTrajectory.from_states(t_eval, y.T)
     elif measured and ("stability" in cfg.outputs or periodic is None
                        or stability["stable"]):
-        if source == "floquet":
-            source = floquet_mean_source(series, cfg.params.g)
-        elif source == "engineered":
+        if source == "engineered":
             source = engineered_mean_source(cfg.params, cfg.engineered)
         lt = integrate_lyapunov(cfg.params, drive, source, None, t_end,
                                 t_eval=t_eval, cfg=cfg.numerics)
@@ -365,11 +347,9 @@ def _write_outputs(cfg: ExperimentConfig, out_dir: Path, written: dict,
     if "cm" in cfg.outputs:
         written["cm"] = out_dir / "cm.csv"
         write_cm_csv(written["cm"], t, vs)
-    series = measures_from_cm_series(t, vs)
+    columns = measures_from_cm_series(t, vs)
     written["measures"] = out_dir / "measures.csv"
-    write_measures_csv(written["measures"], series["t"], series["EN"],
-                       series["v11"], series["v22"], series["neff"],
-                       series["r_db"])
+    write_rows(written["measures"], list(columns), columns.values())
     if "principal_axis" in cfg.outputs:
         written["principal_axis"] = out_dir / "principal_axis.csv"
         write_rows(written["principal_axis"],
@@ -430,7 +410,7 @@ def compare_sources(cfg: ExperimentConfig) -> dict[str, float]:
                                   samples_per_period=200, wigner_times=()))
     _, traj, _, stability = solve(
         replace(cfg, outputs=("first_moments", "stability")), t_eval)
-    sol = floquet_recurse(cfg.params, drive, cfg.j_max, cfg.n_max)
+    sol = floquet_recurse(cfg.params, drive)
     series = sol.evaluate(cfg.params.g, t_eval)
     out = {}
     for obs in ("q", "p", "a", "c"):
@@ -452,7 +432,7 @@ SWEEP_BLOCK = 256
 
 def _apply_axis(cfg: ExperimentConfig, name: str,
                 value: float) -> ExperimentConfig:
-    if name in ("E", "E0"):
+    if name == "E0":
         drive = cfg.resolved_drive()
         comps = dict(drive.components)
         comps[0] = complex(value)
@@ -535,7 +515,7 @@ def run_sweep(cfg: ExperimentConfig, out_path: Path) -> Path:
             params, e0 = cfg.params, drive.component(0)
             for ax, col in zip(cfg.sweep, columns):
                 block = col[lo:lo + SWEEP_BLOCK]
-                if ax.name in ("E", "E0"):
+                if ax.name == "E0":
                     e0 = block.astype(complex)
                 else:
                     params = replace(params, **{_PARAM_KEYS[ax.name]: block})

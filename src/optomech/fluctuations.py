@@ -39,8 +39,8 @@ from .errors import Diverged, NoConvergence, NonPhysical, NotStable, \
     SimulationError, Singular, StepFailure
 from .measures import symplectic_eigenvalues
 from .model import DriveSpec, SystemParams, ZERO_MOMENTS, cell_matrices
-from .moments import FloquetSolution, MomentTrajectory, _rhs_vector, \
-    default_stepper, floquet_recurse, periodic_means
+from .moments import MomentTrajectory, _rhs_vector, default_stepper, \
+    floquet_recurse, periodic_means
 from .numerics import RTOL_FLOOR, StepperConfig, checked_t_eval, dop853, \
     integrate_adaptive
 
@@ -308,8 +308,8 @@ def integrate_lyapunov(params: SystemParams, drive: DriveSpec,
                  exact numerical route.  The trajectory carries them as
                  means.
     * callable - t -> (q_mean, a_mean) over an array of times (a source
-                 that returns scalars is broadcast), e.g. the Floquet
-                 series or the engineered closed form.  A(t) is known
+                 that returns scalars is broadcast), e.g. the engineered
+                 closed form (engineered_mean_source).  A(t) is known
                  before any stepping, so the CM equation is linear and
                  nothing is stepped in a loop: each piece of the gaps
                  between samples acts on V as an interval map
@@ -471,19 +471,23 @@ def lyapunov_harmonics(m: np.ndarray, d: np.ndarray, big_omega: float
 
 
 def periodic_state(params: SystemParams, drive: DriveSpec, t0: float,
-                   cfg: StepperConfig | None = None,
-                   series: FloquetSolution | None = None) -> PeriodicState:
+                   cfg: StepperConfig | None = None) -> PeriodicState:
     """Limit cycle, periodic CM and Floquet verdict at t0, as harmonics:
-    the means by harmonic balance (moments.periodic_means from series, or
-    floquet_recurse's default orders), the CM and the verdict by
+    the means by harmonic balance (moments.periodic_means, started from
+    floquet_recurse's series), the CM and the verdict by
     lyapunov_harmonics; nothing is integrated.  N is the first of
     HB_ORDERS at which |A_N| / max |A_n| and |V_N| / |V_0| are within
-    rel_tol.  Raises a SimulationError when the cycle cannot be found: a
-    singular denominator or CM system, or NoConvergence (Newton, or N)."""
+    rel_tol, trying only orders of at least twice the drive's highest
+    harmonic (the last order when none is): the products of the
+    harmonics of <a> reach that far, and a lower order can pass its
+    truncation test while it misses them.  Raises a SimulationError when
+    the cycle cannot be found: a singular denominator or CM system, or
+    NoConvergence (Newton, or N)."""
     cfg = default_stepper(drive, cfg)
-    series = series or floquet_recurse(params, drive)
+    series = floquet_recurse(params, drive)
     g, gr = params.g, np.sqrt(2.0) * params.g
-    for n in HB_ORDERS:
+    orders = [n for n in HB_ORDERS if n >= 2 * drive.max_harmonic]
+    for n in orders or HB_ORDERS[-1:]:
         y = periodic_means(params, drive, n, series)
         a = np.abs(y[:, 2] + 1j * y[:, 3])
         truncation = max(a[0], a[-1]) / (np.max(a) or 1.0)

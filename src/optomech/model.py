@@ -67,6 +67,11 @@ class DriveSpec:
     def component(self, n: int) -> complex:
         return complex(self.components.get(n, 0.0))
 
+    @property
+    def max_harmonic(self) -> int:
+        """The largest |n| of the drive's components (0 for none)."""
+        return max(map(abs, self.components), default=0)
+
 
 @dataclass(frozen=True)
 class FirstMoments:

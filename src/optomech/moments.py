@@ -168,15 +168,19 @@ def _denominators(params: SystemParams, big_omega: float, n_max: int,
 
 def floquet_recurse(params: SystemParams, drive: DriveSpec,
                     j_max: int = DEFAULT_J_MAX,
-                    n_max: int = DEFAULT_N_MAX) -> FloquetSolution:
+                    n_max: int | None = None) -> FloquetSolution:
     """All orders j <= j_max of the double expansion; j_max = 0 is the
     zeroth order, mechanics at rest with cavity and atoms driven.
 
     Order j >= 1 sums, over k < j, the convolution |<a>|^2 of orders
     j-1-k and k, which drives q, and <a>_k <q>_{j-1-k}, which drives a
     and c.  Each is truncated to harmonics |n| <= n_max: terms whose
-    harmonic indices leave that range are dropped.
+    harmonic indices leave that range are dropped.  n_max defaults to
+    the larger of DEFAULT_N_MAX and the drive's highest harmonic, so
+    that no drive component is dropped.
     """
+    if n_max is None:
+        n_max = max(DEFAULT_N_MAX, drive.max_harmonic)
     if j_max < 0 or n_max < 1:
         raise ValueError("need j_max >= 0 and n_max >= 1")
     if drive.big_omega <= 0:
@@ -266,17 +270,6 @@ def periodic_means(params: SystemParams, drive: DriveSpec, n_max: int,
             a = a + step
     raise NoConvergence(f"harmonic balance at N = {n_max} did not converge "
                         f"in {HB_NEWTON_MAX} Newton steps from either start")
-
-
-def floquet_mean_source(sol: FloquetSolution, g: float):
-    """Callable t -> (q_mean, a_mean) backed by the Floquet series: one
-    value per time of an array t (a 1-element array for a scalar t)."""
-
-    def source(t):
-        vals = sol.evaluate(g, t)
-        return vals["q"], vals["a"]
-
-    return source
 
 
 # ---------------------------------------------------------------------------

@@ -53,11 +53,6 @@ def write_cm_csv(path: Path, t, vs) -> None:
     write_rows(path, header, (t, *np.asarray(vs)[:, VECH[0], VECH[1]].T))
 
 
-def write_measures_csv(path: Path, t, en, v11, v22, neff, r_db) -> None:
-    header = ["t", "EN", "v11", "v22", "neff", "r_db"]
-    write_rows(path, header, (t, en, v11, v22, neff, r_db))
-
-
 def write_wigner_csv(path: Path, grid) -> None:
     """x-major rows (x, y, W(x, y)) over the grid's two axes.
 

@@ -17,7 +17,7 @@ from optomech.errors import NoConvergence, NotStable, SingularDenominator
 from optomech.fluctuations import integrate_lyapunov
 from optomech.measures import principal_axis_angle, squeezing_parameter
 from optomech.recipes import load_recipe, recipe_names
-from optomech.tables import write_cm_csv, write_measures_csv
+from optomech.tables import write_cm_csv, write_rows
 
 FIG2_DOC = {
     "params": {"delta_a": 1.0, "kappa": 2.0, "gamma_m": 1e-3, "g": 1e-5,
@@ -171,14 +171,6 @@ def test_compare_sources_uncoupled_is_tiny():
     assert report["c"] <= 1e-6
 
 
-def test_compare_sources_degrades_without_backaction_orders():
-    doc = dict(FIG2_DOC)
-    doc["horizon_periods"] = 50.0
-    doc["floquet"] = {"j_max": 0}
-    report = compare_sources(config_from_dict(doc))
-    assert report["q"] > 0.5  # zeroth order has no mechanical response
-
-
 def test_recipes_ship_and_parse():
     names = recipe_names()
     for want in ("fig2", "fig6", "fig8a", "fig10"):
@@ -237,22 +229,28 @@ def _set_param(key, value):
     return edit
 
 
-def _name_sweep_axis(doc):
-    doc["sweep"]["axes"][1]["name"] = "omega_m"
+def _name_sweep_axis(name):
+    def edit(doc):
+        doc["sweep"]["axes"][1]["name"] = name
+    return edit
 
 
 # Each model parameter has one config key, and a key the run never reads
 # is named: omega_m is the unit, G0 is the only spelling of the collective
-# coupling, and delta_a_effective sets a constant drive's working point.
+# coupling, E0 the only spelling of the drive axis, and delta_a_effective
+# sets a constant drive's working point.
 @pytest.mark.parametrize("recipe, edit, message", [
     ("fig5a", _set_param("omega_m", 1.0), "unknown key 'params.omega_m'"),
     ("fig5a", _set_param("g0_collective", 7.0),
      "unknown key 'params.g0_collective'"),
-    ("fig4a", _name_sweep_axis,
+    ("fig4a", _name_sweep_axis("omega_m"),
      "sweep axis 'omega_m' does not name a scalar parameter"),
+    ("fig4a", _name_sweep_axis("E"),
+     "sweep axis 'E' does not name a scalar parameter"),
     ("fig5a", _set_param("delta_a_effective", 0.3),
      "params.delta_a_effective applies to a constant drive only"),
-], ids=["omega_m", "g0_collective", "omega_m-axis", "delta_a_effective"])
+], ids=["omega_m", "g0_collective", "omega_m-axis", "E-axis",
+        "delta_a_effective"])
 def test_each_parameter_has_one_key(tmp_path, capsys, recipe, edit, message):
     doc = load_recipe(recipe)
     edit(doc)
@@ -620,8 +618,7 @@ def assert_brute_force_csvs(cfg, run_dir, ref_dir):
     ref_dir.mkdir()
     write_cm_csv(ref_dir / "cm.csv", lt.t, lt.v)
     m = measures_from_cm_series(lt.t, lt.v)
-    write_measures_csv(ref_dir / "measures.csv", m["t"], m["EN"],
-                       m["v11"], m["v22"], m["neff"], m["r_db"])
+    write_rows(ref_dir / "measures.csv", list(m), m.values())
     for name in ("cm.csv", "measures.csv"):
         assert (run_dir / name).read_bytes() == \
             (ref_dir / name).read_bytes()
@@ -689,25 +686,14 @@ def counting(monkeypatch, fn, *modules):
     return calls
 
 
-def assert_floquet_series_computed_once(tmp_path, monkeypatch, source):
+def test_floquet_series_computed_once_per_run(tmp_path, monkeypatch):
     calls = counting(monkeypatch, experiment.floquet_recurse, experiment,
                      fluctuations)
-    doc = dict(FIG2_DOC, horizon_periods=3.0, outputs=["EN", "stability"],
-               first_moment_source=source)
+    doc = dict(FIG2_DOC, horizon_periods=3.0, outputs=["EN", "stability"])
     run_experiment(config_from_dict(doc), tmp_path)
     stab = json.loads((tmp_path / "stability.json").read_text())
     assert "max_multiplier" in stab     # the periodic solve ran
     assert len(calls) == 1
-
-
-def test_floquet_series_computed_once_per_run(tmp_path, monkeypatch):
-    assert_floquet_series_computed_once(tmp_path, monkeypatch, "ode")
-
-
-def test_floquet_series_computed_once_per_floquet_run(tmp_path,
-                                                      monkeypatch):
-    # the floquet mean source and the periodic solve share one series
-    assert_floquet_series_computed_once(tmp_path, monkeypatch, "floquet")
 
 
 def test_failed_shooting_takes_brute_force(tmp_path, monkeypatch):
@@ -764,12 +750,7 @@ def _fig7_engineered():
                 sample_periods=1.0, samples_per_period=20)
 
 
-def _floquet_source():
-    return dict(FIG2_DOC, horizon_periods=3.0,
-                first_moment_source="floquet")
-
-
-@pytest.mark.parametrize("make_doc", [_fig7_engineered, _floquet_source])
+@pytest.mark.parametrize("make_doc", [_fig7_engineered])
 def test_stability_is_floquet_for_every_source(tmp_path, make_doc):
     doc = dict(make_doc(), outputs=["EN", "stability"])
     run_experiment(config_from_dict(doc), tmp_path)
@@ -866,7 +847,7 @@ def test_first_moments_come_from_the_cm_integration(tmp_path, monkeypatch,
         10 * cfg.numerics.rel_tol
 
 
-@pytest.mark.parametrize("make_doc", [_fig7_engineered, _floquet_source])
+@pytest.mark.parametrize("make_doc", [_fig7_engineered])
 def test_callable_source_steps_only_the_means(tmp_path, monkeypatch,
                                               make_doc):
     # the source fills the drift, so the CM is propagated by interval
@@ -1046,19 +1027,35 @@ def test_cli_engineer_drive_rejects_resonant_atoms(tmp_path, capsys,
     assert len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("key, value", [("j_max", -1), ("n_max", 0)])
-def test_floquet_orders_are_checked(tmp_path, key, value):
-    doc = dict(load_recipe("fig5a"), floquet={key: value})
-    cfg = config_from_dict(doc)
-    report = cfg.validate()
-    assert len(report) == 1 and key in report[0]
-    with pytest.raises(ValueError, match=key):
-        run_experiment(cfg, tmp_path)
-    assert not (tmp_path / "manifest.json").exists()
+# The Floquet series is no drift source and has no settable orders
+@pytest.mark.parametrize("setting, message", [
+    ({"floquet": {"j_max": 6, "n_max": 5}}, "unknown key 'floquet'"),
+    ({"first_moment_source": "floquet"},
+     "unknown first_moment_source 'floquet'")], ids=["block", "source"])
+def test_retired_floquet_settings_fail_the_run(tmp_path, capsys, setting,
+                                               message):
+    path = write_config(tmp_path, dict(load_recipe("fig5a"), **setting))
+    assert cli_main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: invalid configuration: {message}\n")
+    assert not (tmp_path / "run").exists()
 
-    # a constant drive builds no series
-    doc = dict(CYCLING_POINT_DOC, floquet={key: value})
-    assert config_from_dict(doc).validate() == []
+
+def test_cli_compare_sources_needs_a_modulated_drive(capsys):
+    assert cli_main(["compare-sources", "--recipe", "fig4a"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: invalid configuration: compare-sources needs a "
+        "modulated drive\n")
+
+
+def test_cli_names_a_missing_config_file(tmp_path, capsys):
+    path = tmp_path / "nope.json"
+    assert cli_main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: cannot read {path}: No such file or directory\n")
+    assert not (tmp_path / "run").exists()
 
 
 def test_sweep_cell_window_is_the_last_period(tmp_path, monkeypatch):

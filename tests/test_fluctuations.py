@@ -21,7 +21,7 @@ from optomech.fluctuations import (UNVECH, VECH, _check_physical,
 from optomech.measures import symplectic_eigenvalues
 from optomech.model import DriveSpec, EngineeredCoupling, SystemParams
 from optomech.moments import _rhs_vector, default_stepper, \
-    floquet_mean_source, floquet_recurse, steady_state_constant
+    floquet_recurse, steady_state_constant
 from optomech.numerics import StepperConfig, integrate_adaptive
 
 FIG2 = SystemParams(delta_a=1.0, kappa=2.0, gamma_m=1e-3, g=1e-5,
@@ -276,16 +276,14 @@ def test_late_window_equals_the_run_sampled_from_zero():
 
 def test_mean_sources_take_arrays_of_times():
     ts = np.random.default_rng(4).uniform(0.0, 40 * np.pi, 50)
-    series = floquet_recurse(FIG2, FIG2_DRIVE)
-    for source in (engineered_mean_source(FIG7, FIG7_TARGET),
-                   floquet_mean_source(series, FIG2.g)):
-        q, a = source(ts)
-        assert q.shape == a.shape == ts.shape
-        assert q.dtype == float and a.dtype == complex
-        for t, qt, at in zip(ts, q, a):
-            q1, a1 = source(t)
-            assert abs(q1 - qt) <= 1e-14 * abs(qt)
-            assert abs(a1 - at) <= 1e-14 * abs(at)
+    source = engineered_mean_source(FIG7, FIG7_TARGET)
+    q, a = source(ts)
+    assert q.shape == a.shape == ts.shape
+    assert q.dtype == float and a.dtype == complex
+    for t, qt, at in zip(ts, q, a):
+        q1, a1 = source(t)
+        assert abs(q1 - qt) <= 1e-14 * abs(qt)
+        assert abs(a1 - at) <= 1e-14 * abs(at)
 
 
 def test_divergent_cm_raises_past_the_overflow_guard():
@@ -684,3 +682,21 @@ def test_hill_multiplier_matches_integrated_monodromy(drive, stable):
     assert abs(ps.max_multiplier - mu) <= 1e-9
     assert (ps.max_multiplier < 1.0) is stable
     assert ps.truncation <= default_stepper(drive).rel_tol
+
+
+def test_harmonic_balance_keeps_high_drive_harmonics():
+    # E_6 lies above the first truncation, N = 4, whose cycle is then
+    # static, with A_4 = 0 passing the truncation test; the harmonics of
+    # <a> sit at multiples of 6, and their products reach 12
+    drive = DriveSpec(big_omega=2.0, components={0: 1.5e5, 6: 3e4})
+    ps = periodic_state(FIG2, drive, FIG5A_T0)
+    t = np.linspace(FIG5A_T0, FIG5A_T0 + np.pi, 21)
+    y, _ = ps.sample(t)
+    # the ODE from the cycle's start stays on it (SciPy's RK45 pair)
+    sol = solve_ivp(_rhs_vector(FIG2, drive), (t[0], t[-1]), y[0],
+                    method="RK45", rtol=1e-12, atol=1e-9, t_eval=t)
+    assert np.max(np.abs(sol.y.T - y)) <= 1e-9 * np.max(np.abs(y))
+    # the series keeps E_6 too: within its fig5a accuracy of the ODE
+    series = floquet_recurse(FIG2, drive).evaluate(FIG2.g, t)
+    a = sol.y[2] + 1j * sol.y[3]
+    assert np.max(np.abs(series["a"] - a)) <= 5e-3 * np.max(np.abs(a))
