@@ -351,8 +351,8 @@ class PeriodicState:
     of its means (q, p, Re a, Im a, Re c, Im c) and vech V.
     transient_residue = max_multiplier**floor(t0/tau) bounds the transient
     a run from t = 0 still carries at t0; usable: the cycle attracts and
-    the residue is within rel_tol.  truncation: max(|A_N| / max |A_n|,
-    |V_N| / |V_0|)."""
+    the residue is within rel_tol.  truncation: max(|A_M| / max |A_n|,
+    |V_M| / |V_0|), M the outermost harmonic the drive can excite."""
 
     max_multiplier: float
     transient_residue: float
@@ -476,21 +476,25 @@ def periodic_state(params: SystemParams, drive: DriveSpec, t0: float,
     the means by harmonic balance (moments.periodic_means, started from
     floquet_recurse's series), the CM and the verdict by
     lyapunov_harmonics; nothing is integrated.  N is the first of
-    HB_ORDERS at which |A_N| / max |A_n| and |V_N| / |V_0| are within
+    HB_ORDERS at which |A_M| / max |A_n| and |V_M| / |V_0| are within
     rel_tol, trying only orders of at least twice the drive's highest
     harmonic (the last order when none is): the products of the
     harmonics of <a> reach that far, and a lower order can pass its
-    truncation test while it misses them.  Raises a SimulationError when
-    the cycle cannot be found: a singular denominator or CM system, or
-    NoConvergence (Newton, or N)."""
+    truncation test while it misses them.  M = k floor(N / k), k the gcd
+    of the drive's nonzero harmonic numbers: <a> and V have harmonics
+    only at multiples of k, so |A_N| would read 0 whenever k does not
+    divide N.  Raises a SimulationError when the cycle cannot be found:
+    a singular denominator or CM system, or NoConvergence (Newton, or
+    N)."""
     cfg = default_stepper(drive, cfg)
     series = floquet_recurse(params, drive)
     g, gr = params.g, np.sqrt(2.0) * params.g
     orders = [n for n in HB_ORDERS if n >= 2 * drive.max_harmonic]
+    k = math.gcd(*(n for n, e in drive.components.items() if n and e)) or 1
     for n in orders or HB_ORDERS[-1:]:
         y = periodic_means(params, drive, n, series)
-        a = np.abs(y[:, 2] + 1j * y[:, 3])
-        truncation = max(a[0], a[-1]) / (np.max(a) or 1.0)
+        a, top = np.abs(y[:, 2] + 1j * y[:, 3]), n - n % k
+        truncation = max(a[n - top], a[n + top]) / (np.max(a) or 1.0)
         if truncation <= cfg.rel_tol:
             # the drift's harmonics: it is affine in (q, Re a, Im a)
             m = np.zeros((2 * n + 1, 6, 6), dtype=complex)
@@ -501,7 +505,7 @@ def periodic_state(params: SystemParams, drive: DriveSpec, t0: float,
                 m[None], build_diffusion(params)[None], drive.big_omega)
             if error is not None:
                 raise error
-            truncation = max(truncation, np.max(np.abs(cm[-1]))
+            truncation = max(truncation, np.max(np.abs(cm[n + top]))
                              / np.max(np.abs(cm[n])))
             if truncation <= cfg.rel_tol:
                 break

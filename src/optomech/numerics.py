@@ -3,9 +3,11 @@
 integrate_adaptive steps the Dormand-Prince 8(5,3) pair (DOP853) in one
 lean loop of its own over SciPy's tableau.  It takes SciPy's initial step
 and 100 eps floor on rel_tol.  Each stage, error estimate and dense-output
-sample is the NumPy expression that scipy.integrate.DOP853 evaluates, in
-the same order, and the step-size control is the same arithmetic on
-Python floats.  So the loop returns solve_ivp(method="DOP853")'s bits and
+coefficient is the NumPy expression that scipy.integrate.DOP853 evaluates,
+in the same order, and the step-size control is the same arithmetic on
+Python floats.  The samples are read off their steps' interpolants in one
+pass after the loop, with the same elementwise arithmetic as SciPy's
+dense output.  So the loop returns solve_ivp(method="DOP853")'s bits and
 RHS count, without its per-step solver and dense-output objects.  Every
 accepted step is checked against an overflow guard; it is deterministic.
 
@@ -56,9 +58,11 @@ class Solution:
 
 
 def checked_t_eval(t_eval, t0: float, t_end: float) -> np.ndarray:
-    """t_eval as a float array; ValueError unless it ascends within
-    [t0, t_end]."""
+    """t_eval as a float array; ValueError unless it holds a time and
+    ascends within [t0, t_end]."""
     t_eval = np.asarray(t_eval, dtype=float)
+    if not t_eval.size:
+        raise ValueError("t_eval must hold at least one time")
     if (np.any(t_eval < t0) or np.any(t_eval > t_end)
             or np.any(np.diff(t_eval) <= 0)):
         raise ValueError("t_eval must ascend within t_span")
@@ -77,11 +81,13 @@ def integrate_adaptive(f, t_span, y0, cfg: StepperConfig, t_eval=None):
     """Integrate dy/dt = f(t, y) forward with the DOP853 pair.
 
     t_eval (ascending, within t_span) is read off the dense output of
-    each step that holds a sample, as solve_ivp does; without it the
-    solution holds the end state only.  Raises ValueError when t_span
-    does not go forward, Diverged when an accepted step leaves some |y|
-    above cfg.overflow_guard and StepFailure when the stepper cannot meet
-    its tolerances.
+    each step that holds a sample, as solve_ivp does: such a step stores
+    its interpolant's coefficients, and one pass after the loop evaluates
+    them at every sample with SciPy's elementwise arithmetic, so with its
+    bits.  Without t_eval the solution holds the end state only.  Raises
+    ValueError when t_span does not go forward, Diverged when an accepted
+    step leaves some |y| above cfg.overflow_guard and StepFailure when
+    the stepper cannot meet its tolerances.
     """
     rk = dop853()
     t, t_end = map(float, t_span)
@@ -89,7 +95,7 @@ def integrate_adaptive(f, t_span, y0, cfg: StepperConfig, t_eval=None):
         raise ValueError("t_span must go forward")
     if t_eval is not None:
         t_eval = checked_t_eval(t_eval, t, t_end)
-        samples, i, ys = t_eval.tolist(), 0, []
+        samples, i, m = t_eval.tolist(), 0, 0
     rtol, atol = max(cfg.rel_tol, RTOL_FLOOR), cfg.abs_tol
     max_step, guard = cfg.max_step, cfg.overflow_guard
     # SciPy's solver checks y0 and takes the first RHS value and its
@@ -107,6 +113,13 @@ def integrate_adaptive(f, t_span, y0, cfg: StepperConfig, t_eval=None):
     extra = [(s, c, k_ext[:s].T, a[:s]) for s, (a, c) in
              enumerate(zip(rk.A_EXTRA, rk.C_EXTRA.tolist()), start=13)]
     k_b, k_e = k[:-1].T, k.T       # the stages that B and E3, E5 weigh
+    if t_eval is not None:
+        # row m for the m-th step that holds samples: its (t_old, h),
+        # y_old and its interpolant's 7 coefficient rows; owner[i] is m
+        # for each of its samples
+        size = len(samples)
+        spans, y_olds = np.empty((size, 2)), np.empty((size, len(y)))
+        coef, owner = np.empty((size, 7, len(y))), np.empty(size, int)
     k[0] = start.f
     abs_y = np.abs(y)
     while t < t_end:
@@ -154,32 +167,27 @@ def integrate_adaptive(f, t_span, y0, cfg: StepperConfig, t_eval=None):
         if t_eval is not None:
             j = bisect.bisect_right(samples, t, i)
             if j > i:
-                ys.append(_dense_samples(f, extra, k_ext, rk.D, t_old, h,
-                                         y_old, y, t_eval[i:j]))
+                # the extra stages, then the interpolant's coefficients
+                for s, c, k_s, a in extra:
+                    k_ext[s] = f(t_old + c * h, y_old + np.dot(k_s, a) * h)
                 nfev += len(extra)
-                i = j
+                delta_y, rows = y - y_old, coef[m]
+                rows[0] = delta_y
+                rows[1] = h * k[0] - delta_y
+                rows[2] = 2 * delta_y - h * (k[12] + k[0])
+                rows[3:] = h * np.dot(rk.D, k_ext)
+                spans[m], y_olds[m], owner[i:j] = (t_old, h), y_old, m
+                i, m = j, m + 1
         k[0] = k[12]
     if t_eval is None:
         return Solution(t=np.array([t]), y=y[:, None], nfev=nfev)
-    return Solution(t=t_eval, y=np.hstack(ys), nfev=nfev)
-
-
-def _dense_samples(f, extra, k_ext, d, t_old, h, y_old, y, ts):
-    """(n, len(ts)) states at ts within the step of length h from
-    (t_old, y_old) to y, whose stages k_ext holds: the extra stages, then
-    DOP853's interpolant, as Dop853DenseOutput evaluates it."""
-    for s, c, k_s, a in extra:
-        k_ext[s] = f(t_old + c * h, y_old + np.dot(k_s, a) * h)
-    f_old, delta_y = k_ext[0], y - y_old
-    coef = np.empty((7, len(y)))
-    coef[0] = delta_y
-    coef[1] = h * f_old - delta_y
-    coef[2] = 2 * delta_y - h * (k_ext[12] + f_old)
-    coef[3:] = h * np.dot(d, k_ext)
-    x = ((ts - t_old) / h)[:, None]
-    out = np.zeros((len(ts), len(y)))
-    for n, c in enumerate(coef[::-1]):
-        out += c
-        out *= x if n % 2 == 0 else 1 - x
-    out += y_old
-    return out.T
+    # DOP853's interpolant at every sample, as Dop853DenseOutput evaluates
+    # it within one step: the same elementwise arithmetic, so the same bits
+    t_old, h = spans[owner].T
+    x = (t_eval - t_old) / h
+    y = np.zeros((len(y), len(t_eval)))
+    for n in range(7):
+        y += coef[owner, 6 - n].T
+        y *= x if n % 2 == 0 else 1 - x
+    y += y_olds[owner].T
+    return Solution(t=t_eval, y=y, nfev=nfev)

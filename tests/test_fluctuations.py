@@ -314,6 +314,13 @@ def test_interval_route_rejects_what_it_cannot_step():
                            t_eval=[0.5, 0.2])
 
 
+@pytest.mark.parametrize("source", ["ode", lambda t: (0.0, 0j)],
+                         ids=["ode", "callable"])
+def test_empty_t_eval_rejected_on_either_route(source):
+    with pytest.raises(ValueError, match="t_eval must hold at least one"):
+        integrate_lyapunov(FIG2, FIG2_DRIVE, source, None, 1.0, t_eval=[])
+
+
 def test_lyapunov_symmetry_and_physicality_fig2():
     t_eval = np.linspace(0.0, 10 * np.pi, 50)
     lt = integrate_lyapunov(FIG2, FIG2_DRIVE, "ode", None, 10 * np.pi,
@@ -700,3 +707,13 @@ def test_harmonic_balance_keeps_high_drive_harmonics():
     series = floquet_recurse(FIG2, drive).evaluate(FIG2.g, t)
     a = sol.y[2] + 1j * sol.y[3]
     assert np.max(np.abs(series["a"] - a)) <= 5e-3 * np.max(np.abs(a))
+
+
+def test_truncation_reads_the_outermost_excited_harmonic():
+    # the drive's harmonics are multiples of 3, and so are those of <a>
+    # and V: N = 8 must be judged at A_6 and V_6 (A_8 = 0), which fail,
+    # and N = 16 at A_15 and V_15
+    drive = DriveSpec(big_omega=2.0, components={0: 1.5e5, 3: 3e4})
+    ps = periodic_state(FIG2, drive, FIG5A_T0)
+    assert len(ps.means) == 2 * 16 + 1
+    assert 0.0 < ps.truncation <= default_stepper(drive).rel_tol

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
@@ -134,6 +135,31 @@ def assert_as_solve_ivp(f, t_span, y0, cfg, t_eval=None):
     assert got.nfev == want.nfev
 
 
+@st.composite
+def clustered_grids(draw, t_end=3.0, max_step=np.pi / 50):
+    """Strictly ascending times in [0, t_end], both ends among them: up to
+    four clusters, each of up to 40 samples narrower than a step, and
+    long stretches between them that hold none."""
+    times = [0.0, t_end]
+    for centre in draw(st.lists(st.floats(0.0, t_end), min_size=1,
+                                max_size=4)):
+        width = draw(st.floats(1e-9, max_step))
+        offsets = draw(st.lists(st.floats(0.0, 1.0), min_size=2,
+                                max_size=40))
+        times += [min(centre + width * x, t_end) for x in offsets]
+    return np.unique(times)
+
+
+@given(clustered_grids())
+@settings(max_examples=25, deadline=None)
+def test_clustered_samples_match_solve_ivp_bitwise(t_eval):
+    # every sample is read off its step's interpolant in one pass after
+    # the loop; many samples may share a step, and many steps hold none
+    f, y0 = _driven_lyapunov()
+    cfg = StepperConfig(rel_tol=1e-8, abs_tol=1e-11, max_step=np.pi / 50)
+    assert_as_solve_ivp(f, (0.0, 3.0), y0, cfg, t_eval)
+
+
 FIG2 = config_from_dict(load_recipe("fig2"))
 
 
@@ -189,8 +215,10 @@ def test_span_that_does_not_go_forward_rejected(t_span):
         integrate_adaptive(lambda t, y: -y, t_span, [1.0], StepperConfig())
 
 
-@pytest.mark.parametrize("t_eval", [[-0.1, 0.5], [0.5, 1.1], [0.6, 0.4]])
+@pytest.mark.parametrize("t_eval", [[-0.1, 0.5], [0.5, 1.1], [0.6, 0.4],
+                                    []])
 def test_t_eval_outside_span_or_unsorted_rejected(t_eval):
-    with pytest.raises(ValueError):
+    # the message names t_eval; an empty one holds no time to read
+    with pytest.raises(ValueError, match="^t_eval must"):
         integrate_adaptive(lambda t, y: -y, (0.0, 1.0), [1.0],
                            StepperConfig(), t_eval=t_eval)
