@@ -493,7 +493,8 @@ def periodic_state(params: SystemParams, drive: DriveSpec, t0: float,
     k = math.gcd(*(n for n, e in drive.components.items() if n and e)) or 1
     for n in orders or HB_ORDERS[-1:]:
         y = periodic_means(params, drive, n, series)
-        a, top = np.abs(y[:, 2] + 1j * y[:, 3]), n - n % k
+        a = np.abs(y[:, 2] + 1j * y[:, 3])
+        top = n - n % k         # the outermost multiple of k within N
         truncation = max(a[n - top], a[n + top]) / (np.max(a) or 1.0)
         if truncation <= cfg.rel_tol:
             # the drift's harmonics: it is affine in (q, Re a, Im a)
