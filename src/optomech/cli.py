@@ -67,6 +67,8 @@ def main(argv=None) -> int:
         if args.command == "compare-sources" \
                 and cfg.resolved_drive().big_omega == 0.0:
             raise ValueError("compare-sources needs a modulated drive")
+        if args.command == "sweep" and not cfg.sweep:
+            raise ValueError("sweep needs sweep.axes")
     except OSError as exc:
         print(f"error: cannot read {exc.filename}: {exc.strerror}",
               file=sys.stderr)

@@ -24,10 +24,10 @@ from .fluctuations import _check_physical, build_diffusion, build_drift, \
     integrate_lyapunov, lyapunov_stack, periodic_state, stability_check
 from .measures import log_negativity_stack, principal_axis_angle, \
     reduce_atom_mirror_stack, squeezing_parameter, wigner
-from .model import DriveSpec, EngineeredCoupling, SystemParams, \
-    ZERO_MOMENTS, validate_params
-from .moments import MomentTrajectory, floquet_recurse, \
-    integrate_first_moments, steady_state_constant
+from .model import DriveSpec, EngineeredCoupling, FirstMoments, \
+    SystemParams, validate_params
+from .moments import floquet_recurse, integrate_first_moments, \
+    steady_state_constant
 from .numerics import StepperConfig
 from .tables import write_cm_csv, write_rows, write_trajectory_csv, \
     write_wigner_csv
@@ -98,6 +98,12 @@ class ExperimentConfig:
         elif self.first_moment_source == "engineered" \
                 and self.engineered is None:
             report.append("'engineered' source needs a coupling target")
+        # a sweep cell steps "ode" means and writes no Wigner grid
+        if self.sweep and self.first_moment_source == "engineered":
+            report.append("first_moment_source 'engineered' does not apply "
+                          "to a sweep")
+        if self.sweep and self.wigner_times:
+            report.append("wigner_times do not apply to a sweep")
         drive = self.drive or self.engineered    # both carry big_omega
         if not (drive and drive.big_omega > 0.0):
             return report       # a constant drive samples t = 0 alone
@@ -263,7 +269,8 @@ def solve(cfg: ExperimentConfig, t_eval: np.ndarray,
     samples are reached.  A constant drive is sampled at its working
     point (t_eval = [0]), one cell of _constant_cells: the N = 0 case of
     lyapunov_harmonics, whose exponent gives the Hurwitz verdict.
-    A modulated drive is sampled at t_eval, which ends at t_end:
+    A modulated drive is sampled at t_eval; an integration runs from
+    rest at t = 0 to its last sample:
 
     * The periodic solve at t0 = t_eval[0] gives stability.  It runs
       whenever the verdict is asked for or required (require_verdict, as
@@ -274,13 +281,13 @@ def solve(cfg: ExperimentConfig, t_eval: np.ndarray,
       harmonics give the means and the CMs at t_eval, and nothing is
       integrated; otherwise the CM is integrated from t = 0.
 
-    means (a MomentTrajectory) is asked for by first_moments.  With the
-    "ode" source, a run that integrates its CM carries the means in the
-    same stepping loop, since they fill the drift.  With "engineered",
-    the closed form (engineered_mean_source) fills the drift, so the CM
-    is propagated by interval maps and nothing is stepped for it; the
-    means asked for are then stepped alone, by integrate_first_moments,
-    as in a run with no CM output.
+    means (FirstMoments, one value per sample) is asked for by
+    first_moments.  With the "ode" source, a run that integrates its CM
+    carries the means in the same stepping loop, since they fill the
+    drift.  With "engineered", the closed form (engineered_mean_source)
+    fills the drift, so the CM is propagated by interval maps and
+    nothing is stepped for it; the means asked for are then stepped
+    alone, by integrate_first_moments, as in a run with no CM output.
 
     vs, the (T, 6, 6) CMs, is asked for by the measure outputs.  vs is
     None, with no integration made, when the verdict rules out a
@@ -296,12 +303,12 @@ def solve(cfg: ExperimentConfig, t_eval: np.ndarray,
             raise error         # a singular CM solve
         stability = stability_check(margin)
         vs = v if measured and stability["stable"] else None
-        means = MomentTrajectory.from_states(t_eval, fm.to_vector()[:, None])
+        means = FirstMoments.from_vector(fm.to_vector()[:, None])
         return t_eval, means, vs, stability
 
     asked = "stability" in cfg.outputs or require_verdict
     source = cfg.first_moment_source
-    t0, t_end = float(t_eval[0]), float(t_eval[-1])
+    t0 = float(t_eval[0])
     periodic = stability = means = vs = None
     if asked or (measured and source == "ode" and t0 > 0.0):
         try:
@@ -315,17 +322,16 @@ def solve(cfg: ExperimentConfig, t_eval: np.ndarray,
             and periodic.usable:
         y, vs = periodic.sample(t_eval)
         _check_physical(t_eval, vs)
-        means = MomentTrajectory.from_states(t_eval, y.T)
+        means = FirstMoments.from_vector(y.T)
     elif measured and ("stability" in cfg.outputs or periodic is None
                        or stability["stable"]):
         if source == "engineered":
             source = engineered_mean_source(cfg.params, cfg.engineered)
-        lt = integrate_lyapunov(cfg.params, drive, source, None, t_end,
-                                t_eval=t_eval, cfg=cfg.numerics)
+        lt = integrate_lyapunov(cfg.params, drive, source, None, t_eval,
+                                cfg=cfg.numerics)
         means, vs = lt.means, lt.v
     if means is None and "first_moments" in cfg.outputs:
-        means = integrate_first_moments(cfg.params, drive, ZERO_MOMENTS,
-                                        t_end, t_eval=t_eval,
+        means = integrate_first_moments(cfg.params, drive, t_eval,
                                         cfg=cfg.numerics)
     return t_eval, means, vs, stability
 
@@ -338,7 +344,7 @@ def _write_outputs(cfg: ExperimentConfig, out_dir: Path, written: dict,
         written["stability"].write_text(json.dumps(stability, indent=2))
     if "first_moments" in cfg.outputs:
         written["first_moments"] = out_dir / "first_moments.csv"
-        write_trajectory_csv(written["first_moments"], means)
+        write_trajectory_csv(written["first_moments"], t, means)
     if not any(o in cfg.outputs for o in MEASURE_OUTPUTS):
         return
     if vs is None:
@@ -471,13 +477,13 @@ def evaluate_cell(cfg: ExperimentConfig) -> tuple[str, float]:
     over its last period (sample_times' window, clamped at t = 0) and
     needs a Floquet verdict: a failed periodic solve flags the cell, and
     a multiplier on or outside the unit circle makes it unstable; neither
-    integrates the window.
+    integrates the window.  A valid sweep config carries the "ode" source
+    and no wigner_times.
     """
     try:
-        t_eval = sample_times(replace(cfg, sample_periods=1.0,
-                                      wigner_times=()))
-        vs = solve(replace(cfg, first_moment_source="ode", outputs=("EN",)),
-                   t_eval, require_verdict=True)[2]
+        t_eval = sample_times(replace(cfg, sample_periods=1.0))
+        vs = solve(replace(cfg, outputs=("EN",)), t_eval,
+                   require_verdict=True)[2]
     except SimulationError as exc:
         return _cell_status(exc), float("nan")
     if vs is None:

@@ -3,15 +3,16 @@
 Assembles the time-dependent drift matrix and the diffusion matrix of the
 linearized quadrature dynamics, propagates the 6x6 covariance matrix
 through the Lyapunov equation of motion, and solves for the periodic
-CM algebraically.  integrate_lyapunov propagates by one of two routes.
-With the "ode" source the means fill the drift, so they are stepped
-together with vech V, one right-hand side at a time, and the RHS
-refills one drift template's mean-dependent entries.  With a callable
-source A(t) is known in advance and the CM equation is linear: each
-piece of the gaps between samples acts on V as V -> U V U^T + W, and U
-and W are stepped a chunk of pieces at once as arrays, from one
-build_drift call per chunk, whose maps then act on V (_propagate_cm);
-no RHS is called one time at a time.
+CM algebraically.  integrate_lyapunov propagates from t = 0 to the last
+sample, by one of two routes.  With the "ode" source the means fill the
+drift, so they are stepped from rest together with vech V, one
+right-hand side at a time, and the RHS refills one drift template's
+mean-dependent entries.  With a callable source A(t) is known in
+advance and the CM equation is linear: each piece of the gaps between
+samples acts on V as V -> U V U^T + W, and U and W are stepped a chunk
+of pieces at once as arrays, from one build_drift call per chunk, whose
+maps then act on V (_propagate_cm); no RHS is called one time at a
+time.
 lyapunov_harmonics is the one algebraic solve of both drive kinds: the
 periodic CM's harmonics and the Floquet exponent from the drift's, for a
 modulated drive from periodic_state's harmonic balance, and for a
@@ -38,9 +39,9 @@ import numpy as np
 from .errors import Diverged, NoConvergence, NonPhysical, NotStable, \
     SimulationError, Singular, StepFailure
 from .measures import symplectic_eigenvalues
-from .model import DriveSpec, SystemParams, ZERO_MOMENTS, cell_matrices
-from .moments import MomentTrajectory, _rhs_vector, default_stepper, \
-    floquet_recurse, periodic_means
+from .model import DriveSpec, FirstMoments, SystemParams, cell_matrices
+from .moments import _rhs_vector, default_stepper, floquet_recurse, \
+    periodic_means
 from .numerics import RTOL_FLOOR, StepperConfig, checked_t_eval, dop853, \
     integrate_adaptive
 
@@ -99,7 +100,7 @@ def thermal_vacuum_cm(n_th: float) -> np.ndarray:
 class LyapunovTrajectory:
     t: np.ndarray
     v: np.ndarray                       # (T, 6, 6)
-    means: MomentTrajectory | None      # the co-integrated means ("ode")
+    means: FirstMoments | None          # the co-integrated means ("ode")
 
 
 def _check_physical(t: np.ndarray, vs: np.ndarray):
@@ -292,21 +293,20 @@ def _propagate_cm(params: SystemParams, source, v0: np.ndarray,
 
 
 def integrate_lyapunov(params: SystemParams, drive: DriveSpec,
-                       first_moment_source, v0: np.ndarray | None,
-                       t_end: float, t_eval: np.ndarray | None = None,
+                       first_moment_source, v0: np.ndarray | None, t_eval,
                        cfg: StepperConfig | None = None
                        ) -> LyapunovTrajectory:
-    """Propagate dV/dt = A(t) V + V A^T + D from t = 0 to t_end, sampled
-    at t_eval (t_end alone when None).
+    """Propagate dV/dt = A(t) V + V A^T + D from t = 0 to t_eval[-1],
+    sampled at t_eval (ascending, none before t = 0).
 
     v0 (read on and above its diagonal; the thermal vacuum when None) is
     V(0).  first_moment_source selects where the means that fill A(t)
     come from, and with it what is stepped:
 
     * "ode"    - the mean-value ODEs, co-integrated with vech V from
-                 zero means in one DOP853 loop (integrate_adaptive); the
-                 exact numerical route.  The trajectory carries them as
-                 means.
+                 rest (zero means) in one DOP853 loop
+                 (integrate_adaptive); the exact numerical route.  The
+                 trajectory carries them as means, one value per sample.
     * callable - t -> (q_mean, a_mean) over an array of times (a source
                  that returns scalars is broadcast), e.g. the engineered
                  closed form (engineered_mean_source).  A(t) is known
@@ -317,24 +317,24 @@ def integrate_lyapunov(params: SystemParams, drive: DriveSpec,
                  with DOP853's own tableau (_propagate_cm).
                  means is None.
 
-    Raises Diverged when |V| exceeds cfg.overflow_guard (at a step of
+    Raises ValueError when t_eval is empty or does not ascend from
+    t = 0, Diverged when |V| exceeds cfg.overflow_guard (at a step of
     the "ode" route; on the callable one, after each chunk of interval
     maps, at the first sample past it), StepFailure when the tolerances
     cannot be met, and NonPhysical at the first unphysical CM.
     """
+    t = checked_t_eval(t_eval)
     if v0 is None:
         v0 = thermal_vacuum_cm(params.n_th)
     v0 = np.asarray(v0, dtype=float)[VECH]
     cfg = default_stepper(drive, cfg)
     if first_moment_source == "ode":
-        sol = integrate_adaptive(_moments_cm_rhs(params, drive), (0.0, t_end),
-                                 np.concatenate((ZERO_MOMENTS.to_vector(),
-                                                 v0)), cfg, t_eval=t_eval)
-        t, means = sol.t, MomentTrajectory.from_states(sol.t, sol.y[:6])
+        sol = integrate_adaptive(_moments_cm_rhs(params, drive), (0.0, t[-1]),
+                                 np.concatenate((np.zeros(6), v0)), cfg,
+                                 t_eval=t)
+        means = FirstMoments.from_vector(sol.y[:6])
         vs = sol.y[6:].T[:, UNVECH]
     else:
-        t = (np.array([float(t_end)]) if t_eval is None
-             else checked_t_eval(t_eval, 0.0, t_end))
         vs = _propagate_cm(params, first_moment_source, v0[UNVECH], t, cfg)
         vs = vs.reshape(-1, 36)[:, _UPPER][:, UNVECH]
         means = None

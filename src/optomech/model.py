@@ -69,26 +69,32 @@ class DriveSpec:
 
     @property
     def max_harmonic(self) -> int:
-        """The largest |n| of the drive's components (0 for none)."""
-        return max(map(abs, self.components), default=0)
+        """The largest |n| of the drive's nonzero components (0 for none)."""
+        return max((abs(n) for n, en in self.components.items() if en),
+                   default=0)
 
 
 @dataclass(frozen=True)
 class FirstMoments:
-    """Classical mean values <q>, <p>, <a>, <c> at one time instant."""
+    """Classical mean values <q>, <p>, <a>, <c>: one value each, or one
+    per sample of a run or per cell of a sweep block."""
 
     q: float
     p: float
     a: complex
     c: complex
 
+    @staticmethod
+    def from_vector(y: np.ndarray) -> "FirstMoments":
+        """The means of rows y = (q, p, Re a, Im a, Re c, Im c), each a
+        value or one value per sample."""
+        return FirstMoments(q=y[0], p=y[1], a=y[2] + 1j * y[3],
+                            c=y[4] + 1j * y[5])
+
     def to_vector(self) -> np.ndarray:
         """Real 6-vector (q, p, Re a, Im a, Re c, Im c)."""
         return np.array([self.q, self.p, self.a.real, self.a.imag,
                          self.c.real, self.c.imag])
-
-
-ZERO_MOMENTS = FirstMoments(q=0.0, p=0.0, a=0j, c=0j)
 
 
 @dataclass(frozen=True)

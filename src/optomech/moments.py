@@ -2,7 +2,8 @@
 
 Three routes to the asymptotic mean values:
 
-* direct adaptive integration of the nonlinear mean-value ODEs,
+* direct adaptive integration of the nonlinear mean-value ODEs from
+  rest at t = 0 (integrate_first_moments),
 * the Floquet double expansion in powers of the radiation-pressure
   coupling and in drive harmonics, and
 * harmonic balance (periodic_means), the limit cycle's harmonics solved
@@ -23,8 +24,8 @@ import numpy as np
 
 from .errors import NoConvergence, SingularDenominator
 from .model import (DEGENERACY_BOUND, DriveSpec, FirstMoments, SystemParams,
-                    ZERO_MOMENTS, cell_matrices, drive_kernel)
-from .numerics import StepperConfig, integrate_adaptive
+                    cell_matrices, drive_kernel)
+from .numerics import StepperConfig, checked_t_eval, integrate_adaptive
 
 DEFAULT_J_MAX = 6
 DEFAULT_N_MAX = 5
@@ -57,23 +58,6 @@ def _rhs_vector(params: SystemParams, drive: DriveSpec):
     return f
 
 
-@dataclass
-class MomentTrajectory:
-    """Sampled first-moment trajectory."""
-
-    t: np.ndarray
-    q: np.ndarray
-    p: np.ndarray
-    a: np.ndarray
-    c: np.ndarray
-
-    @staticmethod
-    def from_states(t: np.ndarray, y: np.ndarray) -> "MomentTrajectory":
-        """Rows y = (q, p, Re a, Im a, Re c, Im c) sampled at t."""
-        return MomentTrajectory(t=t, q=y[0], p=y[1], a=y[2] + 1j * y[3],
-                                c=y[4] + 1j * y[5])
-
-
 def default_stepper(drive: DriveSpec | None = None,
                     base: StepperConfig | None = None) -> StepperConfig:
     """Resolve the max-step cap: tau/50 when modulated, else 0.1."""
@@ -89,18 +73,15 @@ def default_stepper(drive: DriveSpec | None = None,
 
 
 def integrate_first_moments(params: SystemParams, drive: DriveSpec,
-                            init: FirstMoments = ZERO_MOMENTS,
-                            t_end: float = 0.0,
-                            t_eval: np.ndarray | None = None,
-                            cfg: StepperConfig | None = None
-                            ) -> MomentTrajectory:
-    """Adaptive solution of the mean-value ODEs on [0, t_end]."""
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
-    cfg = default_stepper(drive, cfg)
-    sol = integrate_adaptive(_rhs_vector(params, drive), (0.0, t_end),
-                             init.to_vector(), cfg, t_eval=t_eval)
-    return MomentTrajectory.from_states(sol.t, sol.y)
+                            t_eval, cfg: StepperConfig | None = None
+                            ) -> FirstMoments:
+    """The mean-value ODEs stepped from rest at t = 0 to t_eval[-1]: the
+    means at t_eval, one value per sample."""
+    t_eval = checked_t_eval(t_eval)
+    sol = integrate_adaptive(_rhs_vector(params, drive), (0.0, t_eval[-1]),
+                             np.zeros(6), default_stepper(drive, cfg),
+                             t_eval=t_eval)
+    return FirstMoments.from_vector(sol.y)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ in the same order, and the step-size control is the same arithmetic on
 Python floats.  The samples are read off their steps' interpolants in one
 pass after the loop, with the same elementwise arithmetic as SciPy's
 dense output.  So the loop returns solve_ivp(method="DOP853")'s bits and
-RHS count, without its per-step solver and dense-output objects.  Every
-accepted step is checked against an overflow guard; it is deterministic.
+RHS count at t_eval, which every integration names, without its
+per-step solver and dense-output objects.  Every accepted step is
+checked against an overflow guard; it is deterministic.
 
 SciPy is imported at the first integration, not with this module:
 importing scipy.integrate takes most of a fresh process's start-up, and
@@ -57,7 +58,8 @@ class Solution:
     nfev: int
 
 
-def checked_t_eval(t_eval, t0: float, t_end: float) -> np.ndarray:
+def checked_t_eval(t_eval, t0: float = 0.0,
+                   t_end: float = math.inf) -> np.ndarray:
     """t_eval as a float array; ValueError unless it holds a time and
     ascends within [t0, t_end]."""
     t_eval = np.asarray(t_eval, dtype=float)
@@ -65,7 +67,7 @@ def checked_t_eval(t_eval, t0: float, t_end: float) -> np.ndarray:
         raise ValueError("t_eval must hold at least one time")
     if (np.any(t_eval < t0) or np.any(t_eval > t_end)
             or np.any(np.diff(t_eval) <= 0)):
-        raise ValueError("t_eval must ascend within t_span")
+        raise ValueError(f"t_eval must ascend within [{t0:g}, {t_end:g}]")
     return t_eval
 
 
@@ -77,25 +79,25 @@ def dop853():
     return DOP853
 
 
-def integrate_adaptive(f, t_span, y0, cfg: StepperConfig, t_eval=None):
-    """Integrate dy/dt = f(t, y) forward with the DOP853 pair.
+def integrate_adaptive(f, t_span, y0, cfg: StepperConfig, t_eval):
+    """Integrate dy/dt = f(t, y) forward with the DOP853 pair, sampled at
+    t_eval.
 
     t_eval (ascending, within t_span) is read off the dense output of
     each step that holds a sample, as solve_ivp does: such a step stores
     its interpolant's coefficients, and one pass after the loop evaluates
     them at every sample with SciPy's elementwise arithmetic, so with its
-    bits.  Without t_eval the solution holds the end state only.  Raises
-    ValueError when t_span does not go forward, Diverged when an accepted
-    step leaves some |y| above cfg.overflow_guard and StepFailure when
-    the stepper cannot meet its tolerances.
+    bits.  Raises ValueError when t_span does not go forward or t_eval is
+    empty or does not ascend within it, Diverged when an accepted step
+    leaves some |y| above cfg.overflow_guard and StepFailure when the
+    stepper cannot meet its tolerances.
     """
     rk = dop853()
     t, t_end = map(float, t_span)
     if not t < t_end:
         raise ValueError("t_span must go forward")
-    if t_eval is not None:
-        t_eval = checked_t_eval(t_eval, t, t_end)
-        samples, i, m = t_eval.tolist(), 0, 0
+    t_eval = checked_t_eval(t_eval, t, t_end)
+    samples, i, m = t_eval.tolist(), 0, 0
     rtol, atol = max(cfg.rel_tol, RTOL_FLOOR), cfg.abs_tol
     max_step, guard = cfg.max_step, cfg.overflow_guard
     # SciPy's solver checks y0 and takes the first RHS value and its
@@ -113,13 +115,12 @@ def integrate_adaptive(f, t_span, y0, cfg: StepperConfig, t_eval=None):
     extra = [(s, c, k_ext[:s].T, a[:s]) for s, (a, c) in
              enumerate(zip(rk.A_EXTRA, rk.C_EXTRA.tolist()), start=13)]
     k_b, k_e = k[:-1].T, k.T       # the stages that B and E3, E5 weigh
-    if t_eval is not None:
-        # row m for the m-th step that holds samples: its (t_old, h),
-        # y_old and its interpolant's 7 coefficient rows; owner[i] is m
-        # for each of its samples
-        size = len(samples)
-        spans, y_olds = np.empty((size, 2)), np.empty((size, len(y)))
-        coef, owner = np.empty((size, 7, len(y))), np.empty(size, int)
+    # row m for the m-th step that holds samples: its (t_old, h), y_old
+    # and its interpolant's 7 coefficient rows; owner[i] is m for each of
+    # its samples
+    size = len(samples)
+    spans, y_olds = np.empty((size, 2)), np.empty((size, len(y)))
+    coef, owner = np.empty((size, 7, len(y))), np.empty(size, int)
     k[0] = start.f
     abs_y = np.abs(y)
     while t < t_end:
@@ -164,23 +165,20 @@ def integrate_adaptive(f, t_span, y0, cfg: StepperConfig, t_eval=None):
         if abs_y.max() > guard:
             raise Diverged(f"state magnitude exceeded {guard:g} at "
                            f"t = {t:g}")
-        if t_eval is not None:
-            j = bisect.bisect_right(samples, t, i)
-            if j > i:
-                # the extra stages, then the interpolant's coefficients
-                for s, c, k_s, a in extra:
-                    k_ext[s] = f(t_old + c * h, y_old + np.dot(k_s, a) * h)
-                nfev += len(extra)
-                delta_y, rows = y - y_old, coef[m]
-                rows[0] = delta_y
-                rows[1] = h * k[0] - delta_y
-                rows[2] = 2 * delta_y - h * (k[12] + k[0])
-                rows[3:] = h * np.dot(rk.D, k_ext)
-                spans[m], y_olds[m], owner[i:j] = (t_old, h), y_old, m
-                i, m = j, m + 1
+        j = bisect.bisect_right(samples, t, i)
+        if j > i:
+            # the extra stages, then the interpolant's coefficients
+            for s, c, k_s, a in extra:
+                k_ext[s] = f(t_old + c * h, y_old + np.dot(k_s, a) * h)
+            nfev += len(extra)
+            delta_y, rows = y - y_old, coef[m]
+            rows[0] = delta_y
+            rows[1] = h * k[0] - delta_y
+            rows[2] = 2 * delta_y - h * (k[12] + k[0])
+            rows[3:] = h * np.dot(rk.D, k_ext)
+            spans[m], y_olds[m], owner[i:j] = (t_old, h), y_old, m
+            i, m = j, m + 1
         k[0] = k[12]
-    if t_eval is None:
-        return Solution(t=np.array([t]), y=y[:, None], nfev=nfev)
     # DOP853's interpolant at every sample, as Dop853DenseOutput evaluates
     # it within one step: the same elementwise arithmetic, so the same bits
     t_old, h = spans[owner].T

@@ -39,12 +39,13 @@ def write_rows(path: Path, header: list[str], columns) -> None:
             fh.writelines([",".join(row) + "\n" for row in zip(*cells)])
 
 
-def write_trajectory_csv(path: Path, traj) -> None:
-    """One row (t, q, p, re_a, im_a, re_c, im_c) per sample of traj."""
+def write_trajectory_csv(path: Path, t, means) -> None:
+    """One row (t, q, p, re_a, im_a, re_c, im_c) per sample time t of the
+    means (a FirstMoments of one value per sample)."""
     header = ["t", "q", "p", "re_a", "im_a", "re_c", "im_c"]
-    write_rows(path, header, (traj.t, traj.q, traj.p, np.real(traj.a),
-                              np.imag(traj.a), np.real(traj.c),
-                              np.imag(traj.c)))
+    write_rows(path, header, (t, means.q, means.p, np.real(means.a),
+                              np.imag(means.a), np.real(means.c),
+                              np.imag(means.c)))
 
 
 def write_cm_csv(path: Path, t, vs) -> None:

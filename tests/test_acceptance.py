@@ -19,8 +19,7 @@ from optomech.fluctuations import (build_diffusion, build_drift,
 from optomech.measures import (log_negativity, principal_axis_angle,
                                reduce_atom_mirror_stack, squeezing_parameter,
                                symplectic_eigenvalues, wigner)
-from optomech.model import (DriveSpec, EngineeredCoupling, SystemParams,
-                            ZERO_MOMENTS)
+from optomech.model import DriveSpec, EngineeredCoupling, SystemParams
 from optomech.moments import integrate_first_moments, steady_state_constant
 from optomech.numerics import StepperConfig
 
@@ -53,8 +52,8 @@ def long_run(params, drive, periods=3000, sample_periods=3):
     t_end = periods * TAU
     t_eval = np.linspace(t_end - sample_periods * TAU, t_end,
                          sample_periods * 200 + 1)
-    return integrate_lyapunov(params, drive, "ode", None, t_end,
-                              t_eval=t_eval, cfg=LONG_CFG)
+    return integrate_lyapunov(params, drive, "ode", None, t_eval,
+                              cfg=LONG_CFG)
 
 
 @pytest.fixture(scope="module")
@@ -99,9 +98,8 @@ def test_criterion_2_limit_cycle_convergence():
     # by the arc spacing of the discretized loops, not by their drift
     t1 = np.linspace(30 * TAU, 40 * TAU, 1000, endpoint=False)
     t2 = np.linspace(40 * TAU, 50 * TAU, 1000, endpoint=False)
-    traj = integrate_first_moments(FIG2, FIG2_DRIVE, ZERO_MOMENTS,
-                                   50 * TAU,
-                                   t_eval=np.concatenate((t1, t2)))
+    traj = integrate_first_moments(FIG2, FIG2_DRIVE,
+                                   np.concatenate((t1, t2)))
     loop1 = np.column_stack((traj.q[:1000], traj.p[:1000]))
     loop2 = np.column_stack((traj.q[1000:], traj.p[1000:]))
     h = max(directed_hausdorff(loop1, loop2)[0],
@@ -116,8 +114,7 @@ def test_criterion_3_drive_engineering_closure():
     target = EngineeredCoupling(g1=1.2, g2=0.1, big_omega=2.0)
     drive = modulation_components(FIG6, target)
     t_eval = np.linspace(30 * TAU, 40 * TAU, 800)
-    traj = integrate_first_moments(FIG6, drive, ZERO_MOMENTS, 40 * TAU,
-                                   t_eval=t_eval)
+    traj = integrate_first_moments(FIG6, drive, t_eval)
     g_num = np.sqrt(2.0) * FIG6.g * traj.a
     g_want = target.g1 + target.g2 * np.exp(-1j * 2.0 * t_eval)
     err = np.max(np.abs(g_num - g_want))
@@ -127,15 +124,13 @@ def test_criterion_3_drive_engineering_closure():
 
 def test_criterion_4_entanglement_periodicity_and_robustness():
     t_eval = np.linspace(198 * TAU, 200 * TAU, 401)
-    lt = integrate_lyapunov(FIG2, FIG2_DRIVE, "ode", None, 200 * TAU,
-                            t_eval=t_eval,
+    lt = integrate_lyapunov(FIG2, FIG2_DRIVE, "ode", None, t_eval,
                             cfg=StepperConfig(rel_tol=1e-7, abs_tol=1e-10))
     en = np.array([log_negativity(r)
                    for r in reduce_atom_mirror_stack(lt.v)])
     mismatch = np.max(np.abs(en[:200] - en[200:400])) / np.max(en)
     hot = replace(FIG2, n_th=50.0)
-    lt_hot = integrate_lyapunov(hot, FIG2_DRIVE, "ode", None, 200 * TAU,
-                                t_eval=t_eval,
+    lt_hot = integrate_lyapunov(hot, FIG2_DRIVE, "ode", None, t_eval,
                                 cfg=StepperConfig(rel_tol=1e-7,
                                                   abs_tol=1e-10))
     en_hot = max(log_negativity(r)

@@ -609,8 +609,8 @@ def brute_force_window(cfg):
     t_end = cfg.horizon_periods * drive.period
     t_eval = np.linspace(t_end - cfg.sample_periods * drive.period, t_end,
                          int(cfg.sample_periods * cfg.samples_per_period))
-    return integrate_lyapunov(cfg.params, drive, "ode", None, t_end,
-                              t_eval=t_eval, cfg=cfg.numerics)
+    return integrate_lyapunov(cfg.params, drive, "ode", None, t_eval,
+                              cfg=cfg.numerics)
 
 
 def assert_brute_force_csvs(cfg, run_dir, ref_dir):
@@ -982,6 +982,7 @@ def test_resonant_atoms_fail_one_point_run_with_typed_error(tmp_path):
 
 def _resonant_engineered():
     doc = load_recipe("fig7")
+    del doc["first_moment_source"]      # a sweep's cells take "ode"
     return dict(doc, params=dict(doc["params"], gamma_a=0.0),
                 horizon_periods=2.0, samples_per_period=10)
 
@@ -1047,6 +1048,47 @@ def test_cli_compare_sources_needs_a_modulated_drive(capsys):
     assert capsys.readouterr() == (
         "", "error: invalid configuration: compare-sources needs a "
         "modulated drive\n")
+
+
+def test_cli_sweep_needs_sweep_axes(tmp_path, capsys):
+    # without axes the sweep command would run a plain simulation
+    assert cli_main(["sweep", "--recipe", "fig5a",
+                     "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr() == (
+        "", "error: invalid configuration: sweep needs sweep.axes\n")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("overlay, message", [
+    ({}, "first_moment_source 'engineered' does not apply to a sweep"),
+    ({"first_moment_source": "ode", "wigner_times": [np.pi]},
+     "wigner_times do not apply to a sweep")],
+    ids=["engineered_source", "wigner_times"])
+def test_sweep_names_the_keys_its_cells_never_read(tmp_path, capsys,
+                                                   overlay, message):
+    # fig7 carries the engineered source; a sweep cell takes "ode" and
+    # writes no Wigner grid
+    doc = dict(load_recipe("fig7"), **overlay, sweep={"axes": [
+        {"name": "kappa", "min": 9.0, "max": 11.0, "points": 2}]})
+    assert config_from_dict(doc).validate() == [message]
+    path = write_config(tmp_path, doc)
+    assert cli_main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: invalid configuration: {message}\n")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("workload", ["asymptote", "transient"])
+def test_bench_specs_match_their_stored_references(tmp_path, workload):
+    # the periodic state's means and CM (asymptote), and the stepped
+    # means and interval-map CM of fig7's transient
+    workloads, check = bench_module("workloads"), bench_module("check")
+    doc = workloads.resolved_doc(workloads.workload_spec(workload, 1),
+                                 load_recipe)
+    run_experiment(config_from_dict(doc), tmp_path)
+    assert check.compare_snapshot(check.load_reference(workload),
+                                  tmp_path) == []
 
 
 def test_cli_names_a_missing_config_file(tmp_path, capsys):

@@ -182,10 +182,9 @@ def test_unforced_stable_lyapunov_decays():
     v0 = thermal_vacuum_cm(0.0) + 0.1 * np.eye(6)
     base = thermal_vacuum_cm(0.0)
     # D = 0 flow: propagate the perturbation only (linearity of the eq.)
-    lt = integrate_lyapunov(params, drive, lambda t: (0.0, 0j),
-                            v0, 40.0, t_eval=[40.0])
-    lt0 = integrate_lyapunov(params, drive, lambda t: (0.0, 0j),
-                             base, 40.0, t_eval=[40.0])
+    lt = integrate_lyapunov(params, drive, lambda t: (0.0, 0j), v0, [40.0])
+    lt0 = integrate_lyapunov(params, drive, lambda t: (0.0, 0j), base,
+                             [40.0])
     assert np.max(np.abs(lt.v[-1] - lt0.v[-1])) <= 1e-8
 
 
@@ -194,8 +193,7 @@ def test_vacuum_fixed_point_of_decoupled_cavity():
                           delta_c=-1.0, gamma_a=0.1, g0_collective=0.0)
     drive = DriveSpec(big_omega=0.0, components={})
     lt = integrate_lyapunov(params, drive, lambda t: (0.0, 0j),
-                            thermal_vacuum_cm(0.0), 10.0,
-                            t_eval=[0.0, 5.0, 10.0])
+                            thermal_vacuum_cm(0.0), [0.0, 5.0, 10.0])
     for v in lt.v:
         assert np.max(np.abs(v[2:4, 2:4] - 0.5 * np.eye(2))) <= 1e-9
 
@@ -220,8 +218,7 @@ def test_constant_drift_propagates_in_closed_form(t_eval):
     v_inf = solve_continuous_lyapunov(a, -build_diffusion(eff))
     drive = DriveSpec(big_omega=0.0, components={0: 1.2e5})
     v0 = thermal_vacuum_cm(3.0)
-    lt = integrate_lyapunov(eff, drive, lambda t: (fm.q, fm.a), v0,
-                            t_eval[-1], t_eval=t_eval)
+    lt = integrate_lyapunov(eff, drive, lambda t: (fm.q, fm.a), v0, t_eval)
     assert lt.means is None and np.array_equal(lt.t, t_eval)
     for t, v in zip(t_eval, lt.v):
         u = expm(a * t)
@@ -252,7 +249,7 @@ def test_engineered_cm_matches_brute_force():
     drive = modulation_components(FIG7, FIG7_TARGET)
     lt = integrate_lyapunov(FIG7, drive,
                             engineered_mean_source(FIG7, FIG7_TARGET), None,
-                            t_eval[-1], t_eval=t_eval)
+                            t_eval)
     want = _fig7_brute_force(t_eval)
     got = lt.v[:, VECH[0], VECH[1]]
     assert np.max(np.abs(got - want) / np.max(np.abs(want), axis=0)) \
@@ -265,10 +262,8 @@ def test_late_window_equals_the_run_sampled_from_zero():
     drive = modulation_components(FIG7, FIG7_TARGET)
     source = engineered_mean_source(FIG7, FIG7_TARGET)
     t_eval = np.linspace(0.0, 6 * np.pi, 241)
-    full = integrate_lyapunov(FIG7, drive, source, None, t_eval[-1],
-                              t_eval=t_eval)
-    late = integrate_lyapunov(FIG7, drive, source, None, t_eval[-1],
-                              t_eval=t_eval[200:])
+    full = integrate_lyapunov(FIG7, drive, source, None, t_eval)
+    late = integrate_lyapunov(FIG7, drive, source, None, t_eval[200:])
     assert np.array_equal(late.t, t_eval[200:])
     scale = np.max(np.abs(full.v[200:]), axis=0)
     assert np.max(np.abs(late.v - full.v[200:]) / scale) <= 1e-9
@@ -292,39 +287,47 @@ def test_divergent_cm_raises_past_the_overflow_guard():
     drive = DriveSpec(big_omega=0.0, components={})
     with pytest.raises(Diverged, match=r"exceeded 1e\+12 at t = 18$"):
         integrate_lyapunov(params, drive, lambda t: (0.0, 5e5 + 0j), None,
-                           40.0, t_eval=np.linspace(0.0, 40.0, 41))
+                           np.linspace(0.0, 40.0, 41))
     # the stretch before a single sample
     with pytest.raises(Diverged, match=r"at t = 40$"):
         integrate_lyapunov(params, drive, lambda t: (0.0, 5e5 + 0j), None,
-                           40.0)
+                           [40.0])
     # past the guard long before the last of many samples: each chunk is
     # checked before the next one is judged for its V
     with pytest.raises(Diverged, match=r"exceeded 1e\+12 at t = 18$"):
         integrate_lyapunov(params, drive, lambda t: (0.0, 5e5 + 0j), None,
-                           1000.0, t_eval=np.linspace(0.0, 1000.0, 1001))
+                           np.linspace(0.0, 1000.0, 1001))
 
 
 def test_interval_route_rejects_what_it_cannot_step():
     drive = DriveSpec(big_omega=0.0, components={})
     # a drift that is not finite fails every halving of its pieces
     with pytest.raises(StepFailure, match="at every part length"):
-        integrate_lyapunov(FIG2, drive, lambda t: (np.nan, 0j), None, 1.0)
+        integrate_lyapunov(FIG2, drive, lambda t: (np.nan, 0j), None, [1.0])
     with pytest.raises(ValueError, match="t_eval must ascend"):
-        integrate_lyapunov(FIG2, drive, lambda t: (0.0, 0j), None, 1.0,
-                           t_eval=[0.5, 0.2])
+        integrate_lyapunov(FIG2, drive, lambda t: (0.0, 0j), None,
+                           [0.5, 0.2])
 
 
 @pytest.mark.parametrize("source", ["ode", lambda t: (0.0, 0j)],
                          ids=["ode", "callable"])
 def test_empty_t_eval_rejected_on_either_route(source):
     with pytest.raises(ValueError, match="t_eval must hold at least one"):
-        integrate_lyapunov(FIG2, FIG2_DRIVE, source, None, 1.0, t_eval=[])
+        integrate_lyapunov(FIG2, FIG2_DRIVE, source, None, [])
+
+
+@pytest.mark.parametrize("source", ["ode", lambda t: (0.0, 0j)],
+                         ids=["ode", "callable"])
+@pytest.mark.parametrize("t_eval", [[0.5, 0.2], [-0.1, 0.5]],
+                         ids=["descending", "before_zero"])
+def test_t_eval_must_ascend_from_zero_on_either_route(source, t_eval):
+    with pytest.raises(ValueError, match="t_eval must ascend"):
+        integrate_lyapunov(FIG2, FIG2_DRIVE, source, None, t_eval)
 
 
 def test_lyapunov_symmetry_and_physicality_fig2():
     t_eval = np.linspace(0.0, 10 * np.pi, 50)
-    lt = integrate_lyapunov(FIG2, FIG2_DRIVE, "ode", None, 10 * np.pi,
-                            t_eval=t_eval)
+    lt = integrate_lyapunov(FIG2, FIG2_DRIVE, "ode", None, t_eval)
     for v in lt.v:
         assert np.max(np.abs(v - v.T)) <= 1e-10
         assert np.min(symplectic_eigenvalues(v)) >= 0.5 - 1e-6
@@ -360,8 +363,8 @@ def fig4_point_steady_states():
                                   build_diffusion(eff))
     drive = DriveSpec(big_omega=0.0, components={0: 1.2e5})
     horizon = 50.0 / eff.kappa + 20.0 / eff.gamma_m
-    lt = integrate_lyapunov(eff, drive, lambda t: (fm.q, fm.a),
-                            None, horizon, t_eval=[horizon])
+    lt = integrate_lyapunov(eff, drive, lambda t: (fm.q, fm.a), None,
+                            [horizon])
     return v_alg, lt.v[-1]
 
 
@@ -516,7 +519,7 @@ def test_unphysical_alarm_triggers_on_bogus_cm():
                           delta_c=-1.0, gamma_a=0.1, g0_collective=0.0)
     with pytest.raises(NonPhysical):
         integrate_lyapunov(params, drive, lambda t: (0.0, 0j),
-                           np.zeros((6, 6)), 1.0, t_eval=[0.0, 1.0])
+                           np.zeros((6, 6)), [0.0, 1.0])
 
 
 def _random_cms(rng, count):
@@ -563,8 +566,8 @@ def _one_period(params, drive, y, t0, cfg):
         return np.concatenate((f(t, state[:27]), phi.ravel()))
 
     state = np.concatenate((y, np.zeros(21), np.eye(6).ravel()))
-    end = integrate_adaptive(rhs, (t0, t0 + drive.period), state,
-                             cfg).y[:, -1]
+    t1 = t0 + drive.period
+    end = integrate_adaptive(rhs, (t0, t1), state, cfg, t_eval=[t1]).y[:, -1]
     return end[:6], end[27:].reshape(6, 6), end[6:27]
 
 
@@ -664,8 +667,7 @@ def test_periodic_run_matches_brute_force_fig5a(tmp_path):
 
     t_end = 200 * np.pi
     t_eval = np.linspace(FIG5A_T0, t_end, 100)
-    lt = integrate_lyapunov(FIG2, FIG2_DRIVE, "ode", None, t_end,
-                            t_eval=t_eval)
+    lt = integrate_lyapunov(FIG2, FIG2_DRIVE, "ode", None, t_eval)
     iu = np.triu_indices(6)
     want = lt.v[:, iu[0], iu[1]]
     assert np.array_equal(rows[:, 0], t_eval)
@@ -707,6 +709,20 @@ def test_harmonic_balance_keeps_high_drive_harmonics():
     series = floquet_recurse(FIG2, drive).evaluate(FIG2.g, t)
     a = sol.y[2] + 1j * sol.y[3]
     assert np.max(np.abs(series["a"] - a)) <= 5e-3 * np.max(np.abs(a))
+
+
+def test_zero_drive_component_leaves_the_periodic_state_alone():
+    # an E_8 = 0 entry excites nothing: the orders tried, and so N, are
+    # those of fig5a's own drive
+    padded = DriveSpec(big_omega=2.0,
+                       components={**FIG2_DRIVE.components, 8: 0j})
+    ps = periodic_state(FIG2, padded, FIG5A_T0)
+    want = periodic_state(FIG2, FIG2_DRIVE, FIG5A_T0)
+    assert len(ps.means) == 2 * 8 + 1
+    assert padded.max_harmonic == FIG2_DRIVE.max_harmonic == 1
+    assert np.array_equal(ps.means, want.means)
+    assert np.array_equal(ps.cm, want.cm)
+    assert ps.max_multiplier == want.max_multiplier
 
 
 def test_truncation_reads_the_outermost_excited_harmonic():

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from optomech.engineering import modulation_components
-from optomech.model import (DriveSpec, EngineeredCoupling, SystemParams,
-                            ZERO_MOMENTS, drive_kernel, drive_value,
+from optomech.model import (DriveSpec, EngineeredCoupling, FirstMoments,
+                            SystemParams, drive_kernel, drive_value,
                             validate_params)
 
 FIG2_PARAMS = SystemParams(delta_a=1.0, kappa=2.0, gamma_m=1e-3, g=1e-5,
@@ -105,6 +105,10 @@ def test_drive_kernel_bitwise_equals_drive_value(drive):
 
 
 def test_moment_vector_round_trip():
-    vec = ZERO_MOMENTS.to_vector()
-    assert vec.shape == (6,)
-    assert not vec.any()
+    vec = np.arange(1.0, 7.0)
+    fm = FirstMoments.from_vector(vec)
+    assert (fm.q, fm.p, fm.a, fm.c) == (1.0, 2.0, 3.0 + 4.0j, 5.0 + 6.0j)
+    assert np.array_equal(fm.to_vector(), vec)
+    # one value per sample: rows of a (6, T) array
+    fm = FirstMoments.from_vector(np.arange(12.0).reshape(6, 2))
+    assert np.array_equal(fm.a, [4.0 + 6.0j, 5.0 + 7.0j])

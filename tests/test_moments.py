@@ -7,7 +7,7 @@ import pytest
 from optomech.errors import SingularDenominator
 from optomech.experiment import config_from_dict
 from optomech.fluctuations import build_drift
-from optomech.model import DriveSpec, FirstMoments, SystemParams, ZERO_MOMENTS
+from optomech.model import DriveSpec, FirstMoments, SystemParams
 from optomech.moments import (FloquetSolution, _rhs_vector,
                               floquet_recurse, integrate_first_moments,
                               steady_state_constant)
@@ -37,7 +37,7 @@ def rhs_moments(params, drive, t, state):
 
 def test_rhs_zero_state_only_drive_survives():
     drive = DriveSpec(big_omega=0.0, components={0: 7.0})
-    d = rhs_moments(FIG2, drive, 0.0, ZERO_MOMENTS)
+    d = rhs_moments(FIG2, drive, 0.0, FirstMoments.from_vector(np.zeros(6)))
     assert (d.q, d.p, d.a, d.c) == (0.0, 0.0, 7.0 + 0j, 0j)
 
 
@@ -68,8 +68,7 @@ def test_decoupled_cavity_relaxation_closed_form():
                           delta_c=-1.0, gamma_a=0.1, g0_collective=0.0)
     drive = DriveSpec(big_omega=0.0, components={0: 5.0})
     t_end = 20.0 / params.kappa
-    traj = integrate_first_moments(params, drive, ZERO_MOMENTS, t_end,
-                                   t_eval=[t_end])
+    traj = integrate_first_moments(params, drive, [t_end])
     pole = params.kappa + 1j * params.delta_a
     want = (5.0 / pole) * (1.0 - np.exp(-pole * t_end))
     assert abs(traj.a[-1] - want) / abs(want) <= 1e-8
@@ -77,8 +76,7 @@ def test_decoupled_cavity_relaxation_closed_form():
 
 def test_fig2_limit_cycle_periodicity():
     t_eval = [49 * TAU, 50 * TAU]
-    traj = integrate_first_moments(FIG2, FIG2_DRIVE, ZERO_MOMENTS,
-                                   50 * TAU, t_eval=t_eval)
+    traj = integrate_first_moments(FIG2, FIG2_DRIVE, t_eval)
     rel = abs(traj.a[1] - traj.a[0]) / abs(traj.a[0])
     assert rel <= 1e-3
 
@@ -224,8 +222,7 @@ def test_cavity_atom_denominator_names_its_harmonic():
 
 def test_floquet_matches_ode_on_final_periods():
     t_eval = np.linspace(48 * TAU, 50 * TAU, 200)
-    traj = integrate_first_moments(FIG2, FIG2_DRIVE, ZERO_MOMENTS,
-                                   50 * TAU, t_eval=t_eval)
+    traj = integrate_first_moments(FIG2, FIG2_DRIVE, t_eval)
     sol = floquet_recurse(FIG2, FIG2_DRIVE)
     series = sol.evaluate(FIG2.g, t_eval)
     for obs, num in (("a", traj.a), ("c", traj.c)):
@@ -280,8 +277,7 @@ def test_gauge_limit_small_g():
     params = SystemParams(delta_a=1.0, kappa=2.0, gamma_m=1e-3, g=g_small,
                           delta_c=-1.0, gamma_a=0.1, g0_collective=1.0)
     t_eval = np.linspace(48 * TAU, 50 * TAU, 50)
-    traj = integrate_first_moments(params, FIG2_DRIVE, ZERO_MOMENTS,
-                                   50 * TAU, t_eval=t_eval)
+    traj = integrate_first_moments(params, FIG2_DRIVE, t_eval)
     base = floquet_recurse(params, FIG2_DRIVE, j_max=0)
     series = base.evaluate(g_small, t_eval)
     # the leading neglected correction is the optical spring shift of size
@@ -293,10 +289,8 @@ def test_gauge_limit_small_g():
 
 def test_determinism():
     t_eval = np.linspace(0.0, 5.0, 11)
-    a = integrate_first_moments(FIG2, FIG2_DRIVE, ZERO_MOMENTS, 5.0,
-                                t_eval=t_eval)
-    b = integrate_first_moments(FIG2, FIG2_DRIVE, ZERO_MOMENTS, 5.0,
-                                t_eval=t_eval)
+    a = integrate_first_moments(FIG2, FIG2_DRIVE, t_eval)
+    b = integrate_first_moments(FIG2, FIG2_DRIVE, t_eval)
     assert np.array_equal(a.a, b.a) and np.array_equal(a.q, b.q)
 
 

@@ -43,7 +43,8 @@ def test_tolerance_halving_reduces_error():
 def test_overflow_guard_raises_diverged():
     cfg = StepperConfig(overflow_guard=1e6)
     with pytest.raises(Diverged):
-        integrate_adaptive(lambda t, y: y, (0.0, 30.0), [1.0], cfg)
+        integrate_adaptive(lambda t, y: y, (0.0, 30.0), [1.0], cfg,
+                           t_eval=[30.0])
 
 
 def test_lyapunov_flow_matches_matrix_exponential():
@@ -76,7 +77,7 @@ def test_determinism():
 
     def run():
         return integrate_adaptive(lambda t, y: [-y[0] + np.sin(t)],
-                                  (0.0, 5.0), [0.2], cfg).y
+                                  (0.0, 5.0), [0.2], cfg, t_eval=[5.0]).y
 
     assert np.array_equal(run(), run())
 
@@ -108,30 +109,27 @@ def test_matches_solve_ivp_dop853_bitwise():
     assert got.nfev == want.nfev
 
 
-def test_end_state_only_without_t_eval():
+def test_end_sample_matches_solve_ivp_bitwise():
+    # one sample, at the end of the span: read off the last step
     f, y0 = _driven_lyapunov()
     cfg = StepperConfig(max_step=0.2)
-    got = integrate_adaptive(f, (0.0, 3.0), y0, cfg)
+    got = integrate_adaptive(f, (0.0, 3.0), y0, cfg, t_eval=[3.0])
     want = solve_ivp(f, (0.0, 3.0), y0, method="DOP853", rtol=cfg.rel_tol,
-                     atol=cfg.abs_tol, max_step=cfg.max_step)
+                     atol=cfg.abs_tol, max_step=cfg.max_step, t_eval=[3.0])
     assert np.array_equal(got.t, [3.0])
     assert got.y.shape == (9, 1)
-    assert np.array_equal(got.y[:, 0], want.y[:, -1])
+    assert np.array_equal(got.y, want.y)
     assert got.nfev == want.nfev
 
 
-def assert_as_solve_ivp(f, t_span, y0, cfg, t_eval=None):
+def assert_as_solve_ivp(f, t_span, y0, cfg, t_eval):
     """integrate_adaptive gives solve_ivp(method="DOP853")'s t, y and nfev
     bit for bit."""
     got = integrate_adaptive(f, t_span, y0, cfg, t_eval=t_eval)
     want = solve_ivp(f, t_span, y0, method="DOP853", rtol=cfg.rel_tol,
                      atol=cfg.abs_tol, max_step=cfg.max_step, t_eval=t_eval)
-    if t_eval is None:
-        assert np.array_equal(got.t, want.t[-1:])
-        assert np.array_equal(got.y, want.y[:, -1:])
-    else:
-        assert np.array_equal(got.t, want.t)
-        assert np.array_equal(got.y, want.y)
+    assert np.array_equal(got.t, want.t)
+    assert np.array_equal(got.y, want.y)
     assert got.nfev == want.nfev
 
 
@@ -173,13 +171,13 @@ def test_fig2_means_match_solve_ivp_bitwise():
                         np.linspace(0.0, t_end, 301))
 
 
-@pytest.mark.parametrize("t_eval", [None, "samples"])
+@pytest.mark.parametrize("t_eval", ["end", "samples"])
 def test_fig2_means_and_cm_match_solve_ivp_bitwise(t_eval):
     # the 27-entry state of the "ode" route over one period
     drive = FIG2.drive
     y0 = np.concatenate((np.zeros(6), thermal_vacuum_cm(0.0)[VECH]))
-    if t_eval == "samples":
-        t_eval = np.linspace(0.1, drive.period, 40)
+    t_eval = ([drive.period] if t_eval == "end"
+              else np.linspace(0.1, drive.period, 40))
     assert_as_solve_ivp(_moments_cm_rhs(FIG2.params, drive),
                         (0.0, drive.period), y0, default_stepper(drive),
                         t_eval)
@@ -198,7 +196,7 @@ def test_uncapped_steps_match_solve_ivp_bitwise():
     # a last-bit change in the error norm shows in the end state
     f, y0 = _driven_lyapunov()
     assert_as_solve_ivp(f, (0.0, 40.0), y0,
-                        StepperConfig(rel_tol=1e-6, abs_tol=1e-14))
+                        StepperConfig(rel_tol=1e-6, abs_tol=1e-14), [40.0])
 
 
 def test_blow_up_raises_step_failure():
@@ -206,13 +204,15 @@ def test_blow_up_raises_step_failure():
     # guard the step shrinks there until it cannot move t
     cfg = StepperConfig(overflow_guard=math.inf)
     with pytest.raises(StepFailure, match="step size"):
-        integrate_adaptive(lambda t, y: y * y, (0.0, 2.0), [1.0], cfg)
+        integrate_adaptive(lambda t, y: y * y, (0.0, 2.0), [1.0], cfg,
+                           t_eval=[2.0])
 
 
 @pytest.mark.parametrize("t_span", [(1.0, 1.0), (1.0, 0.0)])
 def test_span_that_does_not_go_forward_rejected(t_span):
     with pytest.raises(ValueError, match="forward"):
-        integrate_adaptive(lambda t, y: -y, t_span, [1.0], StepperConfig())
+        integrate_adaptive(lambda t, y: -y, t_span, [1.0], StepperConfig(),
+                           t_eval=[1.0])
 
 
 @pytest.mark.parametrize("t_eval", [[-0.1, 0.5], [0.5, 1.1], [0.6, 0.4],
