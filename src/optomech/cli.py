@@ -20,7 +20,7 @@ from pathlib import Path
 from .engineering import modulation_components
 from .errors import SimulationError
 from .experiment import compare_sources, config_from_dict, \
-    drive_to_dict, run_experiment, sample_times, solve
+    drive_to_dict, run_experiment, solve
 from .recipes import load_recipe, recipe_names
 
 
@@ -60,9 +60,14 @@ def main(argv=None) -> int:
         if args.config:
             with open(args.config) as fh:
                 doc.update(json.load(fh))
+        if args.command == "wigner":    # the manifest echoes what ran
+            if args.times:
+                doc["wigner_times"] = [float(t)
+                                       for t in args.times.split(",")]
+            outputs = list(doc.get("outputs", []))
+            doc["outputs"] = (outputs if "wigner" in outputs
+                              else outputs + ["wigner"])
         cfg = config_from_dict(doc)
-        if getattr(args, "times", None):
-            cfg.wigner_times = tuple(float(t) for t in args.times.split(","))
         cfg.check()
         if args.command == "compare-sources" \
                 and cfg.resolved_drive().big_omega == 0.0:
@@ -95,14 +100,11 @@ def _run(args, cfg) -> int:
 
     if args.command in ("compare-sources", "stability"):
         report = (compare_sources(cfg) if args.command == "compare-sources"
-                  else solve(replace(cfg, outputs=("stability",)),
-                             sample_times(cfg))[3])
+                  else solve(replace(cfg, outputs=("stability",)))[3])
         json.dump(report, sys.stdout, indent=2)
         print()
         return 0
 
-    if args.command == "wigner":
-        cfg.outputs = tuple(set(cfg.outputs) | {"wigner"})
     written = run_experiment(cfg, _out_dir(args))
     for name, path in written.items():
         print(f"{name}: {path}")

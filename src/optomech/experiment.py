@@ -49,7 +49,7 @@ class SweepAxis:
         return np.linspace(self.min, self.max, self.points)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     params: SystemParams
     drive: DriveSpec | None = None
@@ -83,6 +83,9 @@ class ExperimentConfig:
             report.append(f"unknown outputs: {bad}")
         if len(self.sweep) > 2:
             report.append("at most two sweep axes are supported")
+        names = [ax.name for ax in self.sweep]
+        report += [f"sweep axis '{name}' is given twice"
+                   for name in dict.fromkeys(names) if names.count(name) > 1]
         for ax in self.sweep:
             try:
                 _apply_axis(self, ax.name, ax.min)
@@ -106,7 +109,13 @@ class ExperimentConfig:
             report.append("wigner_times do not apply to a sweep")
         drive = self.drive or self.engineered    # both carry big_omega
         if not (drive and drive.big_omega > 0.0):
-            return report       # a constant drive samples t = 0 alone
+            # a constant drive samples t = 0 alone, at a working point
+            # that delta_a_effective pins in place of delta_a
+            if self.delta_a_effective is not None and "delta_a" in names:
+                report.append("sweep axis 'delta_a' is never read: "
+                              "params.delta_a_effective sets the working "
+                              "point")
+            return report
         if self.delta_a_effective is not None:
             report.append("params.delta_a_effective applies to a constant "
                           "drive only")
@@ -158,12 +167,13 @@ _REQUIRED = {"": ("params",),
              "sweep.axes.": ("name", "min", "max", "points")}
 
 
-def _check_keys(doc: dict, at: str = "") -> tuple[list, list]:
-    """(unknown, missing): the dotted name of every key in doc that
-    config_from_dict does not read, so that a misspelt or retired setting
-    is not silently ignored, and of every key it needs that a block of doc
-    lacks."""
-    unknown = []
+def _check_keys(doc: dict, at: str = "") -> tuple[list, list, list]:
+    """(unknown, missing, nonfinite): the dotted name of every key in doc
+    that config_from_dict does not read, so that a misspelt or retired
+    setting is not silently ignored, of every key it needs that a block
+    of doc lacks, and of every key it reads that sets a NaN or an
+    infinity (on its own or as a list item)."""
+    unknown, nonfinite = [], []
     missing = [at + key for key in _REQUIRED.get(at, ()) if key not in doc]
     for key, value in doc.items():
         if at + key not in _KEYS:
@@ -174,14 +184,20 @@ def _check_keys(doc: dict, at: str = "") -> tuple[list, list]:
                 names = _check_keys(item, f"{at}{key}.")
                 unknown += names[0]
                 missing += names[1]
-    return unknown, missing
+                nonfinite += names[2]
+            elif isinstance(item, float) and not np.isfinite(item):
+                nonfinite.append(at + key)
+    return unknown, missing, nonfinite
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    missing = _check_keys(doc)[1]
-    if missing:
+    """The config doc sets; ValueError naming every key it lacks and every
+    number it sets that is not finite, which no run could use."""
+    _, missing, nonfinite = _check_keys(doc)
+    if missing or nonfinite:
         raise ValueError("invalid configuration: " + "; ".join(
-            f"missing key '{name}'" for name in missing))
+            [f"missing key '{name}'" for name in missing]
+            + [f"{name} must be finite" for name in dict.fromkeys(nonfinite)]))
     p = doc["params"]
     params = SystemParams(**{_PARAM_KEYS[k]: float(v) for k, v in p.items()
                              if k in _PARAM_KEYS})
@@ -245,40 +261,26 @@ def _principal_axis_columns(vs: np.ndarray) -> np.ndarray:
 # Single runs
 # ---------------------------------------------------------------------------
 
-def sample_times(cfg: ExperimentConfig) -> np.ndarray:
-    """Sample times of a run: t = 0 alone for a constant drive, else the
-    last sample_periods of the horizon with the wigner_times added."""
-    drive = cfg.resolved_drive()
-    if drive.big_omega == 0.0:
-        return np.array([0.0])
-    tau = drive.period
-    t_end = cfg.horizon_periods * tau
-    t0 = max(0.0, t_end - cfg.sample_periods * tau)
-    n_samples = max(2, int(cfg.sample_periods * cfg.samples_per_period))
-    t_eval = np.linspace(t0, t_end, n_samples)
-    if cfg.wigner_times:
-        t_eval = np.unique(np.concatenate((t_eval, cfg.wigner_times)))
-    return t_eval
+def solve(cfg: ExperimentConfig, require_verdict: bool = False):
+    """(t, means, vs, stability): the run's sample times t, and its
+    means, CMs and verdict there.
 
+    Every run, sweep cell and stability report decides here, from its
+    config alone, which samples it takes and how they are reached.  A
+    constant drive is sampled at its working point (t = [0]), one cell
+    of _constant_cells: the N = 0 case of lyapunov_harmonics, whose
+    exponent gives the Hurwitz verdict.  A modulated drive is sampled
+    over the last sample_periods of the horizon (clamped at t = 0),
+    samples_per_period to a period, with the wigner_times added; an
+    integration runs from rest at t = 0 to its last sample:
 
-def solve(cfg: ExperimentConfig, t_eval: np.ndarray,
-          require_verdict: bool = False):
-    """(t, means, vs, stability): the run's means, CMs and verdict at t_eval.
-
-    Every run, sweep cell and stability report decides here how its
-    samples are reached.  A constant drive is sampled at its working
-    point (t_eval = [0]), one cell of _constant_cells: the N = 0 case of
-    lyapunov_harmonics, whose exponent gives the Hurwitz verdict.
-    A modulated drive is sampled at t_eval; an integration runs from
-    rest at t = 0 to its last sample:
-
-    * The periodic solve at t0 = t_eval[0] gives stability.  It runs
+    * The periodic solve at t0 = t[0] gives stability.  It runs
       whenever the verdict is asked for or required (require_verdict, as
       for a sweep cell), and a failure raises; otherwise only when a CM
       output is asked for with the "ode" source and t0 > 0, and a
       failure falls back to t = 0.
     * When the periodic state is usable and the source is "ode", its
-      harmonics give the means and the CMs at t_eval, and nothing is
+      harmonics give the means and the CMs at t, and nothing is
       integrated; otherwise the CM is integrated from t = 0.
 
     means (FirstMoments, one value per sample) is asked for by
@@ -304,11 +306,17 @@ def solve(cfg: ExperimentConfig, t_eval: np.ndarray,
         stability = stability_check(margin)
         vs = v if measured and stability["stable"] else None
         means = FirstMoments.from_vector(fm.to_vector()[:, None])
-        return t_eval, means, vs, stability
+        return np.array([0.0]), means, vs, stability
 
+    tau = drive.period
+    t_end = cfg.horizon_periods * tau
+    t = np.linspace(max(0.0, t_end - cfg.sample_periods * tau), t_end,
+                    max(2, int(cfg.sample_periods * cfg.samples_per_period)))
+    if cfg.wigner_times:
+        t = np.unique(np.concatenate((t, cfg.wigner_times)))
     asked = "stability" in cfg.outputs or require_verdict
     source = cfg.first_moment_source
-    t0 = float(t_eval[0])
+    t0 = float(t[0])
     periodic = stability = means = vs = None
     if asked or (measured and source == "ode" and t0 > 0.0):
         try:
@@ -320,20 +328,20 @@ def solve(cfg: ExperimentConfig, t_eval: np.ndarray,
             stability = stability_check(periodic)
     if measured and source == "ode" and periodic is not None \
             and periodic.usable:
-        y, vs = periodic.sample(t_eval)
-        _check_physical(t_eval, vs)
+        y, vs = periodic.sample(t)
+        _check_physical(t, vs)
         means = FirstMoments.from_vector(y.T)
     elif measured and ("stability" in cfg.outputs or periodic is None
                        or stability["stable"]):
         if source == "engineered":
             source = engineered_mean_source(cfg.params, cfg.engineered)
-        lt = integrate_lyapunov(cfg.params, drive, source, None, t_eval,
+        lt = integrate_lyapunov(cfg.params, drive, source, None, t,
                                 cfg=cfg.numerics)
         means, vs = lt.means, lt.v
     if means is None and "first_moments" in cfg.outputs:
-        means = integrate_first_moments(cfg.params, drive, t_eval,
+        means = integrate_first_moments(cfg.params, drive, t,
                                         cfg=cfg.numerics)
-    return t_eval, means, vs, stability
+    return t, means, vs, stability
 
 
 def _write_outputs(cfg: ExperimentConfig, out_dir: Path, written: dict,
@@ -390,7 +398,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path,
         written["sweep"] = run_sweep(cfg, out_dir / "sweep.csv")
         return written
     if cfg.outputs:
-        _write_outputs(cfg, out_dir, written, *solve(cfg, sample_times(cfg)))
+        _write_outputs(cfg, out_dir, written, *solve(cfg))
     return written
 
 
@@ -406,18 +414,17 @@ def drive_to_dict(drive: DriveSpec) -> dict:
 
 def compare_sources(cfg: ExperimentConfig) -> dict[str, float]:
     """Max relative deviation ODE vs Floquet over the final two periods,
-    400 samples clamped at t = 0 as sample_times clamps a run's window,
-    and the transient_residue that the ODE means, integrated from t = 0,
+    400 samples clamped at t = 0 as solve clamps a run's window, and the
+    transient_residue that the ODE means, integrated from t = 0,
     still carry at the window's start (1.0 when it starts at t = 0)."""
     drive = cfg.resolved_drive()
     if drive.big_omega <= 0:
         raise ValueError("source comparison needs a modulated drive")
-    t_eval = sample_times(replace(cfg, sample_periods=2.0,
-                                  samples_per_period=200, wigner_times=()))
-    _, traj, _, stability = solve(
-        replace(cfg, outputs=("first_moments", "stability")), t_eval)
+    t, traj, _, stability = solve(replace(
+        cfg, outputs=("first_moments", "stability"), sample_periods=2.0,
+        samples_per_period=200, wigner_times=()))
     sol = floquet_recurse(cfg.params, drive)
-    series = sol.evaluate(cfg.params.g, t_eval)
+    series = sol.evaluate(cfg.params.g, t)
     out = {}
     for obs in ("q", "p", "a", "c"):
         ref = getattr(traj, obs)
@@ -474,15 +481,14 @@ def evaluate_cell(cfg: ExperimentConfig) -> tuple[str, float]:
     """(status, EN) for one sweep cell; failures flagged, not raised.
 
     A constant cell is its working point.  A modulated cell is solved
-    over its last period (sample_times' window, clamped at t = 0) and
+    over its last period (solve's window, clamped at t = 0) and
     needs a Floquet verdict: a failed periodic solve flags the cell, and
     a multiplier on or outside the unit circle makes it unstable; neither
     integrates the window.  A valid sweep config carries the "ode" source
     and no wigner_times.
     """
     try:
-        t_eval = sample_times(replace(cfg, sample_periods=1.0))
-        vs = solve(replace(cfg, outputs=("EN",)), t_eval,
+        vs = solve(replace(cfg, outputs=("EN",), sample_periods=1.0),
                    require_verdict=True)[2]
     except SimulationError as exc:
         return _cell_status(exc), float("nan")

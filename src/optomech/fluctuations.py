@@ -297,7 +297,8 @@ def integrate_lyapunov(params: SystemParams, drive: DriveSpec,
                        cfg: StepperConfig | None = None
                        ) -> LyapunovTrajectory:
     """Propagate dV/dt = A(t) V + V A^T + D from t = 0 to t_eval[-1],
-    sampled at t_eval (ascending, none before t = 0).
+    sampled at t_eval (ascending, none before t = 0); t_eval = [0] is
+    the rest state, V(0) with zero means.
 
     v0 (read on and above its diagonal; the thermal vacuum when None) is
     V(0).  first_moment_source selects where the means that fill A(t)
@@ -329,11 +330,13 @@ def integrate_lyapunov(params: SystemParams, drive: DriveSpec,
     v0 = np.asarray(v0, dtype=float)[VECH]
     cfg = default_stepper(drive, cfg)
     if first_moment_source == "ode":
-        sol = integrate_adaptive(_moments_cm_rhs(params, drive), (0.0, t[-1]),
-                                 np.concatenate((np.zeros(6), v0)), cfg,
-                                 t_eval=t)
-        means = FirstMoments.from_vector(sol.y[:6])
-        vs = sol.y[6:].T[:, UNVECH]
+        y0 = np.concatenate((np.zeros(6), v0))
+        y = y0[:, None]             # the rest state, at t = [0]
+        if t[-1] > 0.0:
+            y = integrate_adaptive(_moments_cm_rhs(params, drive),
+                                   (0.0, t[-1]), y0, cfg, t_eval=t).y
+        means = FirstMoments.from_vector(y[:6])
+        vs = y[6:].T[:, UNVECH]
     else:
         vs = _propagate_cm(params, first_moment_source, v0[UNVECH], t, cfg)
         vs = vs.reshape(-1, 36)[:, _UPPER][:, UNVECH]

@@ -151,22 +151,23 @@ def drive_value(drive: DriveSpec, t):
 
 def validate_params(params: SystemParams,
                     drive: DriveSpec | None = None) -> list[str]:
-    """Collect invariant violations; an empty list means a usable setup."""
+    """Collect invariant violations; an empty list means a usable setup.
+    Each sign check is written so that NaN fails it."""
     report = []
-    if params.kappa <= 0:
+    if not params.kappa > 0:
         report.append("kappa must be positive")
-    if params.gamma_m <= 0:
+    if not params.gamma_m > 0:
         report.append("gamma_m must be positive")
-    if params.gamma_a < 0:
+    if not params.gamma_a >= 0:
         report.append("gamma_a must be nonnegative")
-    if params.n_th < 0:
+    if not params.n_th >= 0:
         report.append("n_th must be nonnegative")
-    if params.g < 0:
+    if not params.g >= 0:
         report.append("g must be nonnegative")
-    if params.g0_collective < 0:
+    if not params.g0_collective >= 0:
         report.append("G0 must be nonnegative")
     if drive is not None:
-        if drive.big_omega < 0:
+        if not drive.big_omega >= 0:
             report.append("modulation frequency must be nonnegative")
         if drive.big_omega == 0.0:
             bad = [n for n, en in drive.components.items()

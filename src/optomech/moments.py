@@ -76,8 +76,11 @@ def integrate_first_moments(params: SystemParams, drive: DriveSpec,
                             t_eval, cfg: StepperConfig | None = None
                             ) -> FirstMoments:
     """The mean-value ODEs stepped from rest at t = 0 to t_eval[-1]: the
-    means at t_eval, one value per sample."""
+    means at t_eval, one value per sample (the rest state at t_eval =
+    [0])."""
     t_eval = checked_t_eval(t_eval)
+    if t_eval[-1] == 0.0:
+        return FirstMoments.from_vector(np.zeros((6, 1)))
     sol = integrate_adaptive(_rhs_vector(params, drive), (0.0, t_eval[-1]),
                              np.zeros(6), default_stepper(drive, cfg),
                              t_eval=t_eval)

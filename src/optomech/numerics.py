@@ -43,9 +43,9 @@ class StepperConfig:
     overflow_guard: float = 1e12
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
+        if not (self.rel_tol > 0 and self.abs_tol > 0):     # NaN fails
             raise ValueError("tolerances must be positive")
-        if self.max_step <= 0:
+        if not self.max_step > 0:
             raise ValueError("max_step must be positive")
 
 
@@ -131,7 +131,7 @@ def integrate_adaptive(f, t_span, y0, cfg: StepperConfig, t_eval):
             h_abs = min_step
         rejected = False
         while True:
-            if h_abs < min_step:
+            if not h_abs >= min_step:       # NaN, from a NaN RHS, too
                 raise StepFailure("Required step size is less than "
                                   "spacing between numbers.")
             t_new = min(t + h_abs, t_end)

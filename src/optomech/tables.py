@@ -29,9 +29,13 @@ def _cells(column):
 
 
 def write_rows(path: Path, header: list[str], columns) -> None:
-    """Write equal-length columns as the rows of a CSV under header."""
+    """Write equal-length columns as the rows of a CSV under header;
+    ValueError, before the file is opened, when their lengths differ."""
     columns = list(columns)
-    n_rows = len(columns[0]) if columns else 0
+    lengths = [len(col) for col in columns]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"columns of unequal length: {lengths}")
+    n_rows = lengths[0] if columns else 0
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for lo in range(0, n_rows, CHUNK_ROWS):

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import re
@@ -249,8 +250,14 @@ def _name_sweep_axis(name):
      "sweep axis 'E' does not name a scalar parameter"),
     ("fig5a", _set_param("delta_a_effective", 0.3),
      "params.delta_a_effective applies to a constant drive only"),
+    # every cell was solved at the second axis's value
+    ("fig4a", _name_sweep_axis("E0"), "sweep axis 'E0' is given twice"),
+    # the working point's delta_a is back-computed, so one row was left
+    ("fig4a", _name_sweep_axis("delta_a"),
+     "sweep axis 'delta_a' is never read: params.delta_a_effective sets "
+     "the working point"),
 ], ids=["omega_m", "g0_collective", "omega_m-axis", "E-axis",
-        "delta_a_effective"])
+        "delta_a_effective", "axis-twice", "delta_a-axis"])
 def test_each_parameter_has_one_key(tmp_path, capsys, recipe, edit, message):
     doc = load_recipe(recipe)
     edit(doc)
@@ -288,6 +295,41 @@ def test_missing_key_is_named(tmp_path, capsys, recipe, key):
                      str(write_config(tmp_path, doc)),
                      "--out", str(tmp_path / "run")]) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("-inf")])
+@pytest.mark.parametrize("recipe, key", [
+    ("fig5a", "params.kappa"), ("fig5a", "params.delta_c"),
+    ("fig4a", "params.delta_a_effective"),
+    ("fig5a", "drive.Omega"), ("fig5a", "drive.components.re"),
+    ("fig5a", "drive.components.im"),
+    *(("fig7", f"engineered.{k}") for k in ("G1", "G2", "Omega")),
+    ("fig5a", "horizon_periods"), ("fig5a", "sample_periods"),
+    ("fig5a", "numerics.rel_tol"), ("fig5a", "numerics.abs_tol"),
+    ("fig4a", "sweep.axes.min"), ("fig4a", "sweep.axes.max"),
+    ("fig5a", "wigner_times")])
+def test_non_finite_number_is_named(recipe, key, value):
+    doc = load_recipe(recipe)
+    *blocks, last = key.split(".")
+    block = doc
+    for name in blocks:         # a list's first item stands for the list
+        block = block.setdefault(name, {})
+        block = block[0] if isinstance(block, list) else block
+    block[last] = [1.0, value] if last == "wigner_times" else value
+    with pytest.raises(ValueError) as got:
+        config_from_dict(doc)
+    assert str(got.value) == f"invalid configuration: {key} must be finite"
+
+
+def test_cli_names_a_nan_parameter(tmp_path, capsys):
+    # a NaN kappa once validated clean and hung the stepper
+    doc = load_recipe("fig5a")
+    doc["params"]["kappa"] = float("nan")
+    assert cli_main(["simulate", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr() == (
+        "", "error: invalid configuration: params.kappa must be finite\n")
+    assert not (tmp_path / "run").exists()
 
 
 def test_cli_simulate_with_config(tmp_path, capsys):
@@ -364,7 +406,7 @@ def test_stability_report_leaves_config_alone(monkeypatch):
     periodic = []
     monkeypatch.setattr(experiment, "periodic_state",
                         lambda *args: periodic.append(args))
-    t, _, _, report = experiment.solve(cfg, experiment.sample_times(cfg))
+    t, _, _, report = experiment.solve(cfg)
     assert cfg.params is params
     assert periodic == []           # no periodic solve for a constant drive
     assert list(t) == [0.0]
@@ -387,6 +429,20 @@ def test_cli_wigner_times(tmp_path):
             .splitlines()
         assert lines[0] == "x,y,w"
         assert len(lines) == 1 + 201 * 201
+
+
+def test_wigner_manifest_is_the_configuration_that_ran(tmp_path):
+    # --times and the wigner output are part of the config the run parses,
+    # so the manifest names them; the parsed config cannot be edited
+    assert cli_main(["wigner", "--recipe", "fig2", "--times", "90,95",
+                     "--out", str(tmp_path)]) == 0
+    config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+    assert config["wigner_times"] == [90.0, 95.0]
+    assert config["outputs"] == load_recipe("fig2")["outputs"] + ["wigner"]
+    assert (tmp_path / "wigner_1.csv").exists()
+    cfg = config_from_dict(config)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.wigner_times = (90.0,)
 
 
 def test_cli_recipe_overlay(tmp_path):
@@ -1100,8 +1156,21 @@ def test_cli_names_a_missing_config_file(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def solved_times(monkeypatch):
+    """The sample times t that each call of experiment.solve returns."""
+    times, solve = [], experiment.solve
+
+    def recorded(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        times.append(out[0])
+        return out
+
+    monkeypatch.setattr(experiment, "solve", recorded)
+    return times
+
+
 def test_sweep_cell_window_is_the_last_period(tmp_path, monkeypatch):
-    calls = counting(monkeypatch, experiment.solve, experiment)
+    times = solved_times(monkeypatch)
     tau = np.pi
     for horizon in (10.0, 0.5):
         doc = dict(FIG2_DOC, horizon_periods=horizon, sweep={"axes": [
@@ -1112,11 +1181,11 @@ def test_sweep_cell_window_is_the_last_period(tmp_path, monkeypatch):
         t_end = horizon * tau
         # clamped at t = 0 when the horizon is shorter than a period
         want = np.linspace(t_end - tau if horizon >= 1.0 else 0.0, t_end, 40)
-        assert np.array_equal(calls[-1][0][1], want)
+        assert np.array_equal(times[-1], want)
 
 
 def test_compare_sources_window_is_the_last_two_periods(monkeypatch):
-    calls = counting(monkeypatch, experiment.solve, experiment)
+    times = solved_times(monkeypatch)
     tau = np.pi
     cfg = config_from_dict(FIG2_DOC)
     mu = fluctuations.periodic_state(cfg.params, cfg.drive, 0.0) \
@@ -1131,6 +1200,6 @@ def test_compare_sources_window_is_the_last_two_periods(monkeypatch):
         t_end = horizon * tau
         want = np.linspace(t_end - 2.0 * tau if horizon >= 2.0 else 0.0,
                            t_end, 400)
-        assert np.array_equal(calls[-1][0][1], want)
+        assert np.array_equal(times[-1], want)
         assert report["transient_residue"] == pytest.approx(residue,
                                                             rel=1e-12)

@@ -21,7 +21,7 @@ from optomech.fluctuations import (UNVECH, VECH, _check_physical,
 from optomech.measures import symplectic_eigenvalues
 from optomech.model import DriveSpec, EngineeredCoupling, SystemParams
 from optomech.moments import _rhs_vector, default_stepper, \
-    floquet_recurse, steady_state_constant
+    floquet_recurse, integrate_first_moments, steady_state_constant
 from optomech.numerics import StepperConfig, integrate_adaptive
 
 FIG2 = SystemParams(delta_a=1.0, kappa=2.0, gamma_m=1e-3, g=1e-5,
@@ -323,6 +323,22 @@ def test_empty_t_eval_rejected_on_either_route(source):
 def test_t_eval_must_ascend_from_zero_on_either_route(source, t_eval):
     with pytest.raises(ValueError, match="t_eval must ascend"):
         integrate_lyapunov(FIG2, FIG2_DRIVE, source, None, t_eval)
+
+
+@pytest.mark.parametrize("route", ["means", "ode", "callable"])
+def test_t_eval_at_zero_is_the_rest_state(route):
+    # from rest at t = 0 to t_eval[-1]: at [0] there is nothing to step
+    if route == "means":
+        got = integrate_first_moments(FIG2, FIG2_DRIVE, [0.0])
+        assert np.array_equal(got.to_vector(), np.zeros((6, 1)))
+        return
+    source = "ode" if route == "ode" else (lambda t: (0.0, 0j))
+    given = np.diag(np.arange(1.0, 7.0))
+    for v0, want in ((None, thermal_vacuum_cm(FIG2.n_th)), (given, given)):
+        lt = integrate_lyapunov(FIG2, FIG2_DRIVE, source, v0, [0.0])
+        assert np.array_equal(lt.t, [0.0]) and np.array_equal(lt.v, [want])
+        if route == "ode":
+            assert np.array_equal(lt.means.to_vector(), np.zeros((6, 1)))
 
 
 def test_lyapunov_symmetry_and_physicality_fig2():

@@ -25,6 +25,17 @@ def test_negative_kappa_reported():
     assert any("kappa must be positive" in r for r in report)
 
 
+def test_nan_fails_every_sign_check():
+    nan = float("nan")
+    bad = SystemParams(delta_a=1.0, kappa=nan, gamma_m=nan, g=nan,
+                       delta_c=-1.0, gamma_a=nan, g0_collective=nan, n_th=nan)
+    assert validate_params(bad, DriveSpec(big_omega=nan)) == [
+        "kappa must be positive", "gamma_m must be positive",
+        "gamma_a must be nonnegative", "n_th must be nonnegative",
+        "g must be nonnegative", "G0 must be nonnegative",
+        "modulation frequency must be nonnegative"]
+
+
 def test_constant_drive_with_harmonic_reported():
     drive = DriveSpec(big_omega=0.0, components={0: 5.0, 1: 1.0})
     report = validate_params(FIG2_PARAMS, drive)

@@ -208,6 +208,24 @@ def test_blow_up_raises_step_failure():
                            t_eval=[2.0])
 
 
+@pytest.mark.parametrize("nan_from", [0.0, 0.5])
+def test_nan_rhs_raises_step_failure(nan_from):
+    # a NaN in the first RHS value makes SciPy's initial step NaN, and a
+    # later one every error norm: no step can meet the tolerances
+    def f(t, y):
+        return [-y[0], math.nan if t >= nan_from else -y[1]]
+
+    with pytest.raises(StepFailure, match="step size"):
+        integrate_adaptive(f, (0.0, 1.0), [1.0, 1.0], StepperConfig(),
+                           t_eval=[1.0])
+
+
+@pytest.mark.parametrize("key", ["rel_tol", "abs_tol", "max_step"])
+def test_nan_stepper_setting_rejected(key):
+    with pytest.raises(ValueError, match="positive"):
+        StepperConfig(**{key: math.nan})
+
+
 @pytest.mark.parametrize("t_span", [(1.0, 1.0), (1.0, 0.0)])
 def test_span_that_does_not_go_forward_rejected(t_span):
     with pytest.raises(ValueError, match="forward"):

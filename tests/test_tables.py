@@ -58,6 +58,18 @@ def test_chunk_boundaries_keep_every_row(tmp_path, monkeypatch):
         (tmp_path / "want.csv").read_bytes()
 
 
+@pytest.mark.parametrize("lengths", [(3, 6), (6, 3), (5, 6)],
+                         ids=["first_short_at_chunk_end", "last_short",
+                              "first_short"])
+def test_columns_of_unequal_length_rejected(tmp_path, monkeypatch, lengths):
+    # a short column once lost the rows past its end, without a word
+    monkeypatch.setattr(tables, "CHUNK_ROWS", 3)
+    columns = [np.arange(n, dtype=float) for n in lengths]
+    with pytest.raises(ValueError, match="unequal length"):
+        write_rows(tmp_path / "got.csv", ["a", "b"], columns)
+    assert not (tmp_path / "got.csv").exists()
+
+
 def test_wigner_grid_is_x_major(tmp_path):
     axes = (np.linspace(-1.0, 1.0, 3), np.linspace(-2.0, 2.0, 4))
     grid = wigner(np.array([[1.0, 0.2], [0.2, 0.7]]), axes=axes)
