@@ -30,6 +30,19 @@ def _out_dir(args) -> Path:
     return Path(os.environ.get("OPTOMECH_OUT_DIR", "."))
 
 
+def _times(text: str) -> list[float]:
+    """The comma-separated --times entries as numbers; ValueError naming
+    an entry that is not one."""
+    times = []
+    for entry in text.split(","):
+        try:
+            times.append(float(entry))
+        except ValueError:
+            raise ValueError(f"--times entry {entry!r} is not a "
+                             "number") from None
+    return times
+
+
 def _add_common(sub):
     sub.add_argument("--config", help="JSON configuration file")
     sub.add_argument("--recipe", choices=recipe_names(),
@@ -62,8 +75,7 @@ def main(argv=None) -> int:
                 doc.update(json.load(fh))
         if args.command == "wigner":    # the manifest echoes what ran
             if args.times:
-                doc["wigner_times"] = [float(t)
-                                       for t in args.times.split(",")]
+                doc["wigner_times"] = _times(args.times)
             outputs = list(doc.get("outputs", []))
             doc["outputs"] = (outputs if "wigner" in outputs
                               else outputs + ["wigner"])

@@ -12,6 +12,8 @@ resolved configuration.
 from __future__ import annotations
 
 import json
+import numbers
+import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -78,6 +80,11 @@ class ExperimentConfig:
         if (self.drive is None) == (self.engineered is None):
             report.append("exactly one of 'drive' and 'engineered' "
                           "must be given")
+        # the parsed drive keeps one entry per harmonic
+        ns = [int(c["n"]) for c in self.raw.get("drive", {})
+              .get("components", [])]
+        report += [f"drive component n = {n} is given twice"
+                   for n in dict.fromkeys(ns) if ns.count(n) > 1]
         bad = [o for o in self.outputs if o not in KNOWN_OUTPUTS]
         if bad:
             report.append(f"unknown outputs: {bad}")
@@ -115,6 +122,9 @@ class ExperimentConfig:
                 report.append("sweep axis 'delta_a' is never read: "
                               "params.delta_a_effective sets the working "
                               "point")
+            if self.wigner_times and not self.sweep:
+                report.append("wigner_times do not apply to a constant "
+                              "drive, which samples t = 0 alone")
             return report
         if self.delta_a_effective is not None:
             report.append("params.delta_a_effective applies to a constant "
@@ -149,15 +159,22 @@ def _parse_drive(d: dict) -> DriveSpec:
 _PARAM_KEYS = {"G0" if f.name == "g0_collective" else f.name: f.name
                for f in fields(SystemParams)}
 
-# Every key config_from_dict reads, dotted; a list's items share one name.
-_KEYS = {f"params.{k}" for k in _PARAM_KEYS} | set("""
-    params params.delta_a_effective
-    drive drive.Omega drive.components drive.components.n drive.components.re
-    drive.components.im engineered engineered.G1 engineered.G2 engineered.Omega
-    horizon_periods sample_periods samples_per_period outputs wigner_times
-    first_moment_source numerics numerics.rel_tol numerics.abs_tol sweep
-    sweep.axes sweep.axes.name sweep.axes.min sweep.axes.max
-    sweep.axes.points""".split())
+# The JSON type of every key config_from_dict reads, by its dotted name;
+# the items of a list in _LISTS share its name and take its type.
+_KEYS = {name: kind for kind, names in {
+    "block": "params drive engineered numerics sweep drive.components "
+             "sweep.axes",
+    "number": " ".join(f"params.{k}" for k in _PARAM_KEYS) + """
+        params.delta_a_effective drive.Omega drive.components.re
+        drive.components.im engineered.G1 engineered.G2 engineered.Omega
+        horizon_periods sample_periods wigner_times numerics.rel_tol
+        numerics.abs_tol sweep.axes.min sweep.axes.max""",
+    "whole number": "samples_per_period drive.components.n "
+                    "sweep.axes.points",
+    "string": "first_moment_source outputs sweep.axes.name",
+}.items() for name in names.split()}
+_LISTS = {"drive.components", "sweep.axes", "wigner_times", "outputs"}
+_READ = {"number": float, "whole number": int, "string": str}
 # The keys each block needs, by the dotted name of the block.
 _REQUIRED = {"": ("params",),
              "params.": tuple(f.name for f in fields(SystemParams)
@@ -167,40 +184,79 @@ _REQUIRED = {"": ("params",),
              "sweep.axes.": ("name", "min", "max", "points")}
 
 
+def _value_problem(kind: str, value) -> str | None:
+    """Why value cannot be read as a kind of _KEYS, or None: a block and
+    a string must be one, a number is neither a boolean nor a string and
+    is finite, and a whole number is a number with no fraction (3.0
+    reads as 3)."""
+    if kind in ("block", "string"):
+        ok = isinstance(value, dict if kind == "block" else str)
+        return None if ok else f"must be a {kind}"
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return f"must be a {kind}"
+    # NaN fails, as does an int too large to read as a float
+    if not abs(value) <= sys.float_info.max:
+        return "must be finite"
+    if kind == "whole number" and value % 1:
+        return "must be a whole number"
+    return None
+
+
 def _check_keys(doc: dict, at: str = "") -> tuple[list, list, list]:
-    """(unknown, missing, nonfinite): the dotted name of every key in doc
+    """(unknown, missing, wrong): the dotted name of every key in doc
     that config_from_dict does not read, so that a misspelt or retired
     setting is not silently ignored, of every key it needs that a block
-    of doc lacks, and of every key it reads that sets a NaN or an
-    infinity (on its own or as a list item)."""
-    unknown, nonfinite = [], []
+    of doc lacks, and a message for every value it reads that is not of
+    its key's JSON type (_KEYS, _LISTS) or sets a NaN or an infinity (on
+    its own or as a list item)."""
+    unknown, wrong = [], []
     missing = [at + key for key in _REQUIRED.get(at, ()) if key not in doc]
     for key, value in doc.items():
-        if at + key not in _KEYS:
-            unknown.append(at + key)
+        name = at + key
+        if name not in _KEYS:
+            unknown.append(name)
             continue
-        for item in value if isinstance(value, list) else [value]:
-            if isinstance(item, dict):
-                names = _check_keys(item, f"{at}{key}.")
+        if name in _LISTS and not isinstance(value, list):
+            wrong.append(f"{name} must be a list")
+            continue
+        for item in value if name in _LISTS else [value]:
+            problem = _value_problem(_KEYS[name], item)
+            if problem:
+                wrong.append(f"{name} {problem}")
+            elif isinstance(item, dict):
+                names = _check_keys(item, name + ".")
                 unknown += names[0]
                 missing += names[1]
-                nonfinite += names[2]
-            elif isinstance(item, float) and not np.isfinite(item):
-                nonfinite.append(at + key)
-    return unknown, missing, nonfinite
+                wrong += names[2]
+    return unknown, missing, wrong
+
+
+def _read(block: dict, at: str, keys) -> dict:
+    """{key: value} of each of keys that block sets, read as its _KEYS
+    type (a list as a tuple of its items), so that a key block does not
+    set keeps its dataclass default."""
+    out = {}
+    for key in keys:
+        if key in block:
+            read = _READ[_KEYS[at + key]]
+            out[key] = (tuple(map(read, block[key])) if at + key in _LISTS
+                        else read(block[key]))
+    return out
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    """The config doc sets; ValueError naming every key it lacks and every
-    number it sets that is not finite, which no run could use."""
-    _, missing, nonfinite = _check_keys(doc)
-    if missing or nonfinite:
+    """The config doc sets, reading only the keys _KEYS names, each as
+    its JSON type; the dataclasses fill in every setting doc leaves out.
+    ValueError naming every key it lacks and every value it sets that is
+    not of its key's type or not finite, which no run could use."""
+    _, missing, wrong = _check_keys(doc)
+    if missing or wrong:
         raise ValueError("invalid configuration: " + "; ".join(
             [f"missing key '{name}'" for name in missing]
-            + [f"{name} must be finite" for name in dict.fromkeys(nonfinite)]))
+            + list(dict.fromkeys(wrong))))
     p = doc["params"]
-    params = SystemParams(**{_PARAM_KEYS[k]: float(v) for k, v in p.items()
-                             if k in _PARAM_KEYS})
+    params = SystemParams(**{_PARAM_KEYS[k]: v for k, v in
+                             _read(p, "params.", _PARAM_KEYS).items()})
 
     drive = _parse_drive(doc["drive"]) if "drive" in doc else None
     engineered = None
@@ -210,9 +266,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
                                         g2=float(e["G2"]),
                                         big_omega=float(e["Omega"]))
 
-    num = doc.get("numerics", {})
-    numerics = StepperConfig(rel_tol=float(num.get("rel_tol", 1e-9)),
-                             abs_tol=float(num.get("abs_tol", 1e-12)))
+    numerics = StepperConfig(**_read(doc.get("numerics", {}), "numerics.",
+                                     ("rel_tol", "abs_tol")))
 
     sweep = tuple(SweepAxis(name=a["name"], min=float(a["min"]),
                             max=float(a["max"]), points=int(a["points"]))
@@ -222,14 +277,10 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         params=params, drive=drive, engineered=engineered,
         delta_a_effective=(float(p["delta_a_effective"])
                            if "delta_a_effective" in p else None),
-        horizon_periods=float(doc.get("horizon_periods", 50.0)),
-        outputs=tuple(doc.get("outputs", [])),
-        sweep=sweep, numerics=numerics,
-        first_moment_source=doc.get("first_moment_source", "ode"),
-        sample_periods=float(doc.get("sample_periods", 2.0)),
-        samples_per_period=int(doc.get("samples_per_period", 200)),
-        wigner_times=tuple(float(t) for t in doc.get("wigner_times", [])),
-        raw=doc)
+        sweep=sweep, numerics=numerics, raw=doc,
+        **_read(doc, "", ("horizon_periods", "sample_periods",
+                          "samples_per_period", "outputs",
+                          "first_moment_source", "wigner_times")))
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +323,8 @@ def solve(cfg: ExperimentConfig, require_verdict: bool = False):
     exponent gives the Hurwitz verdict.  A modulated drive is sampled
     over the last sample_periods of the horizon (clamped at t = 0),
     samples_per_period to a period, with the wigner_times added; an
-    integration runs from rest at t = 0 to its last sample:
+    integration runs from rest at t = 0, zero means and the
+    thermal-vacuum CM, to its last sample:
 
     * The periodic solve at t0 = t[0] gives stability.  It runs
       whenever the verdict is asked for or required (require_verdict, as
@@ -286,10 +338,11 @@ def solve(cfg: ExperimentConfig, require_verdict: bool = False):
     means (FirstMoments, one value per sample) is asked for by
     first_moments.  With the "ode" source, a run that integrates its CM
     carries the means in the same stepping loop, since they fill the
-    drift.  With "engineered", the closed form (engineered_mean_source)
-    fills the drift, so the CM is propagated by interval maps and
-    nothing is stepped for it; the means asked for are then stepped
-    alone, by integrate_first_moments, as in a run with no CM output.
+    drift, and integrate_lyapunov's (means, vs) pair gives both.  With
+    "engineered", the closed form (engineered_mean_source) fills the
+    drift, so the CM is propagated by interval maps and nothing is
+    stepped for it; the means asked for are then stepped alone, by
+    integrate_first_moments, as in a run with no CM output.
 
     vs, the (T, 6, 6) CMs, is asked for by the measure outputs.  vs is
     None, with no integration made, when the verdict rules out a
@@ -335,9 +388,8 @@ def solve(cfg: ExperimentConfig, require_verdict: bool = False):
                        or stability["stable"]):
         if source == "engineered":
             source = engineered_mean_source(cfg.params, cfg.engineered)
-        lt = integrate_lyapunov(cfg.params, drive, source, None, t,
-                                cfg=cfg.numerics)
-        means, vs = lt.means, lt.v
+        means, vs = integrate_lyapunov(cfg.params, drive, source, t,
+                                       cfg=cfg.numerics)
     if means is None and "first_moments" in cfg.outputs:
         means = integrate_first_moments(cfg.params, drive, t,
                                         cfg=cfg.numerics)

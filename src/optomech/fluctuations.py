@@ -3,16 +3,16 @@
 Assembles the time-dependent drift matrix and the diffusion matrix of the
 linearized quadrature dynamics, propagates the 6x6 covariance matrix
 through the Lyapunov equation of motion, and solves for the periodic
-CM algebraically.  integrate_lyapunov propagates from t = 0 to the last
-sample, by one of two routes.  With the "ode" source the means fill the
-drift, so they are stepped from rest together with vech V, one
-right-hand side at a time, and the RHS refills one drift template's
-mean-dependent entries.  With a callable source A(t) is known in
-advance and the CM equation is linear: each piece of the gaps between
-samples acts on V as V -> U V U^T + W, and U and W are stepped a chunk
-of pieces at once as arrays, from one build_drift call per chunk, whose
-maps then act on V (_propagate_cm); no RHS is called one time at a
-time.
+CM algebraically.  integrate_lyapunov propagates from rest at t = 0,
+zero means and the thermal-vacuum CM, to the last sample, by one of two
+routes.  With the "ode" source the means fill the drift, so they are
+stepped from rest together with vech V, one right-hand side at a time,
+and the RHS refills one drift template's mean-dependent entries.  With a
+callable source A(t) is known in advance and the CM equation is linear:
+each piece of the gaps between samples acts on V as V -> U V U^T + W,
+and U and W are stepped a chunk of pieces at once as arrays, from one
+build_drift call per chunk, whose maps then act on V (_propagate_cm); no
+RHS is called one time at a time.
 lyapunov_harmonics is the one algebraic solve of both drive kinds: the
 periodic CM's harmonics and the Floquet exponent from the drift's, for a
 modulated drive from periodic_state's harmonic balance, and for a
@@ -94,13 +94,6 @@ def build_diffusion(params: SystemParams) -> np.ndarray:
 def thermal_vacuum_cm(n_th: float) -> np.ndarray:
     """Default initial CM: thermal mirror, vacuum cavity and atoms."""
     return np.diag([n_th + 0.5, n_th + 0.5, 0.5, 0.5, 0.5, 0.5])
-
-
-@dataclass
-class LyapunovTrajectory:
-    t: np.ndarray
-    v: np.ndarray                       # (T, 6, 6)
-    means: FirstMoments | None          # the co-integrated means ("ode")
 
 
 def _check_physical(t: np.ndarray, vs: np.ndarray):
@@ -222,7 +215,9 @@ def _step_maps(drift_at, d: np.ndarray, t: np.ndarray, h: np.ndarray,
 @np.errstate(over="ignore", invalid="ignore")     # inf, NaN: Diverged
 def _propagate_cm(params: SystemParams, source, v0: np.ndarray,
                   t_eval: np.ndarray, cfg: StepperConfig) -> np.ndarray:
-    """(T, 6, 6) V at t_eval from V(0) = v0, when source(t) fills A(t).
+    """(T, 6, 6) V at t_eval from V(0) = v0, when source(t) fills A(t);
+    v0 is the state the maps step, the rest state's thermal-vacuum CM in
+    integrate_lyapunov.
 
     Gap k, [t_{k-1}, t_k] with t_{-1} = 0, is cut into the fewest equal
     pieces no longer than max_step, each an interval map
@@ -293,21 +288,20 @@ def _propagate_cm(params: SystemParams, source, v0: np.ndarray,
 
 
 def integrate_lyapunov(params: SystemParams, drive: DriveSpec,
-                       first_moment_source, v0: np.ndarray | None, t_eval,
+                       first_moment_source, t_eval,
                        cfg: StepperConfig | None = None
-                       ) -> LyapunovTrajectory:
-    """Propagate dV/dt = A(t) V + V A^T + D from t = 0 to t_eval[-1],
-    sampled at t_eval (ascending, none before t = 0); t_eval = [0] is
-    the rest state, V(0) with zero means.
+                       ) -> tuple[FirstMoments | None, np.ndarray]:
+    """(means, vs): dV/dt = A(t) V + V A^T + D propagated from rest at
+    t = 0, zero means and V(0) = thermal_vacuum_cm(params.n_th), to
+    t_eval[-1], sampled at t_eval (ascending, none before t = 0);
+    t_eval = [0] is the rest state.  vs holds the (T, 6, 6) CMs.
 
-    v0 (read on and above its diagonal; the thermal vacuum when None) is
-    V(0).  first_moment_source selects where the means that fill A(t)
-    come from, and with it what is stepped:
+    first_moment_source selects where the means that fill A(t) come
+    from, and with it what is stepped:
 
-    * "ode"    - the mean-value ODEs, co-integrated with vech V from
-                 rest (zero means) in one DOP853 loop
-                 (integrate_adaptive); the exact numerical route.  The
-                 trajectory carries them as means, one value per sample.
+    * "ode"    - the mean-value ODEs, co-integrated with vech V in one
+                 DOP853 loop (integrate_adaptive); the exact numerical
+                 route.  means is a FirstMoments, one value per sample.
     * callable - t -> (q_mean, a_mean) over an array of times (a source
                  that returns scalars is broadcast), e.g. the engineered
                  closed form (engineered_mean_source).  A(t) is known
@@ -325,12 +319,10 @@ def integrate_lyapunov(params: SystemParams, drive: DriveSpec,
     cannot be met, and NonPhysical at the first unphysical CM.
     """
     t = checked_t_eval(t_eval)
-    if v0 is None:
-        v0 = thermal_vacuum_cm(params.n_th)
-    v0 = np.asarray(v0, dtype=float)[VECH]
+    v0 = thermal_vacuum_cm(params.n_th)
     cfg = default_stepper(drive, cfg)
     if first_moment_source == "ode":
-        y0 = np.concatenate((np.zeros(6), v0))
+        y0 = np.concatenate((np.zeros(6), v0[VECH]))
         y = y0[:, None]             # the rest state, at t = [0]
         if t[-1] > 0.0:
             y = integrate_adaptive(_moments_cm_rhs(params, drive),
@@ -338,11 +330,11 @@ def integrate_lyapunov(params: SystemParams, drive: DriveSpec,
         means = FirstMoments.from_vector(y[:6])
         vs = y[6:].T[:, UNVECH]
     else:
-        vs = _propagate_cm(params, first_moment_source, v0[UNVECH], t, cfg)
+        vs = _propagate_cm(params, first_moment_source, v0, t, cfg)
         vs = vs.reshape(-1, 36)[:, _UPPER][:, UNVECH]
         means = None
     _check_physical(t, vs)
-    return LyapunovTrajectory(t=t, v=vs, means=means)
+    return means, vs
 
 
 HB_ORDERS = (4, 8, 16, 32)      # truncations periodic_state tries

@@ -49,11 +49,12 @@ def report(label, ok):
 
 
 def long_run(params, drive, periods=3000, sample_periods=3):
+    """(t, vs): the CMs over the last sample_periods of the run."""
     t_end = periods * TAU
     t_eval = np.linspace(t_end - sample_periods * TAU, t_end,
                          sample_periods * 200 + 1)
-    return integrate_lyapunov(params, drive, "ode", None, t_eval,
-                              cfg=LONG_CFG)
+    return t_eval, integrate_lyapunov(params, drive, "ode", t_eval,
+                                      cfg=LONG_CFG)[1]
 
 
 @pytest.fixture(scope="module")
@@ -124,17 +125,18 @@ def test_criterion_3_drive_engineering_closure():
 
 def test_criterion_4_entanglement_periodicity_and_robustness():
     t_eval = np.linspace(198 * TAU, 200 * TAU, 401)
-    lt = integrate_lyapunov(FIG2, FIG2_DRIVE, "ode", None, t_eval,
-                            cfg=StepperConfig(rel_tol=1e-7, abs_tol=1e-10))
+    _, vs = integrate_lyapunov(FIG2, FIG2_DRIVE, "ode", t_eval,
+                               cfg=StepperConfig(rel_tol=1e-7,
+                                                 abs_tol=1e-10))
     en = np.array([log_negativity(r)
-                   for r in reduce_atom_mirror_stack(lt.v)])
+                   for r in reduce_atom_mirror_stack(vs)])
     mismatch = np.max(np.abs(en[:200] - en[200:400])) / np.max(en)
     hot = replace(FIG2, n_th=50.0)
-    lt_hot = integrate_lyapunov(hot, FIG2_DRIVE, "ode", None, t_eval,
-                                cfg=StepperConfig(rel_tol=1e-7,
-                                                  abs_tol=1e-10))
+    _, vs_hot = integrate_lyapunov(hot, FIG2_DRIVE, "ode", t_eval,
+                                   cfg=StepperConfig(rel_tol=1e-7,
+                                                     abs_tol=1e-10))
     en_hot = max(log_negativity(r)
-                 for r in reduce_atom_mirror_stack(lt_hot.v))
+                 for r in reduce_atom_mirror_stack(vs_hot))
     report("entanglement positive, periodic, and thermally robust",
            np.all(en > 0.0) and mismatch <= 1e-3 and en_hot > 0.0)
 
@@ -191,8 +193,8 @@ def test_criterion_6_stability_map():
 
 def test_criterion_7_mechanical_squeezing(fig8_run, fig8_no_atoms_run,
                                           fig8_unmodulated_v11):
-    v11 = np.array([v[0, 0] for v in fig8_run.v])
-    v11_free = np.array([v[0, 0] for v in fig8_no_atoms_run.v])
+    v11 = np.array([v[0, 0] for v in fig8_run[1]])
+    v11_free = np.array([v[0, 0] for v in fig8_no_atoms_run[1]])
     squeezed = np.min(v11) < 0.5
     control_flat = abs(fig8_unmodulated_v11 - 0.5) <= 0.05 * 0.5
     no_atom_unsqueezed = np.min(v11_free) > 0.5
@@ -203,14 +205,15 @@ def test_criterion_7_mechanical_squeezing(fig8_run, fig8_no_atoms_run,
 def test_criterion_8_cooling_interference(fig8_run, fig8_no_atoms_run,
                                           fig8_hot_run):
     neff, neff_free, neff_hot = (
-        np.mean(measures_from_cm_series(run.t, run.v)["neff"])
+        np.mean(measures_from_cm_series(*run)["neff"])
         for run in (fig8_run, fig8_no_atoms_run, fig8_hot_run))
     report("ensemble-assisted cooling reaches the ground-state regime",
            neff < 1.0 and 30.0 <= neff_free <= 50.0 and neff_hot < 1.0)
 
 
 def test_criterion_9_squeezing_axis_rotation(fig8_run):
-    mech = [v[:2, :2] for v in fig8_run.v]
+    t, vs = fig8_run
+    mech = [v[:2, :2] for v in vs]
     eigs = np.array([np.linalg.eigvalsh(m) for m in mech])
     shape_ok = True
     for k in range(2):
@@ -222,7 +225,6 @@ def test_criterion_9_squeezing_axis_rotation(fig8_run):
 
     # track the doubled angle to dodge the pi-ambiguity of the axis
     phi = np.unwrap([2.0 * principal_axis_angle(m) for m in mech])
-    t = fig8_run.t
     advance = abs(phi[-1] - phi[0]) / ((t[-1] - t[0]) / TAU)
     rotation_ok = abs(advance - 2.0 * np.pi) <= 0.02 * 2.0 * np.pi
     report("squeezing ellipse keeps its shape and rotates once per period",

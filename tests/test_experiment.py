@@ -332,6 +332,95 @@ def test_cli_names_a_nan_parameter(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def _set(key, value):
+    """An edit that sets the dotted key, a list's first item standing for
+    the list, to value."""
+    def edit(doc):
+        *blocks, last = key.split(".")
+        block = doc
+        for name in blocks:
+            block = block[name]
+            block = block[0] if isinstance(block, list) else block
+        block[last] = value
+    return edit
+
+
+def _add_component(component):
+    def edit(doc):
+        doc["drive"]["components"].append(component)
+    return edit
+
+
+# Every value is read as its key's JSON type: a count was truncated, a
+# wrong type ended in a traceback or was coerced without a word
+@pytest.mark.parametrize("recipe, edit, message", [
+    ("fig4a", _set("sweep.axes.points", 2.7),
+     "sweep.axes.points must be a whole number"),
+    ("fig5a", _set("samples_per_period", 2.9),
+     "samples_per_period must be a whole number"),
+    ("fig5a", _add_component({"n": 1.5, "re": 1.0}),
+     "drive.components.n must be a whole number"),
+    ("fig5a", _set("wigner_times", 5.0), "wigner_times must be a list"),
+    ("fig5a", _set("drive.components.re", "abc"),
+     "drive.components.re must be a number"),
+    ("fig5a", _set("params", [1, 2]), "params must be a block"),
+    ("fig5a", _set("params.kappa", "2"), "params.kappa must be a number"),
+    ("fig5a", _set("params.kappa", True), "params.kappa must be a number"),
+], ids=["points", "samples_per_period", "component_n", "wigner_times",
+        "component_re", "params", "kappa_string", "kappa_bool"])
+def test_value_of_the_wrong_type_is_named(tmp_path, capsys, recipe, edit,
+                                          message):
+    doc = load_recipe(recipe)
+    edit(doc)
+    with pytest.raises(ValueError) as got:
+        config_from_dict(doc)
+    assert str(got.value) == f"invalid configuration: {message}"
+    assert cli_main(["simulate", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: invalid configuration: {message}\n")
+    assert not (tmp_path / "run").exists()
+
+
+def test_whole_number_may_be_written_as_a_float():
+    doc = load_recipe("fig4a")
+    _set("sweep.axes.points", 3.0)(doc)
+    cfg = config_from_dict(doc)
+    assert cfg.sweep[0].points == 3 and cfg.validate() == []
+
+
+def _constant_wigner(doc):
+    del doc["sweep"]
+    doc.update(outputs=["EN", "wigner"], wigner_times=[5.0, 7.0])
+
+
+# Two settings the run would drop without a word
+@pytest.mark.parametrize("recipe, edit, message", [
+    ("fig5a", _add_component({"n": 1, "re": 99999}),
+     "drive component n = 1 is given twice"),
+    ("fig4a", _constant_wigner, "wigner_times do not apply to a constant "
+     "drive, which samples t = 0 alone")],
+    ids=["component_twice", "constant_wigner_times"])
+def test_dropped_setting_is_named(tmp_path, capsys, recipe, edit, message):
+    doc = load_recipe(recipe)
+    edit(doc)
+    assert config_from_dict(doc).validate() == [message]
+    assert cli_main(["simulate", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: invalid configuration: {message}\n")
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_names_a_times_entry_that_is_no_number(tmp_path, capsys):
+    assert cli_main(["wigner", "--recipe", "fig2", "--times", "90,abc",
+                     "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr() == (
+        "", "error: invalid configuration: --times entry 'abc' is not a "
+        "number\n")
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_simulate_with_config(tmp_path, capsys):
     doc = dict(FIG2_DOC)
     doc["outputs"] = ["EN"]
@@ -660,25 +749,25 @@ def test_sweep_flags_forced_bad_cells_only(tmp_path, monkeypatch):
 
 
 def brute_force_window(cfg):
-    """The sampled window of a modulated run integrated from t = 0."""
+    """(t, vs): the sampled window of a modulated run integrated from
+    t = 0."""
     drive = cfg.resolved_drive()
     t_end = cfg.horizon_periods * drive.period
     t_eval = np.linspace(t_end - cfg.sample_periods * drive.period, t_end,
                          int(cfg.sample_periods * cfg.samples_per_period))
-    return integrate_lyapunov(cfg.params, drive, "ode", None, t_eval,
-                              cfg=cfg.numerics)
+    return t_eval, integrate_lyapunov(cfg.params, drive, "ode", t_eval,
+                                      cfg=cfg.numerics)[1]
 
 
 def assert_brute_force_csvs(cfg, run_dir, ref_dir):
-    lt = brute_force_window(cfg)
+    t, vs = brute_force_window(cfg)
     ref_dir.mkdir()
-    write_cm_csv(ref_dir / "cm.csv", lt.t, lt.v)
-    m = measures_from_cm_series(lt.t, lt.v)
+    write_cm_csv(ref_dir / "cm.csv", t, vs)
+    m = measures_from_cm_series(t, vs)
     write_rows(ref_dir / "measures.csv", list(m), m.values())
     for name in ("cm.csv", "measures.csv"):
         assert (run_dir / name).read_bytes() == \
             (ref_dir / name).read_bytes()
-    return lt
 
 
 def test_window_inside_transient_takes_brute_force(tmp_path):
@@ -966,9 +1055,11 @@ def test_wigner_times_outside_the_run_are_rejected(tmp_path, t_wigner):
     with pytest.raises(ValueError, match="wigner_times"):
         run_experiment(cfg, tmp_path)
 
-    # a constant drive samples t = 0 alone, whatever the times
+    # a constant drive samples t = 0 alone, so no time applies to it
     doc = dict(CYCLING_POINT_DOC, wigner_times=[t_wigner])
-    assert config_from_dict(doc).validate() == []
+    assert config_from_dict(doc).validate() == [
+        "wigner_times do not apply to a constant drive, which samples "
+        "t = 0 alone"]
 
 
 @pytest.mark.parametrize("key, value", [

@@ -13,11 +13,11 @@ from optomech.errors import Diverged, NonPhysical, NotStable, Singular, \
     StepFailure
 from optomech.experiment import config_from_dict, run_experiment
 from optomech.fluctuations import (UNVECH, VECH, _check_physical,
-                                   _moments_cm_rhs, build_diffusion,
-                                   build_drift, integrate_lyapunov,
-                                   lyapunov_stack, periodic_state,
-                                   stability_check, steady_state_lyapunov,
-                                   thermal_vacuum_cm)
+                                   _moments_cm_rhs, _propagate_cm,
+                                   build_diffusion, build_drift,
+                                   integrate_lyapunov, lyapunov_stack,
+                                   periodic_state, stability_check,
+                                   steady_state_lyapunov, thermal_vacuum_cm)
 from optomech.measures import symplectic_eigenvalues
 from optomech.model import DriveSpec, EngineeredCoupling, SystemParams
 from optomech.moments import _rhs_vector, default_stepper, \
@@ -181,20 +181,21 @@ def test_unforced_stable_lyapunov_decays():
     drive = DriveSpec(big_omega=0.0, components={})
     v0 = thermal_vacuum_cm(0.0) + 0.1 * np.eye(6)
     base = thermal_vacuum_cm(0.0)
-    # D = 0 flow: propagate the perturbation only (linearity of the eq.)
-    lt = integrate_lyapunov(params, drive, lambda t: (0.0, 0j), v0, [40.0])
-    lt0 = integrate_lyapunov(params, drive, lambda t: (0.0, 0j), base,
-                             [40.0])
-    assert np.max(np.abs(lt.v[-1] - lt0.v[-1])) <= 1e-8
+    # D = 0 flow: propagate the perturbation only (linearity of the eq.);
+    # only the interval maps start from a CM other than the rest state
+    cfg, t_eval = default_stepper(drive), np.array([40.0])
+    v = _propagate_cm(params, lambda t: (0.0, 0j), v0, t_eval, cfg)
+    v_base = _propagate_cm(params, lambda t: (0.0, 0j), base, t_eval, cfg)
+    assert np.max(np.abs(v[-1] - v_base[-1])) <= 1e-8
 
 
 def test_vacuum_fixed_point_of_decoupled_cavity():
     params = SystemParams(delta_a=1.0, kappa=2.0, gamma_m=1e-3, g=0.0,
                           delta_c=-1.0, gamma_a=0.1, g0_collective=0.0)
     drive = DriveSpec(big_omega=0.0, components={})
-    lt = integrate_lyapunov(params, drive, lambda t: (0.0, 0j),
-                            thermal_vacuum_cm(0.0), [0.0, 5.0, 10.0])
-    for v in lt.v:
+    _, vs = integrate_lyapunov(params, drive, lambda t: (0.0, 0j),
+                               [0.0, 5.0, 10.0])
+    for v in vs:
         assert np.max(np.abs(v[2:4, 2:4] - 0.5 * np.eye(2))) <= 1e-9
 
 
@@ -209,18 +210,20 @@ FIG7_TARGET = EngineeredCoupling(g1=1.2, g2=0.1, big_omega=2.0)
                                               27.02])])
 def test_constant_drift_propagates_in_closed_form(t_eval):
     # V(t) = e^{At} (V0 - V_inf) e^{A^T t} + V_inf, for a source that
-    # returns scalars; the second window starts late and has gaps
-    # longer than the step cap; in the third, the 130 pieces of 0.1
-    # before the first sample outlast a chunk, so the chunk that ends
-    # them also holds short gaps
-    fm, eff = steady_state_constant(FIG2, 1.2e5, delta_a_eff=1.0)
+    # returns scalars, from the rest state of n_th = 3; the second window
+    # starts late and has gaps longer than the step cap; in the third,
+    # the 130 pieces of 0.1 before the first sample outlast a chunk, so
+    # the chunk that ends them also holds short gaps
+    fm, eff = steady_state_constant(replace(FIG2, n_th=3.0), 1.2e5,
+                                    delta_a_eff=1.0)
     a = build_drift(eff, fm.q, fm.a)
     v_inf = solve_continuous_lyapunov(a, -build_diffusion(eff))
     drive = DriveSpec(big_omega=0.0, components={0: 1.2e5})
-    v0 = thermal_vacuum_cm(3.0)
-    lt = integrate_lyapunov(eff, drive, lambda t: (fm.q, fm.a), v0, t_eval)
-    assert lt.means is None and np.array_equal(lt.t, t_eval)
-    for t, v in zip(t_eval, lt.v):
+    v0 = thermal_vacuum_cm(eff.n_th)
+    means, vs = integrate_lyapunov(eff, drive, lambda t: (fm.q, fm.a),
+                                   t_eval)
+    assert means is None and len(vs) == len(t_eval)
+    for t, v in zip(t_eval, vs):
         u = expm(a * t)
         want = u @ (v0 - v_inf) @ u.T + v_inf
         assert np.max(np.abs(v - want)) <= 1e-9 * np.max(np.abs(want))
@@ -247,26 +250,26 @@ def test_engineered_cm_matches_brute_force():
     # co-integrating stepper was 3.4e-9 off (column-scaled)
     t_eval = np.linspace(0.0, 3 * np.pi, 61)
     drive = modulation_components(FIG7, FIG7_TARGET)
-    lt = integrate_lyapunov(FIG7, drive,
-                            engineered_mean_source(FIG7, FIG7_TARGET), None,
-                            t_eval)
+    _, vs = integrate_lyapunov(FIG7, drive,
+                               engineered_mean_source(FIG7, FIG7_TARGET),
+                               t_eval)
     want = _fig7_brute_force(t_eval)
-    got = lt.v[:, VECH[0], VECH[1]]
+    got = vs[:, VECH[0], VECH[1]]
     assert np.max(np.abs(got - want) / np.max(np.abs(want), axis=0)) \
         <= 3.4e-9
-    assert np.max(np.abs(lt.v - lt.v.swapaxes(1, 2))) <= 1e-10
-    assert np.min(symplectic_eigenvalues(lt.v)) >= 0.5 - 1e-6
+    assert np.max(np.abs(vs - vs.swapaxes(1, 2))) <= 1e-10
+    assert np.min(symplectic_eigenvalues(vs)) >= 0.5 - 1e-6
 
 
 def test_late_window_equals_the_run_sampled_from_zero():
     drive = modulation_components(FIG7, FIG7_TARGET)
     source = engineered_mean_source(FIG7, FIG7_TARGET)
     t_eval = np.linspace(0.0, 6 * np.pi, 241)
-    full = integrate_lyapunov(FIG7, drive, source, None, t_eval)
-    late = integrate_lyapunov(FIG7, drive, source, None, t_eval[200:])
-    assert np.array_equal(late.t, t_eval[200:])
-    scale = np.max(np.abs(full.v[200:]), axis=0)
-    assert np.max(np.abs(late.v - full.v[200:]) / scale) <= 1e-9
+    _, full = integrate_lyapunov(FIG7, drive, source, t_eval)
+    _, late = integrate_lyapunov(FIG7, drive, source, t_eval[200:])
+    assert len(late) == len(t_eval) - 200
+    scale = np.max(np.abs(full[200:]), axis=0)
+    assert np.max(np.abs(late - full[200:]) / scale) <= 1e-9
 
 
 def test_mean_sources_take_arrays_of_times():
@@ -286,16 +289,16 @@ def test_divergent_cm_raises_past_the_overflow_guard():
     params = replace(FIG2, delta_a=-1.0)
     drive = DriveSpec(big_omega=0.0, components={})
     with pytest.raises(Diverged, match=r"exceeded 1e\+12 at t = 18$"):
-        integrate_lyapunov(params, drive, lambda t: (0.0, 5e5 + 0j), None,
+        integrate_lyapunov(params, drive, lambda t: (0.0, 5e5 + 0j),
                            np.linspace(0.0, 40.0, 41))
     # the stretch before a single sample
     with pytest.raises(Diverged, match=r"at t = 40$"):
-        integrate_lyapunov(params, drive, lambda t: (0.0, 5e5 + 0j), None,
+        integrate_lyapunov(params, drive, lambda t: (0.0, 5e5 + 0j),
                            [40.0])
     # past the guard long before the last of many samples: each chunk is
     # checked before the next one is judged for its V
     with pytest.raises(Diverged, match=r"exceeded 1e\+12 at t = 18$"):
-        integrate_lyapunov(params, drive, lambda t: (0.0, 5e5 + 0j), None,
+        integrate_lyapunov(params, drive, lambda t: (0.0, 5e5 + 0j),
                            np.linspace(0.0, 1000.0, 1001))
 
 
@@ -303,9 +306,9 @@ def test_interval_route_rejects_what_it_cannot_step():
     drive = DriveSpec(big_omega=0.0, components={})
     # a drift that is not finite fails every halving of its pieces
     with pytest.raises(StepFailure, match="at every part length"):
-        integrate_lyapunov(FIG2, drive, lambda t: (np.nan, 0j), None, [1.0])
+        integrate_lyapunov(FIG2, drive, lambda t: (np.nan, 0j), [1.0])
     with pytest.raises(ValueError, match="t_eval must ascend"):
-        integrate_lyapunov(FIG2, drive, lambda t: (0.0, 0j), None,
+        integrate_lyapunov(FIG2, drive, lambda t: (0.0, 0j),
                            [0.5, 0.2])
 
 
@@ -313,7 +316,7 @@ def test_interval_route_rejects_what_it_cannot_step():
                          ids=["ode", "callable"])
 def test_empty_t_eval_rejected_on_either_route(source):
     with pytest.raises(ValueError, match="t_eval must hold at least one"):
-        integrate_lyapunov(FIG2, FIG2_DRIVE, source, None, [])
+        integrate_lyapunov(FIG2, FIG2_DRIVE, source, [])
 
 
 @pytest.mark.parametrize("source", ["ode", lambda t: (0.0, 0j)],
@@ -322,7 +325,7 @@ def test_empty_t_eval_rejected_on_either_route(source):
                          ids=["descending", "before_zero"])
 def test_t_eval_must_ascend_from_zero_on_either_route(source, t_eval):
     with pytest.raises(ValueError, match="t_eval must ascend"):
-        integrate_lyapunov(FIG2, FIG2_DRIVE, source, None, t_eval)
+        integrate_lyapunov(FIG2, FIG2_DRIVE, source, t_eval)
 
 
 @pytest.mark.parametrize("route", ["means", "ode", "callable"])
@@ -333,18 +336,23 @@ def test_t_eval_at_zero_is_the_rest_state(route):
         assert np.array_equal(got.to_vector(), np.zeros((6, 1)))
         return
     source = "ode" if route == "ode" else (lambda t: (0.0, 0j))
-    given = np.diag(np.arange(1.0, 7.0))
-    for v0, want in ((None, thermal_vacuum_cm(FIG2.n_th)), (given, given)):
-        lt = integrate_lyapunov(FIG2, FIG2_DRIVE, source, v0, [0.0])
-        assert np.array_equal(lt.t, [0.0]) and np.array_equal(lt.v, [want])
+    hot = replace(FIG2, n_th=2.0)
+    for params in (FIG2, hot):
+        means, vs = integrate_lyapunov(params, FIG2_DRIVE, source, [0.0])
+        assert np.array_equal(vs, [thermal_vacuum_cm(params.n_th)])
         if route == "ode":
-            assert np.array_equal(lt.means.to_vector(), np.zeros((6, 1)))
+            assert np.array_equal(means.to_vector(), np.zeros((6, 1)))
+    if route == "callable":     # the interval maps hold any v0 at t = 0
+        given = np.diag(np.arange(1.0, 7.0))
+        assert np.array_equal(_propagate_cm(
+            FIG2, source, given, np.array([0.0]),
+            default_stepper(FIG2_DRIVE)), [given])
 
 
 def test_lyapunov_symmetry_and_physicality_fig2():
     t_eval = np.linspace(0.0, 10 * np.pi, 50)
-    lt = integrate_lyapunov(FIG2, FIG2_DRIVE, "ode", None, t_eval)
-    for v in lt.v:
+    _, vs = integrate_lyapunov(FIG2, FIG2_DRIVE, "ode", t_eval)
+    for v in vs:
         assert np.max(np.abs(v - v.T)) <= 1e-10
         assert np.min(symplectic_eigenvalues(v)) >= 0.5 - 1e-6
 
@@ -379,9 +387,9 @@ def fig4_point_steady_states():
                                   build_diffusion(eff))
     drive = DriveSpec(big_omega=0.0, components={0: 1.2e5})
     horizon = 50.0 / eff.kappa + 20.0 / eff.gamma_m
-    lt = integrate_lyapunov(eff, drive, lambda t: (fm.q, fm.a), None,
-                            [horizon])
-    return v_alg, lt.v[-1]
+    _, vs = integrate_lyapunov(eff, drive, lambda t: (fm.q, fm.a),
+                               [horizon])
+    return v_alg, vs[-1]
 
 
 def test_steady_state_matches_long_time_integration_fig4_point():
@@ -531,11 +539,13 @@ def test_propagator_form_agrees_over_one_step():
 
 def test_unphysical_alarm_triggers_on_bogus_cm():
     drive = DriveSpec(big_omega=0.0, components={})
+    # the rest state of n_th = -1/2 (which validate_params rejects) has a
+    # zero mirror CM
     params = SystemParams(delta_a=1.0, kappa=2.0, gamma_m=0.1, g=0.0,
-                          delta_c=-1.0, gamma_a=0.1, g0_collective=0.0)
+                          delta_c=-1.0, gamma_a=0.1, g0_collective=0.0,
+                          n_th=-0.5)
     with pytest.raises(NonPhysical):
-        integrate_lyapunov(params, drive, lambda t: (0.0, 0j),
-                           np.zeros((6, 6)), [0.0, 1.0])
+        integrate_lyapunov(params, drive, lambda t: (0.0, 0j), [0.0, 1.0])
 
 
 def _random_cms(rng, count):
@@ -683,9 +693,9 @@ def test_periodic_run_matches_brute_force_fig5a(tmp_path):
 
     t_end = 200 * np.pi
     t_eval = np.linspace(FIG5A_T0, t_end, 100)
-    lt = integrate_lyapunov(FIG2, FIG2_DRIVE, "ode", None, t_eval)
+    _, vs = integrate_lyapunov(FIG2, FIG2_DRIVE, "ode", t_eval)
     iu = np.triu_indices(6)
-    want = lt.v[:, iu[0], iu[1]]
+    want = vs[:, iu[0], iu[1]]
     assert np.array_equal(rows[:, 0], t_eval)
     scale = np.max(np.abs(want), axis=0)
     assert np.max(np.abs(rows[:, 1:] - want) / scale) <= 1e-7
