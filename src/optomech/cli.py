@@ -72,7 +72,11 @@ def main(argv=None) -> int:
         doc = load_recipe(recipe) if recipe else {}
         if args.config:
             with open(args.config) as fh:
-                doc.update(json.load(fh))
+                loaded = json.load(fh)
+            if not isinstance(loaded, dict):
+                raise ValueError(f"{args.config} must hold a block (a JSON "
+                                 "object)")
+            doc.update(loaded)
         if args.command == "wigner":    # the manifest echoes what ran
             if args.times:
                 doc["wigner_times"] = _times(args.times)

@@ -3,15 +3,16 @@
 solve decides, in one place, how a run, a sweep cell or a stability
 report reaches its samples: the working point, the periodic state or an
 integration from t = 0.  The working point and the periodic state both
-take their CM and their verdict from fluctuations.lyapunov_harmonics, a
-constant drive as its N = 0 case.  A run writes one file per requested
-output from what solve returns, plus a JSON manifest echoing the
-resolved configuration.
+take their CM from fluctuations.lyapunov_harmonics and their verdict
+from fluctuations.floquet_exponent, a constant drive as their N = 0
+case.  A run writes one file per requested output from what solve
+returns, plus a JSON manifest echoing the resolved configuration.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -31,13 +32,16 @@ from .model import DriveSpec, EngineeredCoupling, FirstMoments, \
 from .moments import floquet_recurse, integrate_first_moments, \
     steady_state_constant
 from .numerics import StepperConfig
-from .tables import write_cm_csv, write_rows, write_trajectory_csv, \
-    write_wigner_csv
+from .tables import grid_columns, write_cm_csv, write_rows, \
+    write_trajectory_csv, write_wigner_csv
 
 KNOWN_OUTPUTS = ("first_moments", "cm", "EN", "variance", "neff",
                  "squeezing", "principal_axis", "wigner", "stability")
 MEASURE_OUTPUTS = ("cm", "EN", "variance", "neff", "squeezing",
                    "principal_axis", "wigner")
+# The most samples a window and the most cells a sweep may hold, which
+# validate names: a window of COUNT_LIMIT samples holds 288 MB of CMs.
+COUNT_LIMIT = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -101,6 +105,9 @@ class ExperimentConfig:
                               "scalar parameter")
             if ax.points < 1:
                 report.append(f"sweep axis '{ax.name}' needs points >= 1")
+        cells = math.prod(ax.points for ax in self.sweep)
+        if cells > COUNT_LIMIT and all(ax.points >= 1 for ax in self.sweep):
+            report.append(f"the sweep's {cells} cells exceed {COUNT_LIMIT}")
         report.extend(validate_params(self.params, self.drive))
         if self.first_moment_source not in ("ode", "engineered"):
             report.append("unknown first_moment_source "
@@ -134,6 +141,12 @@ class ExperimentConfig:
                 report.append(f"{name} must be positive")
         if self.samples_per_period < 1:
             report.append("samples_per_period must be at least 1")
+        # a sweep cell's window is its last period
+        samples = (1.0 if self.sweep else self.sample_periods) \
+            * self.samples_per_period
+        if samples > COUNT_LIMIT:
+            report.append(f"the window's {samples:.6g} samples exceed "
+                          f"{COUNT_LIMIT}")
         if self.wigner_times:
             t_end = self.horizon_periods * (2.0 * np.pi / drive.big_omega)
             bad = [t for t in self.wigner_times if not 0.0 <= t <= t_end]
@@ -319,12 +332,12 @@ def solve(cfg: ExperimentConfig, require_verdict: bool = False):
     Every run, sweep cell and stability report decides here, from its
     config alone, which samples it takes and how they are reached.  A
     constant drive is sampled at its working point (t = [0]), one cell
-    of _constant_cells: the N = 0 case of lyapunov_harmonics, whose
-    exponent gives the Hurwitz verdict.  A modulated drive is sampled
-    over the last sample_periods of the horizon (clamped at t = 0),
-    samples_per_period to a period, with the wigner_times added; an
-    integration runs from rest at t = 0, zero means and the
-    thermal-vacuum CM, to its last sample:
+    of _constant_cells: the N = 0 case of floquet_exponent, the Hurwitz
+    verdict, and of lyapunov_harmonics, the CM of a Hurwitz drift.  A
+    modulated drive is sampled over the last sample_periods of the
+    horizon (clamped at t = 0), samples_per_period to a period, with the
+    wigner_times added; an integration runs from rest at t = 0, zero
+    means and the thermal-vacuum CM, to its last sample:
 
     * The periodic solve at t0 = t[0] gives stability.  It runs
       whenever the verdict is asked for or required (require_verdict, as
@@ -491,7 +504,8 @@ def compare_sources(cfg: ExperimentConfig) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 
 # Constant-drive sweep cells are solved this many at a time as arrays;
-# one block's _constant_cells call peaks at 3.1 MB (tracemalloc).
+# one block's _constant_cells call peaks at 2.2 MB (tracemalloc, a block
+# of Hurwitz cells only).
 SWEEP_BLOCK = 256
 
 
@@ -592,5 +606,6 @@ def run_sweep(cfg: ExperimentConfig, out_path: Path) -> Path:
             en, physical = log_negativity_stack(reduce_atom_mirror_stack(v))
             results += zip(map(_cell_status, errors, physical), en.tolist())
     write_rows(out_path, [ax.name for ax in cfg.sweep] + ["status", "EN"],
-               (*columns, *zip(*results)))
+               (*grid_columns(ax.values() for ax in cfg.sweep),
+                *zip(*results)))
     return out_path

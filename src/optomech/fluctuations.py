@@ -13,12 +13,13 @@ each piece of the gaps between samples acts on V as V -> U V U^T + W,
 and U and W are stepped a chunk of pieces at once as arrays, from one
 build_drift call per chunk, whose maps then act on V (_propagate_cm); no
 RHS is called one time at a time.
-lyapunov_harmonics is the one algebraic solve of both drive kinds: the
-periodic CM's harmonics and the Floquet exponent from the drift's, for a
-modulated drive from periodic_state's harmonic balance, and for a
-constant drive at N = 0, where it is A V + V A^T + D = 0 and the Hurwitz
-test (lyapunov_stack).  stability_check turns the exponent into the
-verdict.
+lyapunov_harmonics is the one algebraic CM solve of both drive kinds,
+and floquet_exponent the one verdict: the periodic CM's harmonics and
+the Floquet exponent from the drift's, for a modulated drive from
+periodic_state's harmonic balance, and for a constant drive at N = 0,
+where they are A V + V A^T + D = 0 and the Hurwitz test
+(lyapunov_stack, which solves the CM of the cells that pass it alone).
+stability_check turns the exponent into the verdict.
 
 Quadrature ordering is (dq, dp, dX, dY, dx, dy); vacuum variance 1/2.
 The stepper, the algebraic solves and every returned CM series carry the
@@ -365,51 +366,84 @@ class PeriodicState:
         return (phases @ self.means).real, (phases @ self.cm).real[:, UNVECH]
 
 
+def floquet_exponent(m: np.ndarray, big_omega: float) -> np.ndarray:
+    """(cells,) Floquet exponents of stacked drifts: the verdict of both
+    drive kinds, max |mu| = exp(tau exponent).
+
+    m (cells, 2N+1, 6, 6) holds the harmonics M_n, n = -N..N, of each
+    drift; a constant drive is N = 0, where the exponent is max Re eig
+    M_0 and a negative one makes the drift Hurwitz.  At N > 0 it is max
+    Re lambda over the 6 Hill eigenvalues that weigh most on the centre
+    harmonic.  NaN where m is not finite.
+    """
+    cells, n = len(m), m.shape[1] // 2
+    finite = np.isfinite(m).all(axis=(1, 2, 3))
+    m = np.where(finite[:, None, None, None], m, -np.eye(6))
+    if n:
+        # Hill matrix, blocks M_{k-j} - i k Omega delta_kj, in the basis
+        # (p_0, (p_k + p_-k)/sqrt2, i (p_k - p_-k)/sqrt2): real, with the
+        # centre block as it was
+        ks, r, k = np.arange(-n, n + 1), np.sqrt(0.5), np.arange(1, n + 1)
+        m = np.pad(m, ((0, 0), (n, n), (0, 0), (0, 0)))
+        u = np.eye(2 * n + 1, dtype=complex)
+        u[n + k, n - k], u[n - k, n + k], u[n - k, n - k] = 1.0, 1j, -1j
+        u = np.kron(np.where(ks == 0, 1.0, r)[:, None] * u, np.eye(6))
+        hill = m[:, ks[:, None] - ks + 2 * n].transpose(0, 1, 3, 2, 4) \
+            .reshape(cells, len(u), -1) \
+            - 1j * big_omega * np.diag(np.repeat(ks, 6))
+        lam, vec = np.linalg.eig((u @ hill @ u.conj().T).real)
+        top = np.argsort(np.sum(np.abs(vec[:, 6 * n:6 * n + 6]) ** 2,
+                                axis=1))[:, -6:]
+        lam = np.take_along_axis(lam, top, axis=1)
+    else:
+        lam = np.linalg.eigvals(m[:, 0])
+    return np.where(finite, lam.real.max(axis=1), np.nan)
+
+
 def lyapunov_harmonics(m: np.ndarray, d: np.ndarray, big_omega: float
-                       ) -> tuple[np.ndarray, np.ndarray,
-                                  list[SimulationError | None]]:
-    """(v, exponent, errors) of stacked cells: the periodic CM and the
-    Floquet verdict of both drive kinds.
+                       ) -> tuple[np.ndarray, list[SimulationError | None]]:
+    """(v, errors) of stacked cells: the periodic CM of both drive kinds,
+    whose verdict floquet_exponent gives.
 
     m (cells, 2N+1, 6, 6) holds the harmonics M_n, n = -N..N, of each
     drift, d (cells, 6, 6) the diffusions; a constant drive is N = 0.  v
     (cells, 2N+1, 21) holds the harmonics vech V_k, V_-k = conj V_k, of
     sum_j B_{k-j} vech V_j - i k Omega vech V_k = -vech D delta_k0: one
-    real system per cell in Re V_0..V_N, Im V_1..V_N, filled a row of
-    blocks at a time (real at N = 0), solved in one LAPACK call.  exponent
-    is max Re lambda over the 6 Hill eigenvalues that weigh most on the
-    centre harmonic, all the drift's at N = 0; max |mu| = exp(tau
-    exponent).  errors[i] is None, or Singular with v[i] NaN: m is not
-    finite, or the solve or the equation keeps a residual above its
-    bound.  A failing cell leaves its neighbours' results as they would
-    be alone.
+    real system per cell in Re V_0..V_N, Im V_1..V_N, solved in one
+    LAPACK call.  At N > 0 it is filled a row of blocks at a time; at
+    N = 0 it is B_0 itself and v is real.  errors[i] is None, or Singular
+    with v[i] NaN: m is not finite, or the solve or the equation keeps a
+    residual above its bound.  A failing cell leaves its neighbours'
+    results as they would be alone.  m may hold no cell.
     """
     cells, n = len(m), m.shape[1] // 2
     finite = np.isfinite(m).all(axis=(1, 2, 3))
-    # M_n over n = -2N..2N; a cell that is not finite is solved as -I
-    m = np.pad(np.where(finite[:, None, None, None], m, -np.eye(6)),
-               ((0, 0), (n, n), (0, 0), (0, 0)))
+    if not finite.all():        # a cell that is not finite is solved as -I
+        m = np.where(finite[:, None, None, None], m, -np.eye(6))
+    if n:                       # M_n over n = -2N..2N
+        m = np.pad(m, ((0, 0), (n, n), (0, 0), (0, 0)))
     ks = np.arange(-n, n + 1)
     toeplitz = m[:, ks[:, None] - ks + 2 * n]             # M_{k-j}
-    js = np.arange(n + 1)
-    b = (m.reshape(-1, 36) @ _LYAPUNOV).reshape(cells, -1, 21, 21)  # B_n
-    a = np.empty((cells, 21 * (2 * n + 1), 21 * (2 * n + 1)))
-    blocks = a.reshape(cells, 2 * n + 1, 21, 2 * n + 1, 21)
-    norm = np.zeros(cells)          # max row sum of |a|, block by block
-    for k in js:        # B_{k-j} on V_j, B_{k+j} on V_-j = conj V_j
-        c = b[:, n + k:2 * n + k + 1][:, ::-1]
-        p = b[:, 2 * n + k + 1:3 * n + k + 1]
-        x, y = c[:, 1:] + p, c[:, 1:] - p     # on Re V_j, on i Im V_j
-        if k:
-            ck = c[:, k] - 1j * big_omega * k * np.eye(21)
-            x[:, k - 1], y[:, k - 1] = ck + p[:, k - 1], ck - p[:, k - 1]
-        # Re of row k, and Im of row k > 0 (that of row 0 vanishes)
-        for row, part in ((k, np.real), (n + k, np.imag))[:1 + (k > 0)]:
-            blocks[:, row, :, 0] = part(c[:, 0])
-            blocks[:, row, :, 1:n + 1] = part(x).swapaxes(1, 2)
-            blocks[:, row, :, n + 1:] = part(1j * y).swapaxes(1, 2)
-            norm = np.maximum(norm, np.max(np.sum(np.abs(blocks[:, row]),
-                                                  axis=(2, 3)), axis=1))
+    b = (m.reshape(-1, 36) @ _LYAPUNOV).reshape(m.shape[:2] + (21, 21))
+    if n:
+        a = np.empty((cells, 21 * (2 * n + 1), 21 * (2 * n + 1)))
+        blocks = a.reshape(cells, 2 * n + 1, 21, 2 * n + 1, 21)
+        for k in range(n + 1):
+            # B_{k-j} on V_j, B_{k+j} on V_-j = conj V_j
+            c = b[:, n + k:2 * n + k + 1][:, ::-1]
+            p = b[:, 2 * n + k + 1:3 * n + k + 1]
+            x, y = c[:, 1:] + p, c[:, 1:] - p     # on Re V_j, on i Im V_j
+            if k:
+                ck = c[:, k] - 1j * big_omega * k * np.eye(21)
+                x[:, k - 1], y[:, k - 1] = ck + p[:, k - 1], ck - p[:, k - 1]
+            # Re of row k, and Im of row k > 0 (that of row 0 vanishes)
+            for row, part in ((k, np.real), (n + k, np.imag))[:1 + (k > 0)]:
+                blocks[:, row, :, 0] = part(c[:, 0])
+                blocks[:, row, :, 1:n + 1] = part(x).swapaxes(1, 2)
+                blocks[:, row, :, n + 1:] = part(1j * y).swapaxes(1, 2)
+    else:
+        a = b[:, 0]             # B_0 on V_0
+    norm = np.max(np.abs(a) @ np.ones(a.shape[2]), axis=1)  # max row sum
     rhs = np.zeros(a.shape[:2] + (1,))
     rhs[:, :21, 0] = -d[:, VECH[0], VECH[1]]
     try:
@@ -421,9 +455,11 @@ def lyapunov_harmonics(m: np.ndarray, d: np.ndarray, big_omega: float
         for j in range(cells):
             with contextlib.suppress(np.linalg.LinAlgError):
                 x[j] = np.linalg.solve(a[j], rhs[j])
-    pos = (x[:, 21:21 * (n + 1), 0] + 1j * x[:, 21 * (n + 1):, 0]) \
-        .reshape(cells, n, 21)
-    vh = np.concatenate((pos[:, ::-1].conj(), x[:, None, :21, 0], pos), 1)
+    vh = x[:, None, :21, 0]
+    if n:
+        pos = (x[:, 21:21 * (n + 1), 0] + 1j * x[:, 21 * (n + 1):, 0]) \
+            .reshape(cells, n, 21)
+        vh = np.concatenate((pos[:, ::-1].conj(), vh, pos), 1)
     vs = vh[..., UNVECH]
     cell_max = lambda z: np.max(np.abs(z), axis=tuple(range(1, z.ndim)))
     with np.errstate(invalid="ignore", over="ignore"):
@@ -431,56 +467,39 @@ def lyapunov_harmonics(m: np.ndarray, d: np.ndarray, big_omega: float
         conv = np.sum(toeplitz @ vs[:, None], axis=2)      # (M * V)_k
         solve = cell_max(a @ x - rhs) / np.maximum(
             1e-300, 1e-10 * (norm * cell_max(x) + cell_max(rhs)))
-        resid = conv + conv.swapaxes(2, 3) \
-            - 1j * big_omega * ks[:, None, None] * vs
+        resid = conv + conv.swapaxes(2, 3)
+        if n:
+            resid = resid - 1j * big_omega * ks[:, None, None] * vs
         resid[:, n] += d
         equation = cell_max(resid) / (1e-10 * np.maximum(
             np.maximum(1.0, cell_max(d)), cell_max(m) * cell_max(vs)))
     good = finite & np.isfinite(x).all(axis=(1, 2)) & (solve <= 1.0) \
         & (equation <= 1.0)
-    del a, blocks       # the Hill eig below reuses the system's memory
-    if n:
-        # Hill matrix, blocks M_{k-j} - i k Omega delta_kj, in the basis
-        # (p_0, (p_k + p_-k)/sqrt2, i (p_k - p_-k)/sqrt2): real, with the
-        # centre block as it was
-        r, k = np.sqrt(0.5), np.arange(1, n + 1)
-        u = np.eye(2 * n + 1, dtype=complex)
-        u[n + k, n - k], u[n - k, n + k], u[n - k, n - k] = 1.0, 1j, -1j
-        u = np.kron(np.where(ks == 0, 1.0, r)[:, None] * u, np.eye(6))
-        hill = toeplitz.transpose(0, 1, 3, 2, 4).reshape(cells, len(u), -1) \
-            - 1j * big_omega * np.diag(np.repeat(ks, 6))
-        lam, vec = np.linalg.eig((u @ hill @ u.conj().T).real)
-        top = np.argsort(np.sum(np.abs(vec[:, 6 * n:6 * n + 6]) ** 2,
-                                axis=1))[:, -6:]
-        lam = np.take_along_axis(lam, top, axis=1)
-    else:
-        lam = np.linalg.eigvals(m[:, 0])
-    exponent = np.where(finite, lam.real.max(axis=1), np.nan)
     errors: list[SimulationError | None] = [None] * cells
     for j in np.flatnonzero(~good):
         errors[j] = Singular(
             f"residuals {solve[j]:.3g} (solve) and {equation[j]:.3g} "
             "(equation) times their bounds; system numerically singular"
             if finite[j] else "drift matrix is not finite")
-    return np.where(good[:, None, None], vh, np.nan), exponent, errors
+    return np.where(good[:, None, None], vh, np.nan), errors
 
 
 def periodic_state(params: SystemParams, drive: DriveSpec, t0: float,
                    cfg: StepperConfig | None = None) -> PeriodicState:
     """Limit cycle, periodic CM and Floquet verdict at t0, as harmonics:
     the means by harmonic balance (moments.periodic_means, started from
-    floquet_recurse's series), the CM and the verdict by
-    lyapunov_harmonics; nothing is integrated.  N is the first of
-    HB_ORDERS at which |A_M| / max |A_n| and |V_M| / |V_0| are within
-    rel_tol, trying only orders of at least twice the drive's highest
-    harmonic (the last order when none is): the products of the
-    harmonics of <a> reach that far, and a lower order can pass its
-    truncation test while it misses them.  M = k floor(N / k), k the gcd
-    of the drive's nonzero harmonic numbers: <a> and V have harmonics
-    only at multiples of k, so |A_N| would read 0 whenever k does not
-    divide N.  Raises a SimulationError when the cycle cannot be found:
-    a singular denominator or CM system, or NoConvergence (Newton, or
-    N)."""
+    floquet_recurse's series), the CM by lyapunov_harmonics at each
+    order tried, and the verdict by floquet_exponent at the order that
+    passes; nothing is integrated.  N is the first of HB_ORDERS at which
+    |A_M| / max |A_n| and |V_M| / |V_0| are within rel_tol, trying only
+    orders of at least twice the drive's highest harmonic (the last order
+    when none is): the products of the harmonics of <a> reach that far,
+    and a lower order can pass its truncation test while it misses them.
+    M = k floor(N / k), k the gcd of the drive's nonzero harmonic
+    numbers: <a> and V have harmonics only at multiples of k, so |A_N|
+    would read 0 whenever k does not divide N.  Raises a SimulationError
+    when the cycle cannot be found: a singular denominator or CM system,
+    or NoConvergence (Newton, or N)."""
     cfg = default_stepper(drive, cfg)
     series = floquet_recurse(params, drive)
     g, gr = params.g, np.sqrt(2.0) * params.g
@@ -497,7 +516,7 @@ def periodic_state(params: SystemParams, drive: DriveSpec, t0: float,
             m[n] = build_drift(params, 0.0, 0j)
             m[:, [2, 3, 1, 3, 1, 2], [3, 2, 2, 0, 3, 0]] += \
                 np.array([-g, g, gr, gr, gr, -gr]) * y[:, [0, 0, 2, 2, 3, 3]]
-            (cm,), (exponent,), (error,) = lyapunov_harmonics(
+            (cm,), (error,) = lyapunov_harmonics(
                 m[None], build_diffusion(params)[None], drive.big_omega)
             if error is not None:
                 raise error
@@ -509,6 +528,7 @@ def periodic_state(params: SystemParams, drive: DriveSpec, t0: float,
         raise NoConvergence(
             f"harmonic balance truncation {truncation:.3g} above rel_tol "
             f"{cfg.rel_tol:g} at N = {HB_ORDERS[-1]}")
+    (exponent,) = floquet_exponent(m[None], drive.big_omega)
     mu = float(np.exp(drive.period * exponent))
     with np.errstate(over="ignore"):
         residue = float(np.power(mu, np.floor(t0 / drive.period)))
@@ -539,19 +559,27 @@ def lyapunov_stack(a: np.ndarray, d: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray,
                               list[SimulationError | None]]:
     """Algebraic steady states A V + V A^T + D = 0 of stacked 6x6 cells:
-    lyapunov_harmonics at N = 0.
+    the Hurwitz test (floquet_exponent at N = 0) of every cell, then
+    lyapunov_harmonics at N = 0 on the cells it does not rule out.
 
     a and d are (cells, 6, 6).  Returns (v, margin, errors): margin is
     max Re eig(A), and errors[i] is None or cell i's failure with v[i]
-    NaN.  NotStable: A is not Hurwitz.  Singular: as lyapunov_harmonics.
+    NaN.  NotStable: A is not Hurwitz, and its CM is not solved.
+    Singular: as lyapunov_harmonics.
     """
-    vh, margin, errors = lyapunov_harmonics(
-        np.asarray(a, dtype=float)[:, None], np.asarray(d, dtype=float), 0.0)
-    v = vh[:, 0].real[:, UNVECH]
+    a = np.asarray(a, dtype=float)[:, None]
+    margin = floquet_exponent(a, 0.0)
+    solved = np.flatnonzero(~(margin >= 0.0))      # NaN: a is not finite
+    vh, found = lyapunov_harmonics(a[solved],
+                                   np.asarray(d, dtype=float)[solved], 0.0)
+    v = np.full((len(a), 6, 6), np.nan)
+    v[solved] = vh[:, 0, UNVECH]
+    errors: list[SimulationError | None] = [None] * len(a)
+    for i, error in zip(solved.tolist(), found):
+        errors[i] = error
     for i in np.flatnonzero(margin >= 0.0):
         errors[i] = NotStable(f"drift matrix not Hurwitz (max Re eig = "
                               f"{margin[i]:g})")
-        v[i] = np.nan
     return v, margin, errors
 
 

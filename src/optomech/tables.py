@@ -7,6 +7,7 @@ long the table is.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -58,13 +59,17 @@ def write_cm_csv(path: Path, t, vs) -> None:
     write_rows(path, header, (t, *np.asarray(vs)[:, VECH[0], VECH[1]].T))
 
 
-def write_wigner_csv(path: Path, grid) -> None:
-    """x-major rows (x, y, W(x, y)) over the grid's two axes.
+def grid_columns(axes) -> list[list[str]]:
+    """Text columns of the grid over axes, one row per point, the last
+    axis fastest: each axis value is formatted once and its text
+    repeated down its column."""
+    texts = [list(_cells(ax)) for ax in axes]
+    sizes = [len(text) for text in texts]
+    return [[x for x in text for _ in range(math.prod(sizes[i + 1:]))]
+            * math.prod(sizes[:i]) for i, text in enumerate(texts)]
 
-    Each axis value is formatted once and its text repeated down the
-    x and y columns.
-    """
-    x_txt, y_txt = (list(_cells(ax)) for ax in grid.axes)
+
+def write_wigner_csv(path: Path, grid) -> None:
+    """x-major rows (x, y, W(x, y)) over the grid's two axes."""
     write_rows(path, ["x", "y", "w"],
-               ([x for x in x_txt for _ in y_txt], y_txt * len(x_txt),
-                grid.values.ravel()))
+               (*grid_columns(grid.axes), grid.values.ravel()))

@@ -421,6 +421,60 @@ def test_cli_names_a_times_entry_that_is_no_number(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("text", ["[1, 2]", '"fig5a"', "null"])
+def test_cli_names_a_config_file_that_is_no_block(tmp_path, capsys, text):
+    path = tmp_path / "x.json"
+    path.write_text(text)
+    assert cli_main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: invalid configuration: {path} must hold a block (a "
+        "JSON object)\n")
+    assert not (tmp_path / "run").exists()
+
+
+def _square_sweep(points):
+    def edit(doc):
+        for axis in doc["sweep"]["axes"]:
+            axis["points"] = points
+    return edit
+
+
+@pytest.mark.parametrize("recipe, edit, message", [
+    ("fig5a", _set("samples_per_period", 1e9),
+     "the window's 2e+09 samples exceed 1000000"),
+    ("fig5a", _set("sample_periods", 5001.0),
+     "the window's 1.0002e+06 samples exceed 1000000"),
+    ("fig4a", _square_sweep(1001),
+     "the sweep's 1002001 cells exceed 1000000"),
+])
+def test_counts_above_the_limit_are_named(tmp_path, capsys, recipe, edit,
+                                          message):
+    # 1e9 samples a period once validated clean: solve would have asked
+    # np.linspace for 2e9 samples
+    assert experiment.COUNT_LIMIT == 10 ** 6
+    doc = load_recipe(recipe)
+    edit(doc)
+    assert config_from_dict(doc).validate() == [message]
+    assert cli_main(["simulate", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: invalid configuration: {message}\n")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("recipe, edit", [
+    ("fig5a", _set("sample_periods", 5000.0)),     # 200 a period
+    ("fig4a", _square_sweep(1000)),
+    # a sweep cell samples its last period alone
+    ("fig4a", lambda doc: doc.update(sample_periods=1e9)),
+])
+def test_counts_at_the_limit_validate(recipe, edit):
+    doc = load_recipe(recipe)
+    edit(doc)
+    assert config_from_dict(doc).validate() == []
+
+
 def test_cli_simulate_with_config(tmp_path, capsys):
     doc = dict(FIG2_DOC)
     doc["outputs"] = ["EN"]
@@ -644,6 +698,24 @@ def test_fig4a_sweep_matches_independent_oracle(tmp_path):
     assert len(expected) == 625
     bad, problems = check.compare_sweep(expected, written["sweep"])
     assert bad == 0, problems
+
+
+def test_fig4a_sweep_solves_the_hurwitz_cells_alone(tmp_path, monkeypatch):
+    # the batched CM solve receives every Hurwitz cell and no other: 490
+    # of fig4a's 625, the rest read "unstable"
+    solved = []
+    harmonics = fluctuations.lyapunov_harmonics
+
+    def spy(m, d, big_omega):
+        assert np.all(np.max(np.linalg.eigvals(m[:, 0]).real, axis=1) < 0)
+        solved.append(len(m))
+        return harmonics(m, d, big_omega)
+
+    monkeypatch.setattr(fluctuations, "lyapunov_harmonics", spy)
+    written = run_experiment(config_from_dict(load_recipe("fig4a")), tmp_path)
+    statuses = [row[2] for row in read_sweep(written["sweep"])]
+    assert len(solved) == -(-625 // experiment.SWEEP_BLOCK)
+    assert sum(solved) == 625 - statuses.count("unstable") == 490
 
 
 # |EN - EN_oracle| <= FIG4B_EN_RTOL * EN_oracle on every stable fig4b cell.

@@ -7,6 +7,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm, solve_continuous_lyapunov, \
     solve_discrete_lyapunov
 
+from optomech import fluctuations as fluctuations_module
 from optomech.engineering import engineered_mean_source, \
     modulation_components
 from optomech.errors import Diverged, NonPhysical, NotStable, Singular, \
@@ -479,6 +480,56 @@ def test_lyapunov_stack_isolates_failed_solve(monkeypatch):
     assert np.isnan(v[1]).all()
     assert np.array_equal(v[0], alone[0])
     assert np.array_equal(v[2], alone[1])
+
+
+def _mixed_block():
+    """(a, d): Hurwitz fig4 cells between a non-Hurwitz, a non-finite and
+    a near-singular (Hurwitz, subnormal slowest rate) drift."""
+    a, d = fig4_stack([(1.2e5, 1.0), (2e5, 2.5), (5e4, 0.5)])
+    bad = np.eye(6)
+    bad[2, 3] = np.nan
+    a = np.stack((a[0], np.eye(6), a[1], bad,
+                  np.diag([-1e-320, -1.0, -1.0, -1.0, -1.0, -1.0]), a[2]))
+    d = np.stack((d[0], np.eye(6), d[1], np.eye(6), np.eye(6), d[2]))
+    return a, d
+
+
+@pytest.mark.parametrize("cells, kinds", [
+    (slice(None), [None, NotStable, None, Singular, Singular, None]),
+    (slice(1, 2), [NotStable]),                  # no Hurwitz cell
+    (slice(1, 4, 2), [NotStable, Singular]),     # no Hurwitz cell
+    (slice(0, 1), [None]),                       # one cell
+])
+def test_lyapunov_stack_cells_are_as_alone(cells, kinds):
+    # each cell's v, margin and error come out of a block bit for bit as
+    # the cell gives them alone, whichever cells share the block
+    a, d = (x[cells] for x in _mixed_block())
+    v, margin, errors = lyapunov_stack(a, d)
+    assert [type(e) if e else None for e in errors] == kinds
+    for i, (ai, di) in enumerate(zip(a, d)):
+        (vi,), (mi,), (ei,) = lyapunov_stack(ai[None], di[None])
+        assert np.array_equal(v[i], vi, equal_nan=True)
+        assert np.array_equal(margin[i], mi, equal_nan=True)
+        assert str(errors[i]) == str(ei)
+        assert np.isnan(vi).all() == (ei is not None)
+
+
+def test_lyapunov_stack_solves_only_the_cells_it_cannot_rule_out(
+        monkeypatch):
+    seen = []
+    harmonics = fluctuations_module.lyapunov_harmonics
+
+    def spy(m, d, big_omega):
+        seen.append(m.copy())
+        return harmonics(m, d, big_omega)
+
+    monkeypatch.setattr(fluctuations_module, "lyapunov_harmonics", spy)
+    a, d = _mixed_block()
+    lyapunov_stack(a, d)
+    # the Hurwitz cells and the one whose drift is not finite
+    assert np.array_equal(seen[0][:, 0], a[[0, 2, 3, 4, 5]], equal_nan=True)
+    lyapunov_stack(a[1:2], d[1:2])
+    assert seen[1].shape == (0, 1, 6, 6)
 
 
 def test_stability_decoupled_margin():

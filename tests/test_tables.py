@@ -6,7 +6,8 @@ import pytest
 from optomech import tables
 from optomech.fluctuations import UNVECH, VECH
 from optomech.measures import WignerGrid, wigner
-from optomech.tables import write_cm_csv, write_rows, write_wigner_csv
+from optomech.tables import grid_columns, write_cm_csv, write_rows, \
+    write_wigner_csv
 
 SPECIALS = [float("nan"), float("inf"), float("-inf"), -0.0, 1e16, 1e-5,
             5e-324, 0.1, -2.5, 1.0, 123456789.123]
@@ -117,3 +118,11 @@ def test_cm_row_is_the_state_vech(tmp_path):
     assert np.array_equal(np.array(cells[1:])[UNVECH], v)
     for name, x in zip(names[1:], cells[1:]):
         assert x == v[int(name[1]) - 1, int(name[2]) - 1]
+
+
+@pytest.mark.parametrize("shape", [(4,), (1,), (3, 5), (5, 1), (2, 3, 4)])
+def test_grid_columns_are_the_meshgrid_in_text(shape):
+    axes = [np.array(SPECIALS[:n]) * (k + 1) for k, n in enumerate(shape)]
+    want = [[repr(x) for x in col.ravel().tolist()]
+            for col in np.meshgrid(*axes, indexing="ij")]
+    assert grid_columns(axes) == want
