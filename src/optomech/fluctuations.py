@@ -412,14 +412,11 @@ def lyapunov_harmonics(m: np.ndarray, d: np.ndarray, big_omega: float
     real system per cell in Re V_0..V_N, Im V_1..V_N, solved in one
     LAPACK call.  At N > 0 it is filled a row of blocks at a time; at
     N = 0 it is B_0 itself and v is real.  errors[i] is None, or Singular
-    with v[i] NaN: m is not finite, or the solve or the equation keeps a
-    residual above its bound.  A failing cell leaves its neighbours'
-    results as they would be alone.  m may hold no cell.
+    with v[i] NaN: the solve or the equation keeps a residual above its
+    bound, or a NaN one.  A failing cell leaves its neighbours' results
+    as they would be alone.  m may hold no cell.
     """
     cells, n = len(m), m.shape[1] // 2
-    finite = np.isfinite(m).all(axis=(1, 2, 3))
-    if not finite.all():        # a cell that is not finite is solved as -I
-        m = np.where(finite[:, None, None, None], m, -np.eye(6))
     if n:                       # M_n over n = -2N..2N
         m = np.pad(m, ((0, 0), (n, n), (0, 0), (0, 0)))
     ks = np.arange(-n, n + 1)
@@ -473,14 +470,13 @@ def lyapunov_harmonics(m: np.ndarray, d: np.ndarray, big_omega: float
         resid[:, n] += d
         equation = cell_max(resid) / (1e-10 * np.maximum(
             np.maximum(1.0, cell_max(d)), cell_max(m) * cell_max(vs)))
-    good = finite & np.isfinite(x).all(axis=(1, 2)) & (solve <= 1.0) \
+    good = np.isfinite(x).all(axis=(1, 2)) & (solve <= 1.0) \
         & (equation <= 1.0)
     errors: list[SimulationError | None] = [None] * cells
     for j in np.flatnonzero(~good):
         errors[j] = Singular(
             f"residuals {solve[j]:.3g} (solve) and {equation[j]:.3g} "
-            "(equation) times their bounds; system numerically singular"
-            if finite[j] else "drift matrix is not finite")
+            "(equation) times their bounds; system numerically singular")
     return np.where(good[:, None, None], vh, np.nan), errors
 
 
@@ -560,26 +556,27 @@ def lyapunov_stack(a: np.ndarray, d: np.ndarray
                               list[SimulationError | None]]:
     """Algebraic steady states A V + V A^T + D = 0 of stacked 6x6 cells:
     the Hurwitz test (floquet_exponent at N = 0) of every cell, then
-    lyapunov_harmonics at N = 0 on the cells it does not rule out.
+    lyapunov_harmonics at N = 0 on the Hurwitz cells alone.
 
     a and d are (cells, 6, 6).  Returns (v, margin, errors): margin is
     max Re eig(A), and errors[i] is None or cell i's failure with v[i]
-    NaN.  NotStable: A is not Hurwitz, and its CM is not solved.
-    Singular: as lyapunov_harmonics.
+    NaN.  NotStable: A is not Hurwitz.  Singular: A is not finite (NaN
+    margin), or as lyapunov_harmonics.
     """
     a = np.asarray(a, dtype=float)[:, None]
     margin = floquet_exponent(a, 0.0)
-    solved = np.flatnonzero(~(margin >= 0.0))      # NaN: a is not finite
-    vh, found = lyapunov_harmonics(a[solved],
-                                   np.asarray(d, dtype=float)[solved], 0.0)
+    hurwitz = np.flatnonzero(margin < 0.0)
+    vh, found = lyapunov_harmonics(a[hurwitz],
+                                   np.asarray(d, dtype=float)[hurwitz], 0.0)
     v = np.full((len(a), 6, 6), np.nan)
-    v[solved] = vh[:, 0, UNVECH]
+    v[hurwitz] = vh[:, 0, UNVECH]
     errors: list[SimulationError | None] = [None] * len(a)
-    for i, error in zip(solved.tolist(), found):
+    for i, error in zip(hurwitz.tolist(), found):
         errors[i] = error
-    for i in np.flatnonzero(margin >= 0.0):
-        errors[i] = NotStable(f"drift matrix not Hurwitz (max Re eig = "
-                              f"{margin[i]:g})")
+    for i in np.flatnonzero(~(margin < 0.0)):
+        errors[i] = (NotStable(f"drift matrix not Hurwitz (max Re eig = "
+                               f"{margin[i]:g})") if margin[i] >= 0.0
+                     else Singular("drift matrix is not finite"))
     return v, margin, errors
 
 

@@ -514,8 +514,7 @@ def test_lyapunov_stack_cells_are_as_alone(cells, kinds):
         assert np.isnan(vi).all() == (ei is not None)
 
 
-def test_lyapunov_stack_solves_only_the_cells_it_cannot_rule_out(
-        monkeypatch):
+def test_lyapunov_stack_solves_the_hurwitz_cells_alone(monkeypatch):
     seen = []
     harmonics = fluctuations_module.lyapunov_harmonics
 
@@ -525,9 +524,9 @@ def test_lyapunov_stack_solves_only_the_cells_it_cannot_rule_out(
 
     monkeypatch.setattr(fluctuations_module, "lyapunov_harmonics", spy)
     a, d = _mixed_block()
-    lyapunov_stack(a, d)
-    # the Hurwitz cells and the one whose drift is not finite
-    assert np.array_equal(seen[0][:, 0], a[[0, 2, 3, 4, 5]], equal_nan=True)
+    errors = lyapunov_stack(a, d)[2]
+    assert np.array_equal(seen[0][:, 0], a[[0, 2, 4, 5]])
+    assert str(errors[3]) == "drift matrix is not finite"
     lyapunov_stack(a[1:2], d[1:2])
     assert seen[1].shape == (0, 1, 6, 6)
 
