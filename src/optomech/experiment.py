@@ -1,5 +1,12 @@
 """Experiment orchestration: config ingestion, single runs and sweeps.
 
+_SCHEMA is the one list of config keys: each key's JSON type, and
+whether its block needs it.  One walk over it, _read, reads a document
+and names what is wrong with it.  config_from_dict builds the
+dataclasses from what the walk read, or names the keys that are missing
+or of the wrong type; validate names the keys the walk did not read and
+the settings that no run could use.
+
 solve decides, in one place, how a run, a sweep cell or a stability
 report reaches its samples: the working point, the periodic state or an
 integration from t = 0.  The working point and the periodic state both
@@ -80,13 +87,13 @@ class ExperimentConfig:
                          "coupling target")
 
     def validate(self) -> list[str]:
-        report = [f"unknown key '{name}'" for name in _check_keys(self.raw)[0]]
+        read, unknown, _, _ = _read(self.raw)
+        report = [f"unknown key '{name}'" for name in unknown]
         if (self.drive is None) == (self.engineered is None):
             report.append("exactly one of 'drive' and 'engineered' "
                           "must be given")
         # the parsed drive keeps one entry per harmonic
-        ns = [int(c["n"]) for c in self.raw.get("drive", {})
-              .get("components", [])]
+        ns = [c["n"] for c in read.get("drive", {}).get("components", ())]
         report += [f"drive component n = {n} is given twice"
                    for n in dict.fromkeys(ns) if ns.count(n) > 1]
         bad = [o for o in self.outputs if o not in KNOWN_OUTPUTS]
@@ -109,6 +116,8 @@ class ExperimentConfig:
         if cells > COUNT_LIMIT and all(ax.points >= 1 for ax in self.sweep):
             report.append(f"the sweep's {cells} cells exceed {COUNT_LIMIT}")
         report.extend(validate_params(self.params, self.drive))
+        if self.engineered and not self.engineered.big_omega > 0.0:
+            report.append("engineered.Omega must be positive")
         if self.first_moment_source not in ("ode", "engineered"):
             report.append("unknown first_moment_source "
                           f"{self.first_moment_source!r}")
@@ -147,6 +156,11 @@ class ExperimentConfig:
         if samples > COUNT_LIMIT:
             report.append(f"the window's {samples:.6g} samples exceed "
                           f"{COUNT_LIMIT}")
+        # an integration steps at most tau/50 (default_stepper) to the horizon
+        steps = self.horizon_periods * 50
+        if steps > COUNT_LIMIT:
+            report.append(f"the horizon's {steps:.6g} steps exceed "
+                          f"{COUNT_LIMIT}")
         if self.wigner_times:
             t_end = self.horizon_periods * (2.0 * np.pi / drive.big_omega)
             bad = [t for t in self.wigner_times if not 0.0 <= t <= t_end]
@@ -162,45 +176,38 @@ class ExperimentConfig:
             raise ValueError("invalid configuration: " + "; ".join(report))
 
 
-def _parse_drive(d: dict) -> DriveSpec:
-    comps = {int(c["n"]): complex(c.get("re", 0.0), c.get("im", 0.0))
-             for c in d.get("components", [])}
-    return DriveSpec(big_omega=float(d["Omega"]), components=comps)
-
-
 # SystemParams field of each params key and sweep axis; G0 is g0_collective
 _PARAM_KEYS = {"G0" if f.name == "g0_collective" else f.name: f.name
                for f in fields(SystemParams)}
 
-# The JSON type of every key config_from_dict reads, by its dotted name;
-# the items of a list in _LISTS share its name and take its type.
-_KEYS = {name: kind for kind, names in {
-    "block": "params drive engineered numerics sweep drive.components "
-             "sweep.axes",
-    "number": " ".join(f"params.{k}" for k in _PARAM_KEYS) + """
-        params.delta_a_effective drive.Omega drive.components.re
-        drive.components.im engineered.G1 engineered.G2 engineered.Omega
-        horizon_periods sample_periods wigner_times numerics.rel_tol
-        numerics.abs_tol sweep.axes.min sweep.axes.max""",
-    "whole number": "samples_per_period drive.components.n "
-                    "sweep.axes.points",
-    "string": "first_moment_source outputs sweep.axes.name",
-}.items() for name in names.split()}
-_LISTS = {"drive.components", "sweep.axes", "wigner_times", "outputs"}
+# Every key config_from_dict reads, by the dotted name of its block: its
+# JSON type, in brackets for a list of items of that type, and a "!" when
+# the block needs it.  A block's own keys sit under its name plus ".".
+_SCHEMA = {
+    "": {"params": "block!", "drive": "block", "engineered": "block",
+         "numerics": "block", "sweep": "block", "horizon_periods": "number",
+         "sample_periods": "number", "samples_per_period": "whole number",
+         "outputs": "[string]", "first_moment_source": "string",
+         "wigner_times": "[number]"},
+    "params.": {**{key: "number" + "!" * (f.default is MISSING)
+                   for key, f in zip(_PARAM_KEYS, fields(SystemParams))},
+                "delta_a_effective": "number"},
+    "drive.": {"Omega": "number!", "components": "[block]"},
+    "drive.components.": {"n": "whole number!", "re": "number",
+                          "im": "number"},
+    "engineered.": {"G1": "number!", "G2": "number!", "Omega": "number!"},
+    "numerics.": {"rel_tol": "number", "abs_tol": "number"},
+    "sweep.": {"axes": "[block]"},
+    "sweep.axes.": {"name": "string!", "min": "number!", "max": "number!",
+                    "points": "whole number!"},
+}
 _READ = {"number": float, "whole number": int, "string": str}
-# The keys each block needs, by the dotted name of the block.
-_REQUIRED = {"": ("params",),
-             "params.": tuple(f.name for f in fields(SystemParams)
-                              if f.default is MISSING),
-             "drive.": ("Omega",), "drive.components.": ("n",),
-             "engineered.": ("G1", "G2", "Omega"),
-             "sweep.axes.": ("name", "min", "max", "points")}
 
 
 def _value_problem(kind: str, value) -> str | None:
-    """Why value cannot be read as a kind of _KEYS, or None: a block and
-    a string must be one, a number is neither a boolean nor a string and
-    is finite, and a whole number is a number with no fraction (3.0
+    """Why value cannot be read as a kind of _SCHEMA, or None: a block
+    and a string must be one, a number is neither a boolean nor a string
+    and is finite, and a whole number is a number with no fraction (3.0
     reads as 3)."""
     if kind in ("block", "string"):
         ok = isinstance(value, dict if kind == "block" else str)
@@ -215,85 +222,65 @@ def _value_problem(kind: str, value) -> str | None:
     return None
 
 
-def _check_keys(doc: dict, at: str = "") -> tuple[list, list, list]:
-    """(unknown, missing, wrong): the dotted name of every key in doc
-    that config_from_dict does not read, so that a misspelt or retired
-    setting is not silently ignored, of every key it needs that a block
-    of doc lacks, and a message for every value it reads that is not of
-    its key's JSON type (_KEYS, _LISTS) or sets a NaN or an infinity (on
-    its own or as a list item)."""
-    unknown, wrong = [], []
-    missing = [at + key for key in _REQUIRED.get(at, ()) if key not in doc]
+def _read(doc: dict, at: str = "") -> tuple[dict, list, list, list]:
+    """(read, unknown, missing, wrong) of the block doc at the dotted name
+    at, in one walk over _SCHEMA: each key doc sets, read as its type (a
+    list as a tuple, a block as its own read), the dotted name of each key
+    the schema does not name and of each needed key doc lacks, and a
+    message for each value, or list item, of the wrong type or not finite."""
+    schema = _SCHEMA[at]
+    read, unknown, wrong = {}, [], []
+    missing = [at + key for key, kind in schema.items()
+               if kind.endswith("!") and key not in doc]
     for key, value in doc.items():
-        name = at + key
-        if name not in _KEYS:
+        name, kind = at + key, schema.get(key, "").rstrip("!")
+        if not kind:
             unknown.append(name)
             continue
-        if name in _LISTS and not isinstance(value, list):
+        listed = kind.startswith("[")
+        if listed and not isinstance(value, list):
             wrong.append(f"{name} must be a list")
             continue
-        for item in value if name in _LISTS else [value]:
-            problem = _value_problem(_KEYS[name], item)
+        kind = kind.strip("[]")
+        items = []
+        for item in value if listed else [value]:
+            problem = _value_problem(kind, item)
             if problem:
                 wrong.append(f"{name} {problem}")
-            elif isinstance(item, dict):
-                names = _check_keys(item, name + ".")
-                unknown += names[0]
-                missing += names[1]
-                wrong += names[2]
-    return unknown, missing, wrong
-
-
-def _read(block: dict, at: str, keys) -> dict:
-    """{key: value} of each of keys that block sets, read as its _KEYS
-    type (a list as a tuple of its items), so that a key block does not
-    set keeps its dataclass default."""
-    out = {}
-    for key in keys:
-        if key in block:
-            read = _READ[_KEYS[at + key]]
-            out[key] = (tuple(map(read, block[key])) if at + key in _LISTS
-                        else read(block[key]))
-    return out
+            elif kind == "block":
+                block, *names = _read(item, name + ".")
+                items.append(block)
+                for found, more in zip((unknown, missing, wrong), names):
+                    found += more
+            else:
+                items.append(_READ[kind](item))
+        if listed or items:
+            read[key] = tuple(items) if listed else items[0]
+    return read, unknown, missing, wrong
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    """The config doc sets, reading only the keys _KEYS names, each as
-    its JSON type; the dataclasses fill in every setting doc leaves out.
-    ValueError naming every key it lacks and every value it sets that is
-    not of its key's type or not finite, which no run could use."""
-    _, missing, wrong = _check_keys(doc)
+    """The config doc sets, each block built from its keys' one _read and
+    every key doc leaves out at its dataclass default.  ValueError naming
+    every key it lacks and every value of the wrong type or not finite,
+    which no run could use; validate names the keys it does not read."""
+    read, _, missing, wrong = _read(doc)
     if missing or wrong:
         raise ValueError("invalid configuration: " + "; ".join(
             [f"missing key '{name}'" for name in missing]
             + list(dict.fromkeys(wrong))))
-    p = doc["params"]
-    params = SystemParams(**{_PARAM_KEYS[k]: v for k, v in
-                             _read(p, "params.", _PARAM_KEYS).items()})
-
-    drive = _parse_drive(doc["drive"]) if "drive" in doc else None
-    engineered = None
-    if "engineered" in doc:
-        e = doc["engineered"]
-        engineered = EngineeredCoupling(g1=float(e["G1"]),
-                                        g2=float(e["G2"]),
-                                        big_omega=float(e["Omega"]))
-
-    numerics = StepperConfig(**_read(doc.get("numerics", {}), "numerics.",
-                                     ("rel_tol", "abs_tol")))
-
-    sweep = tuple(SweepAxis(name=a["name"], min=float(a["min"]),
-                            max=float(a["max"]), points=int(a["points"]))
-                  for a in doc.get("sweep", {}).get("axes", []))
-
-    return ExperimentConfig(
-        params=params, drive=drive, engineered=engineered,
-        delta_a_effective=(float(p["delta_a_effective"])
-                           if "delta_a_effective" in p else None),
-        sweep=sweep, numerics=numerics, raw=doc,
-        **_read(doc, "", ("horizon_periods", "sample_periods",
-                          "samples_per_period", "outputs",
-                          "first_moment_source", "wigner_times")))
+    p, d, e = (read.get(key) for key in ("params", "drive", "engineered"))
+    return ExperimentConfig(**{
+        **read, "raw": doc, "delta_a_effective": p.get("delta_a_effective"),
+        "params": SystemParams(**{_PARAM_KEYS[key]: value for key, value
+                                  in p.items() if key in _PARAM_KEYS}),
+        "drive": d and DriveSpec(d["Omega"], {
+            c["n"]: complex(c.get("re", 0.0), c.get("im", 0.0))
+            for c in d.get("components", ())}),
+        "engineered": e and EngineeredCoupling(e["G1"], e["G2"], e["Omega"]),
+        "numerics": StepperConfig(**read.get("numerics", {})),
+        "sweep": tuple(SweepAxis(**axis) for axis in
+                       read.get("sweep", {}).get("axes", ()))})
 
 
 # ---------------------------------------------------------------------------

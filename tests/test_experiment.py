@@ -382,6 +382,63 @@ def test_value_of_the_wrong_type_is_named(tmp_path, capsys, recipe, edit,
     assert not (tmp_path / "run").exists()
 
 
+def _typed(fields):
+    """{name: (value, its Python type)} of fields."""
+    return {name: (value, type(value)) for name, value in fields.items()}
+
+
+def test_every_key_reads_into_its_field():
+    # every key is given once: JSON ints where a float is read, floats
+    # where an int is read
+    params = {"delta_a": 1, "kappa": 2, "gamma_m": 3, "g": 4, "delta_c": 5,
+              "gamma_a": 6, "G0": 7, "n_th": 8, "delta_a_effective": 9}
+    doc = {"params": params,
+           "drive": {"Omega": 2, "components": [
+               {"n": 0.0, "re": 1, "im": 2}, {"n": 1, "im": 3}, {"n": -1}]},
+           "numerics": {"rel_tol": 1, "abs_tol": 2},
+           "sweep": {"axes": [{"name": "G0", "min": 1, "max": 2,
+                               "points": 3.0}]},
+           "horizon_periods": 10, "sample_periods": 2,
+           "samples_per_period": 40.0, "outputs": ["EN", "cm"],
+           "first_moment_source": "ode", "wigner_times": [1, 2]}
+    cfg = config_from_dict(doc)
+    assert _typed({f.name: getattr(cfg.params, f.name)
+                   for f in dataclasses.fields(cfg.params)}) == _typed(dict(
+        delta_a=1.0, kappa=2.0, gamma_m=3.0, g=4.0, delta_c=5.0,
+        gamma_a=6.0, g0_collective=7.0, n_th=8.0))
+    assert _typed({"delta_a_effective": cfg.delta_a_effective,
+                   "big_omega": cfg.drive.big_omega,
+                   "rel_tol": cfg.numerics.rel_tol,
+                   "abs_tol": cfg.numerics.abs_tol,
+                   "horizon_periods": cfg.horizon_periods,
+                   "sample_periods": cfg.sample_periods,
+                   "samples_per_period": cfg.samples_per_period,
+                   "outputs": cfg.outputs,
+                   "first_moment_source": cfg.first_moment_source,
+                   "wigner_times": cfg.wigner_times}) == _typed({
+        "delta_a_effective": 9.0, "big_omega": 2.0, "rel_tol": 1.0,
+        "abs_tol": 2.0, "horizon_periods": 10.0, "sample_periods": 2.0,
+        "samples_per_period": 40, "outputs": ("EN", "cm"),
+        "first_moment_source": "ode", "wigner_times": (1.0, 2.0)})
+    assert [type(x) for x in cfg.wigner_times + cfg.outputs] \
+        == [float, float, str, str]
+    # a component with im only, and one with neither re nor im
+    assert {n: (en, type(n), type(en))
+            for n, en in cfg.drive.components.items()} == {
+        0: (1 + 2j, int, complex), 1: (3j, int, complex),
+        -1: (0j, int, complex)}
+    assert cfg.engineered is None
+    (axis,) = cfg.sweep
+    assert _typed(dataclasses.asdict(axis)) == _typed(
+        {"name": "G0", "min": 1.0, "max": 2.0, "points": 3})
+
+    cfg = config_from_dict({"params": params, "engineered": {
+        "G1": 1, "G2": 2, "Omega": 3}})
+    assert cfg.drive is None
+    assert _typed(dataclasses.asdict(cfg.engineered)) == _typed(
+        {"g1": 1.0, "g2": 2.0, "big_omega": 3.0})
+
+
 def test_whole_number_may_be_written_as_a_float():
     doc = load_recipe("fig4a")
     _set("sweep.axes.points", 3.0)(doc)
@@ -447,6 +504,10 @@ def _square_sweep(points):
      "the window's 1.0002e+06 samples exceed 1000000"),
     ("fig4a", _square_sweep(1001),
      "the sweep's 1002001 cells exceed 1000000"),
+    # 50 steps a period at most: fig7's engineered CM would have built
+    # 5e10 piece start times, about 400 GB
+    ("fig7", _set("horizon_periods", 1e9),
+     "the horizon's 5e+10 steps exceed 1000000"),
 ])
 def test_counts_above_the_limit_are_named(tmp_path, capsys, recipe, edit,
                                           message):
@@ -468,6 +529,7 @@ def test_counts_above_the_limit_are_named(tmp_path, capsys, recipe, edit,
     ("fig4a", _square_sweep(1000)),
     # a sweep cell samples its last period alone
     ("fig4a", lambda doc: doc.update(sample_periods=1e9)),
+    ("fig8a", _set("horizon_periods", 20000.0)),     # 50 steps a period
 ])
 def test_counts_at_the_limit_validate(recipe, edit):
     doc = load_recipe(recipe)
@@ -1259,6 +1321,23 @@ def test_retired_floquet_settings_fail_the_run(tmp_path, capsys, setting,
                      "--out", str(tmp_path / "run")]) == 1
     assert capsys.readouterr() == (
         "", f"error: invalid configuration: {message}\n")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("omega", [-2.0, 0.0])
+def test_engineered_omega_must_be_positive(tmp_path, capsys, omega):
+    # Omega = -2 once validated clean and ended in a traceback in every
+    # command; Omega = 0 stopped in the solve with SingularDenominator
+    doc = dict(load_recipe("fig7"), horizon_periods=5, sample_periods=1)
+    doc["engineered"]["Omega"] = omega
+    message = "engineered.Omega must be positive"
+    assert config_from_dict(doc).validate() == [message]
+    path = write_config(tmp_path, doc)
+    out = ["--out", str(tmp_path / "run")]
+    for args in (["simulate", *out], ["stability", *out], ["engineer-drive"]):
+        assert cli_main([*args, "--config", str(path)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: invalid configuration: {message}\n")
     assert not (tmp_path / "run").exists()
 
 
