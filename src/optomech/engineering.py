@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DegenerateExponents, SingularDenominator
+from .errors import DegenerateExponents, Singular, SingularDenominator
 from .model import DEGENERACY_BOUND, DriveSpec, EngineeredCoupling, \
     FirstMoments, SystemParams
 
@@ -175,9 +175,11 @@ def asymptotic_first_moments(params: SystemParams,
     return FirstMoments(q=q.real, p=p.real, a=complex(a), c=complex(c))
 
 
+@np.errstate(all="ignore")      # an overflow reads inf in NumPy
 def modulation_components(params: SystemParams,
                           target: EngineeredCoupling) -> DriveSpec:
-    """Truncated four-component drive realizing the target coupling."""
+    """Truncated four-component drive realizing the target coupling.
+    Singular when a component is not finite, as a huge target makes it."""
     _check_target(params, target)
     g = params.g
     big = target.big_omega
@@ -189,16 +191,20 @@ def modulation_components(params: SystemParams,
     ga = params.gamma_a
     dc = params.delta_c
 
-    e2 = 1j * g1 * g2 ** 2 / (2.0 * SQRT2 * g * dd)
-    em1 = 1j * g1 ** 2 * g2 / (2.0 * SQRT2 * g * dd)
-    e1 = (g2 / (SQRT2 * g) * (kap + 1j * (da - big))
-          - 1j * g2 / (2.0 * SQRT2 * g)
-          * (2.0 * g1 ** 2 + g2 ** 2 - g1 ** 2 * big ** 2 / dd)
-          + g0 ** 2 * g2 / (SQRT2 * g * (ga + 1j * (dc - big))))
-    e0 = (g1 / (SQRT2 * g) * (kap + 1j * da)
-          - 1j * g1 / (2.0 * SQRT2 * g)
-          * (g1 ** 2 + 2.0 * g2 ** 2 - g2 ** 2 * big ** 2 / dd)
-          + g0 ** 2 * g1 / (SQRT2 * g * (ga + 1j * dc)))
-    return DriveSpec(big_omega=big,
-                     components={2: e2, 1: e1, 0: e0, -1: em1})
-
+    try:
+        e2 = 1j * g1 * g2 ** 2 / (2.0 * SQRT2 * g * dd)
+        em1 = 1j * g1 ** 2 * g2 / (2.0 * SQRT2 * g * dd)
+        e1 = (g2 / (SQRT2 * g) * (kap + 1j * (da - big))
+              - 1j * g2 / (2.0 * SQRT2 * g)
+              * (2.0 * g1 ** 2 + g2 ** 2 - g1 ** 2 * big ** 2 / dd)
+              + g0 ** 2 * g2 / (SQRT2 * g * (ga + 1j * (dc - big))))
+        e0 = (g1 / (SQRT2 * g) * (kap + 1j * da)
+              - 1j * g1 / (2.0 * SQRT2 * g)
+              * (g1 ** 2 + 2.0 * g2 ** 2 - g2 ** 2 * big ** 2 / dd)
+              + g0 ** 2 * g1 / (SQRT2 * g * (ga + 1j * dc)))
+    except (OverflowError, ZeroDivisionError):  # a float's **, or g = 0
+        e2 = e1 = e0 = em1 = np.inf
+    components = {2: e2, 1: e1, 0: e0, -1: em1}
+    if not np.isfinite(list(components.values())).all():
+        raise Singular("the engineered drive is not finite")
+    return DriveSpec(big_omega=big, components=components)

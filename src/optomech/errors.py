@@ -36,4 +36,5 @@ class NoConvergence(SimulationError):
 
 
 class Singular(SimulationError):
-    """Linear system has no reliable solution (pivot underflow)."""
+    """Linear system has no reliable solution: a pivot underflows, or an
+    input (a drift, a drive) is not finite."""

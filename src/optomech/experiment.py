@@ -29,15 +29,16 @@ import numpy as np
 
 from . import __version__
 from .engineering import engineered_mean_source, modulation_components
-from .errors import Diverged, NonPhysical, NotStable, SimulationError
+from .errors import Diverged, NonPhysical, NotStable, SimulationError, \
+    SingularDenominator
 from .fluctuations import _check_physical, build_diffusion, build_drift, \
     integrate_lyapunov, lyapunov_stack, periodic_state, stability_check
 from .measures import log_negativity_stack, principal_axis_angle, \
     reduce_atom_mirror_stack, squeezing_parameter, wigner
-from .model import DriveSpec, EngineeredCoupling, FirstMoments, \
-    SystemParams, validate_params
-from .moments import floquet_recurse, integrate_first_moments, \
-    steady_state_constant
+from .model import DEGENERACY_BOUND, DriveSpec, EngineeredCoupling, \
+    FirstMoments, SystemParams, validate_params
+from .moments import STEPS_PER_PERIOD, floquet_recurse, \
+    integrate_first_moments, steady_state_constant
 from .numerics import StepperConfig
 from .tables import grid_columns, write_cm_csv, write_rows, \
     write_trajectory_csv, write_wigner_csv
@@ -104,18 +105,24 @@ class ExperimentConfig:
         names = [ax.name for ax in self.sweep]
         report += [f"sweep axis '{name}' is given twice"
                    for name in dict.fromkeys(names) if names.count(name) > 1]
+        problems = validate_params(self.params, self.drive)
         for ax in self.sweep:
-            try:
-                _apply_axis(self, ax.name, ax.min)
-            except KeyError:
+            attr = _PARAM_KEYS.get(ax.name)
+            if attr is None and ax.name != "E0":
                 report.append(f"sweep axis '{ax.name}' does not name a "
                               "scalar parameter")
+            # every value linspace puts on the axis lies between its ends
+            for end in (ax.min, ax.max) if attr else ():
+                report += [f"sweep axis '{ax.name}' reaches {end:g}: "
+                           f"{problem}" for problem in validate_params(
+                               replace(self.params, **{attr: end}))
+                           if problem not in problems]
             if ax.points < 1:
                 report.append(f"sweep axis '{ax.name}' needs points >= 1")
         cells = math.prod(ax.points for ax in self.sweep)
         if cells > COUNT_LIMIT and all(ax.points >= 1 for ax in self.sweep):
             report.append(f"the sweep's {cells} cells exceed {COUNT_LIMIT}")
-        report.extend(validate_params(self.params, self.drive))
+        report.extend(problems)
         if self.engineered and not self.engineered.big_omega > 0.0:
             report.append("engineered.Omega must be positive")
         if self.first_moment_source not in ("ode", "engineered"):
@@ -156,8 +163,8 @@ class ExperimentConfig:
         if samples > COUNT_LIMIT:
             report.append(f"the window's {samples:.6g} samples exceed "
                           f"{COUNT_LIMIT}")
-        # an integration steps at most tau/50 (default_stepper) to the horizon
-        steps = self.horizon_periods * 50
+        # an integration steps at most tau / STEPS_PER_PERIOD to the horizon
+        steps = self.horizon_periods * STEPS_PER_PERIOD
         if steps > COUNT_LIMIT:
             report.append(f"the horizon's {steps:.6g} steps exceed "
                           f"{COUNT_LIMIT}")
@@ -320,7 +327,10 @@ def solve(cfg: ExperimentConfig, require_verdict: bool = False):
     config alone, which samples it takes and how they are reached.  A
     constant drive is sampled at its working point (t = [0]), one cell
     of _constant_cells: the N = 0 case of floquet_exponent, the Hurwitz
-    verdict, and of lyapunov_harmonics, the CM of a Hurwitz drift.  A
+    verdict, and of lyapunov_harmonics, the CM of a Hurwitz drift.  The
+    cell's error is raised when it has no verdict (a NaN margin, as where
+    the working point is not finite or does not exist), or when a
+    measure is asked for and its CM solve is singular.  A
     modulated drive is sampled over the last sample_periods of the
     horizon (clamped at t = 0), samples_per_period to a period, with the
     wigner_times added; an integration runs from rest at t = 0, zero
@@ -354,8 +364,9 @@ def solve(cfg: ExperimentConfig, require_verdict: bool = False):
     if drive.big_omega == 0.0:
         fm, v, (margin,), (error,) = _constant_cells(cfg, cfg.params,
                                                      drive.component(0))
-        if measured and margin < 0.0 and error is not None:
-            raise error         # a singular CM solve
+        if error is not None and (np.isnan(margin) or measured
+                                  and margin < 0.0):
+            raise error         # no verdict, or a singular CM solve
         stability = stability_check(margin)
         vs = v if measured and stability["stable"] else None
         means = FirstMoments.from_vector(fm.to_vector()[:, None])
@@ -434,14 +445,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path,
     """Execute the configured pipeline in this process; returns {output
     name: path}.  jobs is ignored: the benchmark harness still passes it."""
     cfg.check()
+    manifest = {"version": __version__, "config": cfg.raw}
+    if cfg.engineered is not None:      # before any file: it may raise
+        manifest["resolved_drive"] = drive_to_dict(cfg.resolved_drive())
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: dict = {}
-
-    manifest = {"version": __version__, "config": cfg.raw}
-    if cfg.engineered is not None:
-        drv = cfg.resolved_drive()
-        manifest["resolved_drive"] = drive_to_dict(drv)
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, default=str))
     written["manifest"] = path
@@ -521,20 +530,28 @@ def _constant_cells(cfg: ExperimentConfig, params: SystemParams, e0):
     """(means, v, margin, errors) of the constant-drive cells over which
     params' fields or e0 hold one value per cell: the working points,
     drifts and diffusions as arrays, then one lyapunov_stack, in which a
-    failing cell flags only itself (NaN v).  A working point that cannot
-    be found raises, for the whole block."""
-    fm, eff = steady_state_constant(params, e0, cfg.delta_a_effective)
+    failing cell flags only itself (NaN v).  A cell whose gamma_a + i
+    delta_c vanishes has no working point (NaN means): SingularDenominator."""
+    atoms = np.abs(params.gamma_a + 1j * params.delta_c) < DEGENERACY_BOUND
+    fm, eff = steady_state_constant(params, np.where(atoms, np.nan, e0),
+                                    cfg.delta_a_effective)
     drift, diffusion = np.broadcast_arrays(build_drift(eff, fm.q, fm.a),
                                            build_diffusion(eff))
-    return fm, *lyapunov_stack(drift.reshape(-1, 6, 6),
-                               diffusion.reshape(-1, 6, 6))
+    v, margin, errors = lyapunov_stack(drift.reshape(-1, 6, 6),
+                                       diffusion.reshape(-1, 6, 6))
+    for i in np.flatnonzero(np.broadcast_to(atoms, margin.shape)):
+        errors[i] = SingularDenominator("atomic denominator gamma_a + i "
+                                        "delta_c vanishes (undamped atoms "
+                                        "on resonance)")
+    return fm, v, margin, errors
 
 
 def evaluate_cell(cfg: ExperimentConfig) -> tuple[str, float]:
     """(status, EN) for one sweep cell; failures flagged, not raised.
 
-    A constant cell is its working point.  A modulated cell is solved
-    over its last period (solve's window, clamped at t = 0) and
+    A constant cell is one cell of _constant_cells, as a sweep block
+    reads it; run_sweep solves those by blocks.  A modulated cell is
+    solved over its last period (solve's window, clamped at t = 0) and
     needs a Floquet verdict: a failed periodic solve flags the cell, and
     a multiplier on or outside the unit circle makes it unstable; neither
     integrates the window.  A valid sweep config carries the "ode" source
@@ -557,15 +574,15 @@ def run_sweep(cfg: ExperimentConfig, out_path: Path) -> Path:
 
     A constant drive's cells are solved SWEEP_BLOCK at a time: one
     SystemParams (and E0) whose swept fields hold the block's axis
-    values, for _constant_cells.  Only a block with a working point that
-    cannot be found is solved a cell at a time.  Modulated cells are
+    values, for one _constant_cells call, in which a failing cell, its
+    working point included, flags only itself.  Modulated cells are
     solved one after another, one periodic solve each (evaluate_cell).
     """
     columns = [x.ravel() for x in np.meshgrid(
         *(ax.values() for ax in cfg.sweep), indexing="ij")]
 
-    def cells(lo=0, hi=None):       # each cell's config, in row order
-        for values in zip(*(col[lo:hi].tolist() for col in columns)):
+    def cells():        # each cell's config, in row order
+        for values in zip(*(col.tolist() for col in columns)):
             cell = cfg
             for ax, val in zip(cfg.sweep, values):
                 cell = _apply_axis(cell, ax.name, val)
@@ -584,12 +601,7 @@ def run_sweep(cfg: ExperimentConfig, out_path: Path) -> Path:
                     e0 = block.astype(complex)
                 else:
                     params = replace(params, **{_PARAM_KEYS[ax.name]: block})
-            try:
-                _, v, _, errors = _constant_cells(cfg, params, e0)
-            except SimulationError:
-                # a failing working point fails its block: one cell at a time
-                results += map(evaluate_cell, cells(lo, lo + SWEEP_BLOCK))
-                continue
+            _, v, _, errors = _constant_cells(cfg, params, e0)
             en, physical = log_negativity_stack(reduce_atom_mirror_stack(v))
             results += zip(map(_cell_status, errors, physical), en.tolist())
     write_rows(out_path, [ax.name for ax in cfg.sweep] + ["status", "EN"],

@@ -30,6 +30,7 @@ from .numerics import StepperConfig, checked_t_eval, integrate_adaptive
 DEFAULT_J_MAX = 6
 DEFAULT_N_MAX = 5
 HB_NEWTON_MAX = 40      # Newton steps of periodic_means from one start
+STEPS_PER_PERIOD = 50   # a modulated drive's max_step is tau / this
 
 
 def _rhs_vector(params: SystemParams, drive: DriveSpec):
@@ -60,12 +61,13 @@ def _rhs_vector(params: SystemParams, drive: DriveSpec):
 
 def default_stepper(drive: DriveSpec | None = None,
                     base: StepperConfig | None = None) -> StepperConfig:
-    """Resolve the max-step cap: tau/50 when modulated, else 0.1."""
+    """Resolve the max-step cap: tau / STEPS_PER_PERIOD when modulated,
+    else 0.1."""
     base = base or StepperConfig()
     if np.isfinite(base.max_step):
         return base
     if drive is not None and drive.big_omega > 0:
-        cap = drive.period / 50.0
+        cap = drive.period / STEPS_PER_PERIOD
     else:
         cap = 0.1
     return StepperConfig(rel_tol=base.rel_tol, abs_tol=base.abs_tol,
@@ -260,6 +262,7 @@ def periodic_means(params: SystemParams, drive: DriveSpec, n_max: int,
 # The constant-drive working point
 # ---------------------------------------------------------------------------
 
+@np.errstate(all="ignore")      # what is not finite reads NaN below
 def steady_state_constant(params: SystemParams, e0: complex,
                           delta_a_eff: float | None = None
                           ) -> tuple[FirstMoments, SystemParams]:
@@ -272,33 +275,33 @@ def steady_state_constant(params: SystemParams, e0: complex,
     companion matrix needs no division, not even at g = 0:
     x [(Re K)^2 + (b - x)^2] = g^2 |E_0|^2, b = Im K + delta_a,
     K = kappa + G0^2 / (gamma_a + i delta_c).  The lowest real root, the
-    branch reached from q = 0, is the working point.  Raises
-    SingularDenominator where gamma_a + i delta_c vanishes in any cell.
+    branch reached from q = 0, is the working point; NaN, with no raise
+    or warning, where it or its companion is not finite, or none exists.
     """
     # NumPy's arithmetic in one cell too, for the bits of that cell in a
     # block: CPython's complex division and ** round differently
     atom = np.asarray(params.gamma_a + 1j * params.delta_c)
-    if np.any(np.abs(atom) < DEGENERACY_BOUND):
-        raise SingularDenominator(
-            "atomic denominator gamma_a + i delta_c vanishes "
-            "(undamped atoms on resonance)")
     k = params.kappa + np.square(params.g0_collective) / atom
     if delta_a_eff is None:
         b = k.imag + params.delta_a
-        roots = np.linalg.eigvals(cell_matrices([
+        m = cell_matrices([
             2.0 * b, -np.square(k.real) - b * b,
             np.square(params.g * np.abs(e0)),
             1.0, 0.0, 0.0,
-            0.0, 1.0, 0.0], 3))
+            0.0, 1.0, 0.0], 3)
+        finite = np.isfinite(m).all(axis=(-2, -1))
+        roots = np.linalg.eigvals(np.where(finite[..., None, None], m, 0.0))
         # next to a fold the two merging roots come back as a pair split
         # off the real axis by rounding, O(sqrt(eps)) of their size
         x = np.min(np.where(np.abs(roots.imag) <= 1e-6 * np.abs(roots),
                             roots.real, np.inf), axis=-1)
-        a = e0 / (k + 1j * (params.delta_a - x))
+        a = e0 / (k + 1j * (params.delta_a - np.where(finite, x, np.nan)))
     else:
         a = e0 / (k + 1j * delta_a_eff)
     q = params.g * np.square(np.abs(a))
+    c = -1j * params.g0_collective * a / atom
+    finite = np.isfinite(q) & np.isfinite(c)    # a is where q is
+    q, a, c = (np.where(finite, y, np.nan)[()] for y in (q, a, c))
     if delta_a_eff is not None:
         params = replace(params, delta_a=delta_a_eff + params.g * q)
-    c = -1j * params.g0_collective * a / atom
     return FirstMoments(q=q, p=0.0, a=a, c=c), params

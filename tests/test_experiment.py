@@ -1254,8 +1254,18 @@ RESONANT_ATOMS_DOC = {
 }
 
 
-def test_resonant_atoms_fail_one_point_run_with_typed_error(tmp_path):
-    doc = dict(RESONANT_ATOMS_DOC, outputs=["EN"])
+# the same cell on the cubic route, with no delta_a_effective
+RESONANT_CUBIC_DOC = dict(RESONANT_ATOMS_DOC, params={
+    key: value for key, value in RESONANT_ATOMS_DOC["params"].items()
+    if key != "delta_a_effective"})
+
+
+@pytest.mark.parametrize("resonant_doc", [RESONANT_ATOMS_DOC,
+                                          RESONANT_CUBIC_DOC],
+                         ids=["prescribed", "cubic"])
+def test_resonant_atoms_fail_one_point_run_with_typed_error(tmp_path,
+                                                            resonant_doc):
+    doc = dict(resonant_doc, outputs=["EN"])
     with pytest.raises(SingularDenominator, match=r"gamma_a \+ i delta_c"):
         run_experiment(config_from_dict(doc), tmp_path)
     assert not (tmp_path / "measures.csv").exists()
@@ -1275,8 +1285,10 @@ def _resonant_modulated():
 
 @pytest.mark.parametrize("make_doc", [lambda: RESONANT_ATOMS_DOC,
                                       _resonant_engineered,
-                                      _resonant_modulated],
-                         ids=["constant", "engineered", "modulated"])
+                                      _resonant_modulated,
+                                      lambda: RESONANT_CUBIC_DOC],
+                         ids=["constant", "engineered", "modulated",
+                              "cubic"])
 def test_resonant_atoms_flag_their_sweep_cell_only(tmp_path, make_doc):
     def sweep(points):
         doc = dict(make_doc(), sweep={"axes": [
@@ -1289,6 +1301,113 @@ def test_resonant_atoms_flag_their_sweep_cell_only(tmp_path, make_doc):
     # the neighbours read what a sweep without the resonance reads
     assert [rows[0], rows[2]] == sweep(2)
     assert not any(row[1].startswith("error") for row in sweep(2))
+
+
+@pytest.mark.parametrize("gamma_a", [0.0, 5e-11])
+@pytest.mark.parametrize("resonant_doc", [RESONANT_ATOMS_DOC,
+                                          RESONANT_CUBIC_DOC],
+                         ids=["prescribed", "cubic"])
+def test_constant_cells_read_what_they_read_alone(tmp_path, resonant_doc,
+                                                  gamma_a):
+    # E0 = 1e4, 5e199, 1e200 by delta_c = -1, 0, 1: stable, resonant-atom
+    # (|gamma_a + i delta_c| below DEGENERACY_BOUND), non-Hurwitz and
+    # overflowing cells in one block
+    def sweep(name, e0_axis, delta_c_axis):
+        keys = ("name", "min", "max", "points")
+        doc = dict(resonant_doc, sweep={"axes": [
+            dict(zip(keys, ("E0", *e0_axis))),
+            dict(zip(keys, ("delta_c", *delta_c_axis)))]},
+            params=dict(resonant_doc["params"], gamma_a=gamma_a))
+        cfg = config_from_dict(doc)
+        run_experiment(cfg, tmp_path / name)
+        return cfg, read_sweep(tmp_path / name / "sweep.csv")
+
+    cfg, rows = sweep("mixed", (1e4, 1e200, 3), (-1.0, 1.0, 3))
+    assert [row[2] for row in rows] == [
+        "stable", "error:SingularDenominator", "unstable",
+        *["error:Singular", "error:SingularDenominator",
+          "error:Singular"] * 2]
+    for e0, delta_c, status, en in rows:
+        cell = experiment._apply_axis(experiment._apply_axis(
+            cfg, "E0", float(e0)), "delta_c", float(delta_c))
+        want_status, want_en = evaluate_cell(cell)
+        assert (status, en) == (want_status, repr(want_en))
+    # the stable cell has the bits it has with no failing cell beside it
+    _, alone = sweep("stable", (1e4, 1e4, 1), (-1.0, -1.0, 1))
+    assert alone == [rows[0]]
+
+
+@pytest.mark.parametrize("drop", [(), ("delta_a_effective",)],
+                         ids=["prescribed", "cubic"])
+def test_cli_sweep_flags_a_working_point_that_is_not_finite(tmp_path,
+                                                            capsys, drop):
+    # E0 = 5e199 and 1e200 overflow the working point; the cubic route
+    # once raised LinAlgError for the whole sweep
+    params = {key: value for key, value in
+              load_recipe("fig4a")["params"].items() if key not in drop}
+    path = write_config(tmp_path, {"params": params, "sweep": {"axes": [
+        {"name": "E0", "min": 1e5, "max": 1e200, "points": 3}]}})
+    assert cli_main(["sweep", "--recipe", "fig4a", "--config", str(path),
+                     "--out", str(tmp_path / "run")]) == 0
+    rows = read_sweep(tmp_path / "run" / "sweep.csv")
+    assert [row[1:] for row in rows[1:]] == [["error:Singular", "nan"]] * 2
+    assert rows[0][1] == "stable"
+
+
+@pytest.mark.parametrize("recipe", ["fig4a", "fig5a"])
+def test_cli_stability_names_a_working_point_that_is_not_finite(
+        tmp_path, capsys, recipe):
+    # E0 = 1e200 once printed {"stable": false, "margin": NaN} (fig4a) or
+    # ended in a LinAlgError traceback (fig5a, the cubic route)
+    path = write_config(tmp_path, {
+        "drive": {"Omega": 0, "components": [{"n": 0, "re": 1e200}]},
+        "sweep": {"axes": []}})
+    assert cli_main(["stability", "--recipe", recipe,
+                     "--config", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: Singular: drift matrix is not finite\n")
+
+
+@pytest.mark.parametrize("axes, message", [
+    ([("n_th", -5.0, 0.0)], "sweep axis 'n_th' reaches -5: n_th must be "
+     "nonnegative"),
+    ([("kappa", 0.2, 0.0)], "sweep axis 'kappa' reaches 0: kappa must be "
+     "positive"),
+    ([("n_th", -5.0, 0.0), ("kappa", -0.2, 0.2)],
+     "sweep axis 'n_th' reaches -5: n_th must be nonnegative; sweep axis "
+     "'kappa' reaches -0.2: kappa must be positive"),
+], ids=["n_th", "kappa-max", "both"])
+def test_sweep_axis_must_stay_in_the_parameter_domain(tmp_path, capsys,
+                                                       axes, message):
+    # a single run at n_th = -5 or kappa = 0 is refused; so is a sweep
+    # whose axis reaches one
+    doc = dict(load_recipe("fig4b"), sweep={"axes": [
+        {"name": name, "min": lo, "max": hi, "points": 3}
+        for name, lo, hi in axes]})
+    assert config_from_dict(doc).validate() == message.split("; ")
+    path = write_config(tmp_path, doc)
+    assert cli_main(["sweep", "--config", str(path),
+                     "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: invalid configuration: {message}\n")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("block, key, value", [
+    ("engineered", "G1", 1e200), ("params", "g", 0.0)], ids=["G1", "g"])
+def test_cli_engineered_drive_that_is_not_finite_fails_with_one_line(
+        tmp_path, capsys, block, key, value):
+    # G1 = 1e200 once overflowed g1 ** 2, and g = 0 divided a complex by
+    # zero, each with a traceback
+    doc = dict(load_recipe("fig7"), horizon_periods=5, sample_periods=1)
+    doc[block] = dict(doc[block], **{key: value})
+    path = write_config(tmp_path, doc)
+    out = ["--out", str(tmp_path / "run")]
+    for args in (["simulate", *out], ["stability", *out], ["engineer-drive"]):
+        assert cli_main([*args, "--config", str(path)]) == 1
+        assert capsys.readouterr() == (
+            "", "error: Singular: the engineered drive is not finite\n")
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("delta_c", [0.0, 2.0])
